@@ -46,14 +46,24 @@ property is what lets the streaming runner's pipelined executor
 order: :func:`next_shard_size` fixes the partition as a pure function of
 the target, so any shard's streams follow from its index alone.
 
+The shard size is only the seed partition, not the kernel's vector
+width: one call may advance several consecutive shards in lockstep
+(rows laid out shard after shard).  Each shard then keeps its own
+samplers on its own generator, and every draw for a row selection is
+split at the shard boundaries, each part taken from its own shard's
+sampler.  Every shard therefore consumes exactly the random stream a
+call of its own would, and the result is the concatenation of the
+per-shard calls; the in-process runner picks the width
+(:data:`~repro.simulation.monte_carlo.KERNEL_ROWS`).
+
 Compaction and the fused reduction preserve that contract exactly: the
 same events fire in the same order with the same sampled values whether
 or not (and whenever) the kernel compacts, because gathering rows never
 reorders groups and never changes which samples are consumed.  The
 :class:`_BlockSampler` refill schedule is part of the contract too — all
-samplers share the shard's generator, so the *sizes* of their refill
-draws determine how the single random stream is interleaved between
-distributions and must stay fixed (see the class docstring).
+samplers of a shard share the shard's generator, so the *sizes* of their
+refill draws determine how the single random stream is interleaved
+between distributions and must stay fixed (see the class docstring).
 
 Simultaneous events within a group (possible only with discrete-support
 distributions such as :class:`~repro.distributions.Deterministic`) are
@@ -73,7 +83,7 @@ event engine under ``engine="auto"``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -82,11 +92,12 @@ from .config import RaidGroupConfig
 from .predicate import loss_predicate_for
 from .raid_simulator import DDFType, GroupChronology
 
-#: Groups per vectorized kernel invocation.  Fixed (rather than derived
-#: from ``n_jobs``) so batch-engine results depend only on
-#: ``(config, n_groups, seed)``; multiprocessing distributes whole shards.
-#: 512 balances per-iteration numpy dispatch overhead against wasted
-#: lockstep work on groups that finish their missions early.
+#: Groups per seed shard: each shard draws from one spawned child of the
+#: root seed.  Fixed (rather than derived from ``n_jobs``) so batch-engine
+#: results depend only on ``(config, n_groups, seed)``; multiprocessing
+#: distributes whole shards.  This is only the seed partition — a kernel
+#: call may advance several shards at once — so changing it changes every
+#: batch result.
 BATCH_SHARD_SIZE = 512
 
 #: Compact the kernel's state arrays once the active-group count falls to
@@ -139,7 +150,7 @@ class _BlockSampler:
     largest refill so far needed and reused in place, so steady-state
     refills allocate nothing), but the **refill draw schedule is fixed**:
     a refill always draws exactly ``max(block, k)`` samples.  Every
-    sampler of a kernel shares the shard's generator, so the sequence of
+    sampler of a shard shares the shard's generator, so the sequence of
     refill sizes across samplers determines how the one random stream is
     partitioned between distributions — growing the draw size adaptively
     would re-interleave that stream and silently change every result.
@@ -192,12 +203,38 @@ class _BlockSampler:
         self._size = needed
 
 
+class _ShardSamplers:
+    """One :class:`_BlockSampler` per shard for a multi-shard kernel call.
+
+    :meth:`take` receives the cut positions of a sorted row selection at
+    the shard row bounds (``cuts[j]:cuts[j + 1]`` is shard *j*'s part) and
+    returns each part's samples from its own shard's sampler, in row
+    order — so every shard sees exactly the ``take`` sizes a call of its
+    own would make, and the pinned ``max(block, k)`` refill rule applies
+    per shard to that shard's ``k``.
+    """
+
+    __slots__ = ("_samplers",)
+
+    def __init__(self, distribution, rngs: Sequence[np.random.Generator]) -> None:
+        self._samplers = [_BlockSampler(distribution, rng) for rng in rngs]
+
+    def take(self, cuts: List[int]) -> np.ndarray:
+        """Samples for a non-empty selection (may be a view; do not mutate)."""
+        parts = [
+            sampler.take(hi - lo)
+            for sampler, lo, hi in zip(self._samplers, cuts, cuts[1:])
+            if hi > lo
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def simulate_groups_batch(
     config: RaidGroupConfig,
-    n_groups: int,
-    rng: np.random.Generator,
+    n_groups: Union[int, Sequence[int]],
+    rng: Union[np.random.Generator, Sequence[np.random.Generator]],
 ) -> List[GroupChronology]:
-    """Simulate ``n_groups`` missions in lockstep; one chronology per group.
+    """Simulate missions in lockstep; one chronology per group.
 
     Parameters
     ----------
@@ -205,20 +242,40 @@ def simulate_groups_batch(
         The group design; must be batch-compatible
         (:func:`batch_engine_unsupported_reason` returns ``None``).
     n_groups:
-        Replications advanced together in this kernel invocation.
+        Replications advanced together in this kernel invocation: one
+        shard's size, or the sizes of several consecutive shards.
     rng:
-        Single generator feeding every block draw of the shard.
+        The shard's generator, feeding every block draw of the shard, or
+        one generator per shard (as many as ``n_groups`` has sizes).
+
+    With several shards the chronologies come back in fleet order and
+    equal the per-shard calls concatenated, byte for byte: each shard
+    draws only from its own generator, in the order a call of its own
+    would.
 
     Raises
     ------
     SimulationError:
-        If the configuration needs the event engine.
+        If the configuration needs the event engine, or the shard sizes
+        and generators do not match.
     """
     reason = batch_engine_unsupported_reason(config)
     if reason is not None:
         raise SimulationError(f"batch engine cannot simulate this config: {reason}")
-    if n_groups < 1:
-        raise SimulationError(f"n_groups must be >= 1, got {n_groups!r}")
+    if isinstance(rng, np.random.Generator):
+        sizes, rngs = [n_groups], [rng]
+    elif np.ndim(n_groups) == 1 and len(n_groups) == len(rng) > 0:
+        sizes, rngs = list(n_groups), list(rng)
+    else:
+        raise SimulationError(
+            "simulate_groups_batch takes one shard size with one generator, "
+            "or equally long sequences of shard sizes and generators"
+        )
+    for n in sizes:
+        if n < 1:
+            raise SimulationError(f"n_groups must be >= 1, got {n!r}")
+    n_groups = sum(sizes)
+    n_shards = len(sizes)
 
     n_slots = config.n_drives
     mission = config.mission_hours
@@ -231,16 +288,29 @@ def simulate_groups_batch(
     ld_start = _K_LD * n_slots + shift
     op_start = _K_OP * n_slots + shift
 
-    ttop = _BlockSampler(config.time_to_op, rng)
-    ttr = _BlockSampler(config.time_to_restore, rng)
-    ttld = (
-        _BlockSampler(config.time_to_latent, rng)
-        if config.models_latent_defects
-        else None
-    )
-    ttscrub = (
-        _BlockSampler(config.time_to_scrub, rng) if config.scrubbing_enabled else None
-    )
+    # Every draw below is ``sampler.take(split(rows))`` for a sorted row
+    # selection.  One shard: ``split`` is ``len`` and the samplers are
+    # plain block samplers.  Several: ``split`` cuts the selection at the
+    # shard row bounds (remapped on every compaction) for _ShardSamplers.
+    if n_shards == 1:
+        split = len
+
+        def sampler(distribution) -> _BlockSampler:
+            return _BlockSampler(distribution, rngs[0])
+
+    else:
+        bounds = np.cumsum([0, *sizes])
+
+        def split(rows: np.ndarray) -> List[int]:
+            return rows.searchsorted(bounds).tolist()
+
+        def sampler(distribution) -> _ShardSamplers:
+            return _ShardSamplers(distribution, rngs)
+
+    ttop = sampler(config.time_to_op)
+    ttr = sampler(config.time_to_restore)
+    ttld = sampler(config.time_to_latent) if config.models_latent_defects else None
+    ttscrub = sampler(config.time_to_scrub) if config.scrubbing_enabled else None
 
     # Fused state/candidate buffer: column block k holds kind k's
     # per-(group, slot) next-event time (inf when none is pending), so the
@@ -272,9 +342,16 @@ def simulate_groups_batch(
     t_restore, t_clear, t_scrub, t_ld, t_op, t_check = _views(state)
     op_up = np.ones((n_groups, n_slots), dtype=bool)
     exposed = np.zeros((n_groups, n_slots), dtype=bool)
-    t_op[:] = ttop.take(n_groups * n_slots).reshape(n_groups, n_slots)
+    # Each shard's initial fills are n_j * n_slots samples of its own
+    # op-then-latent draws, exactly as in a call of its own.
+    whole = (
+        n_groups * n_slots
+        if n_shards == 1
+        else [b * n_slots for b in bounds.tolist()]
+    )
+    t_op[:] = ttop.take(whole).reshape(n_groups, n_slots)
     if ttld is not None:
-        t_ld[:] = ttld.take(n_groups * n_slots).reshape(n_groups, n_slots)
+        t_ld[:] = ttld.take(whole).reshape(n_groups, n_slots)
     if has_check:
         t_check[:] = policy.check_interval_hours
 
@@ -314,6 +391,8 @@ def simulate_groups_batch(
             # below) is preserved, so the samplers consume the exact
             # streams the uncompacted kernel would.
             keep = active.nonzero()[0]
+            if n_shards > 1:
+                bounds = keep.searchsorted(bounds)
             state = np.ascontiguousarray(state[keep])
             t_restore, t_clear, t_scrub, t_ld, t_op, t_check = _views(state)
             op_up = op_up[keep]
@@ -342,7 +421,7 @@ def simulate_groups_batch(
             go = orig[g]
             n_op_failures[go] += 1
             if policy is None:
-                completion = t + ttr.take(k)
+                completion = t + ttr.take(split(g))
             else:
                 # Deferred repair: the missing share waits for the
                 # periodic checker; only data losses draw a TTR below.
@@ -368,12 +447,13 @@ def simulate_groups_batch(
             )
             is_ddf = is_double | is_latent
             if is_ddf.any():
+                g_ddf = g[is_ddf]
                 if policy is not None:
                     # Emergency repair at data loss: TTR draws for the
                     # DDF rows only, in row order (the draw schedule is
                     # deterministic for a fixed (config, n_groups, seed)).
                     ddf_rows = is_ddf.nonzero()[0]
-                    completion[ddf_rows] = t[ddf_rows] + ttr.take(ddf_rows.size)
+                    completion[ddf_rows] = t[ddf_rows] + ttr.take(split(g_ddf))
                 # The group returns to service when the *latest* involved
                 # restoration completes; every overlapping restore (and
                 # this failure's own) is extended to that instant.
@@ -386,7 +466,7 @@ def simulate_groups_batch(
                 completion = np.where(is_ddf, window_end, completion)
                 rws, cols = (overlap & is_ddf[:, None]).nonzero()
                 t_restore[g[rws], cols] = window_end[rws]
-                ddf_until[g[is_ddf]] = window_end[is_ddf]
+                ddf_until[g_ddf] = window_end[is_ddf]
                 # Latent pathway: the exposed drives' defects are repaired
                 # by the shared DDF restoration — cancel their scrubs and
                 # schedule the clear at the window end.
@@ -417,10 +497,11 @@ def simulate_groups_batch(
             n_restores[orig[g]] += 1
             op_up[g, s] = True
             t_restore[g, s] = _INF
-            t_op[g, s] = t + ttop.take(g.size)
+            cuts = split(g)
+            t_op[g, s] = t + ttop.take(cuts)
             if ttld is not None:
                 # Fresh drive: fresh latent process.
-                t_ld[g, s] = t + ttld.take(g.size)
+                t_ld[g, s] = t + ttld.take(cuts)
 
         # --------------------------------------------------- LD_ARRIVE
         g = g_act[kind_act == _K_LD]
@@ -430,7 +511,7 @@ def simulate_groups_batch(
             n_latent_defects[orig[g]] += 1
             t_ld[g, s] = _INF
             if ttscrub is not None:
-                t_scrub[g, s] = t_next[g] + ttscrub.take(g.size)
+                t_scrub[g, s] = t_next[g] + ttscrub.take(split(g))
             # NB: arriving during another drive's reconstruction is NOT a
             # DDF (operational failure *before* latent defect).
 
@@ -442,7 +523,7 @@ def simulate_groups_batch(
             n_scrub_repairs[orig[g]] += 1
             t_scrub[g, s] = _INF
             if ttld is not None:
-                t_ld[g, s] = t_next[g] + ttld.take(g.size)
+                t_ld[g, s] = t_next[g] + ttld.take(split(g))
 
         # --------------------------------------------------- LD_CLEARED
         g = g_act[kind_act == _K_CLEAR]
@@ -453,7 +534,7 @@ def simulate_groups_batch(
             # An operational failure before the window end invalidates the
             # clear (t_clear reset to inf above), so the slot is up here.
             if ttld is not None:
-                t_ld[g, s] = t_next[g] + ttld.take(g.size)
+                t_ld[g, s] = t_next[g] + ttld.take(split(g))
 
         # -------------------------------------------------------- CHECK
         if has_check:
@@ -469,11 +550,12 @@ def simulate_groups_batch(
                 )
                 rows_t = trigger.nonzero()[0]
                 if rows_t.size:
-                    n_policy_repairs[orig[g[rows_t]]] += 1
+                    g_rep = g[rows_t]
+                    n_policy_repairs[orig[g_rep]] += 1
                     # One shared TTR draw per triggered repair pass.
-                    repair_completion = t[rows_t] + ttr.take(rows_t.size)
+                    repair_completion = t[rows_t] + ttr.take(split(g_rep))
                     rws, cols = pending[rows_t].nonzero()
-                    t_restore[g[rows_t][rws], cols] = repair_completion[rws]
+                    t_restore[g_rep[rws], cols] = repair_completion[rws]
                 t_check[g, 0] = t + policy.check_interval_hours
 
     return [

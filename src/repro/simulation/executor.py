@@ -80,7 +80,9 @@ class ShardOutcome:
     chronologies:
         Its per-group chronologies, in group order.
     wall_seconds:
-        Worker-side simulation wall time (queue wait excluded).
+        Worker-side simulation wall time (queue wait excluded).  Shards
+        simulated together in one in-process kernel call split the
+        call's wall time by their shares of its groups.
     queue_depth:
         Shards still in flight after this one was delivered.
     commit_lag_seconds:

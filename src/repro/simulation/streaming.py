@@ -568,6 +568,8 @@ class ProgressEvent:
     shard_seconds:
         Worker-side wall time of the shard just committed (its
         simulation time, excluding queue wait; 0 when unavailable).
+        When one in-process kernel call simulated several shards, each
+        gets the call's wall time times its share of the call's groups.
     shard_groups_per_second:
         Throughput of the shard just committed, from the worker's own
         monotonic clock (``task.n_groups / shard_seconds``) — the

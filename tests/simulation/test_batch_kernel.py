@@ -1,7 +1,7 @@
 """Kernel-level tests for the batch engine's perf machinery.
 
-Three contracts introduced by the compaction/fused-reduction kernel
-(``DESIGN.md`` §4f):
+The contracts of the compaction/fused-reduction kernel and of its
+callers (``DESIGN.md`` §4f):
 
 * ``_BlockSampler`` — the refill **draw schedule** is fixed (it pins how
   the shard's one random stream is interleaved between distributions)
@@ -9,19 +9,31 @@ Three contracts introduced by the compaction/fused-reduction kernel
 * active-set compaction — byte-identical chronologies no matter how
   aggressively (or whether) the kernel compacts;
 * throughput observability — per-shard monotonic groups/s surfaced on
-  :class:`ProgressEvent` and in the run manifest.
+  :class:`ProgressEvent` and in the run manifest;
+* several seed shards per kernel call — the in-process runner hands the
+  kernel ``KERNEL_ROWS`` rows at a time, yet commits, checkpoints,
+  reports and stops shard by shard exactly as with one shard per call.
 """
 
 import dataclasses
+import json
+import types
 
 import numpy as np
 import pytest
 
 import repro.simulation.batch as batch_module
+import repro.simulation.monte_carlo as monte_carlo
 from repro.distributions import Exponential, Weibull
-from repro.simulation import RaidGroupConfig, simulate_raid_groups
+from repro.exceptions import SimulationError
+from repro.simulation import (
+    Precision,
+    RaidGroupConfig,
+    load_checkpoint,
+    simulate_raid_groups,
+)
 from repro.simulation.batch import _BlockSampler, simulate_groups_batch
-from repro.simulation.monte_carlo import MonteCarloRunner
+from repro.simulation.monte_carlo import KERNEL_ROWS, MonteCarloRunner
 
 
 class TestBlockSampler:
@@ -116,19 +128,30 @@ def chronology_payload(chronologies):
     ]
 
 
+def kernel_arguments(layout, seed):
+    """``(n_groups, rng)`` for 160 groups as one shard or three uneven ones."""
+    if layout == "one-shard":
+        return 160, np.random.default_rng(seed)
+    children = np.random.SeedSequence(seed).spawn(3)
+    return [70, 1, 89], [np.random.default_rng(c) for c in children]
+
+
 class TestCompactionByteIdentity:
     """Compaction policy must be invisible in the results."""
 
     @pytest.mark.parametrize("name", ["latent+scrub", "weibull", "no-scrub", "no-latent", "raid6"])
     @pytest.mark.parametrize("seed", [0, 13])
     def test_aggressive_equals_never(self, kernel_configs, monkeypatch, name, seed):
+        # Also for three uneven shards in one call, where every compaction
+        # remaps the shard row bounds the draws are split at.
         config = kernel_configs[name]
-        monkeypatch.setattr(batch_module, "COMPACT_RATIO", 1.0)
-        monkeypatch.setattr(batch_module, "COMPACT_MIN_ROWS", 1)
-        compacted = simulate_groups_batch(config, 160, np.random.default_rng(seed))
-        monkeypatch.setattr(batch_module, "COMPACT_MIN_ROWS", 10**9)
-        untouched = simulate_groups_batch(config, 160, np.random.default_rng(seed))
-        assert chronology_payload(compacted) == chronology_payload(untouched)
+        for layout in ("one-shard", "three-shards"):
+            monkeypatch.setattr(batch_module, "COMPACT_RATIO", 1.0)
+            monkeypatch.setattr(batch_module, "COMPACT_MIN_ROWS", 1)
+            compacted = simulate_groups_batch(config, *kernel_arguments(layout, seed))
+            monkeypatch.setattr(batch_module, "COMPACT_MIN_ROWS", 10**9)
+            untouched = simulate_groups_batch(config, *kernel_arguments(layout, seed))
+            assert chronology_payload(compacted) == chronology_payload(untouched), layout
 
     def test_default_policy_matches_never(self, kernel_configs, monkeypatch):
         config = kernel_configs["latent+scrub"]
@@ -191,3 +214,136 @@ class TestThroughputObservability:
         )
         StderrProgressReporter(stream=stream)(event)
         assert "[shard 2048/s]" in stream.getvalue()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The ``n_groups`` argument of every batch-kernel call the runner makes."""
+    calls = []
+    real = monte_carlo.simulate_groups_batch
+
+    def spy(config, n_groups, rng):
+        calls.append(n_groups)
+        return real(config, n_groups, rng)
+
+    monkeypatch.setattr(monte_carlo, "simulate_groups_batch", spy)
+    return calls
+
+
+def canonical(streaming) -> str:
+    return json.dumps(streaming.accumulator.to_dict(), sort_keys=True)
+
+
+ONE_YEAR = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
+#: A shard size that puts four shards in every fixed-size kernel call.
+QUARTER = KERNEL_ROWS // 4
+
+
+class TestSeveralShardsPerCall:
+    def test_kernel_rejects_mismatched_shards(self):
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(SimulationError):
+            simulate_groups_batch(ONE_YEAR, [10, 10, 10], rngs)
+        with pytest.raises(SimulationError):
+            simulate_groups_batch(ONE_YEAR, 10, rngs)
+        with pytest.raises(SimulationError):
+            simulate_groups_batch(ONE_YEAR, [10, 0], rngs)
+
+    def test_interrupt_and_resume_across_a_call(self, kernel_calls, tmp_path):
+        runner = MonteCarloRunner(
+            ONE_YEAR, n_groups=6 * QUARTER + 100, seed=21, engine="batch"
+        )
+        reference = canonical(runner.run_streaming(shard_size=QUARTER))
+        assert kernel_calls == [[QUARTER] * 4, [QUARTER, QUARTER, 100]]
+
+        del kernel_calls[:]
+        path = str(tmp_path / "run.ckpt")
+        interrupted = runner.run_streaming(
+            shard_size=QUARTER, checkpoint_path=path, stop_after_shards=3
+        )
+        assert interrupted.stop_reason == "interrupted"
+        assert interrupted.shards_run == 3
+        resumed = runner.run_streaming(shard_size=QUARTER, resume_from=path)
+        # The interruption cuts the plan: nothing past shard 3 is
+        # simulated until the resume picks up at shard 4.
+        assert kernel_calls == [[QUARTER] * 3, [QUARTER] * 3 + [100]]
+        assert resumed.stop_reason == "fixed"
+        assert canonical(resumed) == reference
+
+    def test_checkpoint_follows_every_shard(self, kernel_calls, tmp_path):
+        path = str(tmp_path / "run.ckpt")
+        seen = []
+
+        def observer(event):
+            checkpoint = load_checkpoint(path)
+            assert checkpoint.shards_completed == event.shards_completed
+            seen.append((checkpoint.shards_completed, checkpoint.groups_completed))
+
+        runner = MonteCarloRunner(ONE_YEAR, n_groups=5 * QUARTER, seed=22, engine="batch")
+        runner.run_streaming(
+            shard_size=QUARTER, checkpoint_path=path, observers=(observer,)
+        )
+        assert len(kernel_calls) == 2
+        assert seen == [(k, k * QUARTER) for k in range(1, 6)]
+
+    def test_precision_target_runs_one_shard_per_call(self, kernel_calls):
+        shard = 128
+        config = RaidGroupConfig.paper_base_case()
+        precision = Precision(rel_ci_width=0.3)
+        runner = MonteCarloRunner(config, n_groups=32 * shard, seed=23, engine="batch")
+        converged = runner.run_streaming(until=precision, shard_size=shard)
+        assert converged.stop_reason == "converged"
+        stop = converged.shards_run
+        # One call per shard, and none past the stopping shard.
+        assert kernel_calls == [shard] * stop
+
+        # It stops at the first shard whose accumulator meets the target,
+        # and equals the fixed run of that many shards.
+        def fixed(n_shards):
+            return MonteCarloRunner(
+                config, n_groups=n_shards * shard, seed=23, engine="batch"
+            ).run_streaming(shard_size=shard)
+
+        assert canonical(fixed(stop)) == canonical(converged)
+        assert not precision.satisfied_by(fixed(stop - 1).accumulator)
+
+    def test_service_shard_size_runs_eight_shards_per_call(self, kernel_calls):
+        runner = MonteCarloRunner(ONE_YEAR, n_groups=9 * 256, seed=24, engine="batch")
+        assert runner.run_streaming(shard_size=256).shards_run == 9
+        assert kernel_calls == [[256] * 8, 256]
+
+    def test_materialized_run_matches_streaming(self, kernel_calls):
+        runner = MonteCarloRunner(
+            ONE_YEAR, n_groups=5 * 512 + 7, seed=25, engine="batch"
+        )
+        materialized = runner.run()
+        assert kernel_calls == [[512] * 4, [512, 7]]
+        assert canonical(runner.run_streaming()) == json.dumps(
+            materialized.to_accumulator().to_dict(), sort_keys=True
+        )
+
+    def test_shard_times_split_the_call_time_by_groups(self, monkeypatch):
+        # A clock that moves only inside kernel calls, 1 s per call.
+        clock = [0.0]
+        real = monte_carlo.simulate_groups_batch
+
+        def timed_kernel(config, n_groups, rng):
+            clock[0] += 1.0
+            return real(config, n_groups, rng)
+
+        monkeypatch.setattr(monte_carlo, "simulate_groups_batch", timed_kernel)
+        monkeypatch.setattr(
+            monte_carlo, "time", types.SimpleNamespace(perf_counter=lambda: clock[0])
+        )
+        events = []
+        total = 3 * QUARTER + 40  # one call: three full shards and a short one
+        runner = MonteCarloRunner(ONE_YEAR, n_groups=total, seed=26, engine="batch")
+        streaming = runner.run_streaming(shard_size=QUARTER, observers=(events.append,))
+        shares = [QUARTER / total] * 3 + [40 / total]
+        assert [e.shard_seconds for e in events] == pytest.approx(shares, rel=1e-12)
+        assert sum(e.shard_seconds for e in events) == pytest.approx(1.0, rel=1e-12)
+        for event in events:
+            assert event.shard_groups_per_second == pytest.approx(total, rel=1e-12)
+        # The manifest's rate stays groups over summed shard time.
+        executor = streaming.to_manifest()["executor"]
+        assert executor["groups_per_second"] == pytest.approx(total, rel=1e-12)

@@ -532,3 +532,23 @@ class TestGoldenBatchFingerprints:
             f"{name}: the NumPy batch path moved — if this is a deliberate "
             "semantic change, regenerate the fingerprint in this commit"
         )
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BATCH_FINGERPRINTS))
+    def test_multi_shard_call_equals_per_shard_calls(self, name):
+        # Uneven shards with a 1-group one in the middle: it drains long
+        # before its neighbours, so every later draw is split around an
+        # empty part and compaction remaps the shard bounds.
+        config, n_groups, seed = golden_batch_cases()[name]
+        sizes = [n_groups // 3, 1, n_groups - n_groups // 3 - 1]
+        children = np.random.SeedSequence(seed).spawn(len(sizes))
+
+        def generators():
+            return [np.random.Generator(np.random.PCG64(c)) for c in children]
+
+        per_shard = [
+            chrono
+            for n, rng in zip(sizes, generators())
+            for chrono in simulate_groups_batch(config, n, rng)
+        ]
+        together = simulate_groups_batch(config, sizes, generators())
+        assert chronology_fingerprint(together) == chronology_fingerprint(per_shard)
