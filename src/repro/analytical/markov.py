@@ -33,7 +33,6 @@ import dataclasses
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .._validation import require_int, require_positive
 from ..exceptions import ParameterError
@@ -99,6 +98,7 @@ class ContinuousTimeMarkovChain:
         order = np.argsort(times)
         sorted_times = times[order]
         horizon = float(sorted_times[-1]) if sorted_times[-1] > 0 else 1.0
+        from scipy import integrate
 
         sol = integrate.solve_ivp(
             lambda _t, p: p @ self.generator,
@@ -154,6 +154,8 @@ class ContinuousTimeMarkovChain:
         order = np.argsort(times)
         sorted_times = times[order]
         horizon = float(sorted_times[-1]) if sorted_times[-1] > 0 else 1.0
+        from scipy import integrate
+
         sol = integrate.solve_ivp(
             rhs,
             t_span=(0.0, horizon),

@@ -24,7 +24,6 @@ import abc
 from typing import Union
 
 import numpy as np
-from scipy import integrate, optimize
 
 from ..exceptions import DistributionError
 
@@ -122,6 +121,8 @@ class Distribution(abc.ABC):
             hi = (hi - lo) * 2.0 + lo
         else:  # pragma: no cover - pathological distributions only
             raise DistributionError("could not bracket quantile; CDF never reaches q")
+        from scipy import optimize
+
         return float(optimize.brentq(lambda t: self.cdf(t) - q, lo, hi, xtol=1e-9, rtol=1e-12))
 
     def sample(self, rng: np.random.Generator, size: Union[int, None] = None) -> ArrayLike:
@@ -168,12 +169,16 @@ class Distribution(abc.ABC):
     # ------------------------------------------------------------------
     def mean(self) -> float:
         """Expected value, computed as the integral of the survival function."""
+        from scipy import integrate
+
         upper = self._moment_upper_bound()
         value, _ = integrate.quad(lambda t: float(self.sf(t)), 0.0, upper, limit=200)
         return float(value)
 
     def var(self) -> float:
         """Variance, via ``E[T^2] = 2 * int t * sf(t) dt``."""
+        from scipy import integrate
+
         upper = self._moment_upper_bound()
         second, _ = integrate.quad(
             lambda t: 2.0 * t * float(self.sf(t)), 0.0, upper, limit=200

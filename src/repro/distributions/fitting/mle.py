@@ -18,7 +18,6 @@ import dataclasses
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from ..._validation import as_float_array
 from ...exceptions import FittingError
@@ -161,6 +160,8 @@ def fit_weibull_mle(
             f"no MLE shape in bounds {shape_bounds!r}; score endpoints "
             f"({f_lo:.3g}, {f_hi:.3g}) do not bracket zero"
         )
+    from scipy import optimize
+
     shape = float(
         optimize.brentq(_shape_equation, lo, hi, args=(fails, cens), xtol=1e-10)
     )

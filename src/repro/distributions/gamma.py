@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .._validation import require_non_negative, require_positive
 from .base import ArrayLike, Distribution
@@ -32,6 +31,8 @@ class Gamma(Distribution):
         self.shape = require_positive("shape", shape)
         self.scale = require_positive("scale", scale)
         self.location = require_non_negative("location", location)
+        from scipy import special
+
         # Cached separately (not pre-summed) so `pdf` keeps the exact
         # subtraction order — and therefore bit-identical output — of the
         # uncached expression.
@@ -43,6 +44,8 @@ class Gamma(Distribution):
         return np.maximum(t - self.location, 0.0) / self.scale
 
     def cdf(self, t: ArrayLike) -> ArrayLike:
+        from scipy import special
+
         out = special.gammainc(self.shape, self._z(t))
         return out if np.ndim(out) else float(out)
 
@@ -70,6 +73,8 @@ class Gamma(Distribution):
         q_arr = np.asarray(q, dtype=float)
         if np.any((q_arr < 0) | (q_arr > 1)):
             raise ValueError(f"quantile levels must be in [0, 1], got {q!r}")
+        from scipy import special
+
         out = self.location + self.scale * special.gammaincinv(self.shape, q_arr)
         return out if np.ndim(out) else float(out)
 

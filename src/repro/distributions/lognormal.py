@@ -12,7 +12,6 @@ import math
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .._validation import require_non_negative, require_positive
 from .base import ArrayLike, Distribution
@@ -59,6 +58,8 @@ class LogNormal(Distribution):
         return z
 
     def cdf(self, t: ArrayLike) -> ArrayLike:
+        from scipy import special
+
         t_arr = np.asarray(t, dtype=float)
         z = self._z(t_arr)
         out = 0.5 * (1.0 + special.erf(np.nan_to_num(z, nan=-np.inf) / _SQRT2))
@@ -78,6 +79,8 @@ class LogNormal(Distribution):
         q_arr = np.asarray(q, dtype=float)
         if np.any((q_arr < 0) | (q_arr > 1)):
             raise ValueError(f"quantile levels must be in [0, 1], got {q!r}")
+        from scipy import special
+
         with np.errstate(divide="ignore"):
             z = _SQRT2 * special.erfinv(2.0 * q_arr - 1.0)
             out = self.location + np.exp(self.mu + self.sigma * z)

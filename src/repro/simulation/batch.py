@@ -53,8 +53,8 @@ samplers on its own generator, and every draw for a row selection is
 split at the shard boundaries, each part taken from its own shard's
 sampler.  Every shard therefore consumes exactly the random stream a
 call of its own would, and the result is the concatenation of the
-per-shard calls; the in-process runner picks the width
-(:data:`~repro.simulation.monte_carlo.KERNEL_ROWS`).
+per-shard calls; the runner picks the width for in-process and pool
+runs alike (:data:`~repro.simulation.monte_carlo.KERNEL_ROWS`).
 
 Compaction and the fused reduction preserve that contract exactly: the
 same events fire in the same order with the same sampled values whether

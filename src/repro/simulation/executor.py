@@ -13,17 +13,24 @@ byte-identical as long as they are *committed* in order.
 
 :class:`PipelinedShardExecutor` exploits exactly that split:
 
+* the plan is cut into *runs* of consecutive shards; each pool task
+  advances one run, and a batch-engine run is a single
+  :func:`~repro.simulation.batch.simulate_groups_batch` call of up to
+  :data:`~repro.simulation.monte_carlo.KERNEL_ROWS` rows (the in-process
+  path groups shards the same way),
 * a persistent ``spawn``-context :class:`~concurrent.futures.ProcessPoolExecutor`
-  speculatively simulates up to ``n_jobs`` shards ahead of the commit
-  cursor (workers stay warm across shards — no per-shard pool churn),
-* the main process consumes results **in shard order** and folds them
-  into the accumulator, so convergence stopping, checkpoints, and
-  observers behave exactly as in a serial run,
+  keeps up to ``n_jobs`` runs in flight ahead of the commit cursor, and
+  submits the next run as soon as it takes a run's result — *before*
+  that run is committed, so no worker idles while the consumer commits,
+  checkpoints and notifies observers,
+* the main process consumes results **in shard order**, one shard at a
+  time, and folds them into the accumulator, so convergence stopping,
+  checkpoints, and observers behave exactly as in a serial run,
 * shards in flight when a precision target stops the run are simply
   never committed — discarded as if they had never been simulated,
 * a crashed or killed worker breaks the pool; the executor rebuilds it,
-  **reseeds every lost shard from its index**, and retries each shard up
-  to ``max_retries`` times before raising
+  **reseeds every lost run from its shard indices**, and retries each
+  run up to ``max_retries`` times before raising
   :class:`~repro.exceptions.SimulationError` (completed-but-uncommitted
   results survive a pool break untouched), and
 * every committed shard carries observability — worker-side wall time,
@@ -31,6 +38,9 @@ byte-identical as long as they are *committed* in order.
   waited for its turn at the accumulator) — surfaced on
   :class:`~repro.simulation.streaming.ProgressEvent` and summarized in
   the run manifest.
+
+No module of this package imports scipy at import time, so a spawned
+worker loads only numpy and the simulator.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,15 +91,18 @@ class ShardOutcome:
         Its per-group chronologies, in group order.
     wall_seconds:
         Worker-side simulation wall time (queue wait excluded).  Shards
-        simulated together in one in-process kernel call split the
-        call's wall time by their shares of its groups.
+        simulated together in one run (one kernel call, in process or
+        in a pool task) split the run's wall time by their shares of its
+        groups.
     queue_depth:
-        Shards still in flight after this one was delivered.
+        Shards still in flight after this one was delivered: submitted
+        to the pool (or claimed by a worker) and not yet taken back.
     commit_lag_seconds:
-        Time this shard's finished result waited before the commit
-        cursor reached it (0 for serial execution).
+        Time from when this shard's run finished until the shard was
+        delivered to the commit loop (0 for serial execution).
     retries:
-        Times this shard was re-run after a worker death.
+        Times this shard was re-run after a worker death (every shard of
+        a lost run is charged).
     worker:
         Which worker simulated the committed copy — ``"local"`` for the
         in-process pool, ``host:pid`` for a remote worker.
@@ -132,7 +145,7 @@ def shard_plan(
 
 # ----------------------------------------------------------------------
 # Worker side.  The pool initializer pins the per-run constants once per
-# worker process; task submissions then carry only the (tiny) ShardTask.
+# worker process; task submissions then carry only the (tiny) ShardTasks.
 _worker_config: Optional[RaidGroupConfig] = None
 _worker_root_state: Optional[dict] = None
 _worker_engine: str = "event"
@@ -171,8 +184,7 @@ def simulate_shard(
     Batch/compiled engines: one root child per shard (child
     ``task.index``).  Event engine: one root child per group (children
     ``task.group_offset`` through ``task.group_offset + task.n_groups -
-    1``).  All match the serial streaming path's sequential ``spawn``
-    cursor exactly.
+    1``).  All match the root's sequential ``spawn`` order exactly.
     """
     if engine in ("batch", "compiled"):
         rng = np.random.Generator(np.random.PCG64(_child_seed(root_state, task.index)))
@@ -191,8 +203,53 @@ def simulate_shard(
     ]
 
 
+def simulate_shards(
+    config: RaidGroupConfig,
+    root_state: dict,
+    engine: str,
+    run: Sequence[ShardTask],
+) -> List[List[GroupChronology]]:
+    """Simulate a run of consecutive shards; one chronology list per shard.
+
+    Batch shards share one kernel call, each drawing from its own shard's
+    generator, so the result equals :func:`simulate_shard` per shard;
+    compiled and event shards run one after another.
+    """
+    if engine != "batch" or len(run) == 1:
+        return [simulate_shard(config, root_state, engine, task) for task in run]
+    sizes = [task.n_groups for task in run]
+    fleet = simulate_groups_batch(
+        config,
+        sizes,
+        [
+            np.random.Generator(np.random.PCG64(_child_seed(root_state, task.index)))
+            for task in run
+        ],
+    )
+    ends = np.cumsum(sizes).tolist()
+    return [fleet[end - n : end] for n, end in zip(sizes, ends)]
+
+
+def split_run(
+    run: Sequence[ShardTask],
+    per_shard: Sequence[List[GroupChronology]],
+    wall_seconds: float,
+) -> Iterator[Tuple[ShardTask, List[GroupChronology], float]]:
+    """A run's shards with their chronologies and shares of its wall time.
+
+    Each shard is charged the run's wall time times its share of the
+    run's groups, so per-shard times add up to the run's.
+    """
+    groups = sum(task.n_groups for task in run)
+    for task, chronologies in zip(run, per_shard):
+        yield task, chronologies, wall_seconds * (task.n_groups / groups)
+
+
 def _run_shard_task(task: ShardTask) -> "Tuple[List[GroupChronology], float]":
-    """Default pool worker: simulate one shard, timing the simulation."""
+    """One-shard worker: simulate one shard, timing the simulation.
+
+    The distributed executor's local pool runs it per claimed shard.
+    """
     start = time.perf_counter()
     chronologies = simulate_shard(
         _worker_config, _worker_root_state, _worker_engine, task
@@ -204,13 +261,36 @@ def _run_shard_task(task: ShardTask) -> "Tuple[List[GroupChronology], float]":
 ShardWorker = Callable[[ShardTask], "Tuple[List[GroupChronology], float]"]
 
 
+def _run_shard_run(
+    run: Sequence[ShardTask], worker: Optional[ShardWorker]
+) -> "Tuple[List[List[GroupChronology]], float]":
+    """Pool task: simulate a run of shards, timing the whole run.
+
+    The run is one :func:`simulate_shards` call, unless a ``worker`` hook
+    is injected: that is called once per shard, so a hook that kills its
+    process loses the whole run.
+    """
+    start = time.perf_counter()
+    if worker is None:
+        per_shard = simulate_shards(
+            _worker_config, _worker_root_state, _worker_engine, run
+        )
+    else:
+        per_shard = [worker(task)[0] for task in run]
+    return per_shard, time.perf_counter() - start
+
+
 # ----------------------------------------------------------------------
 class PipelinedShardExecutor:
     """Out-of-order speculative shard execution with in-order delivery.
 
     :meth:`outcomes` yields one :class:`ShardOutcome` per planned shard,
-    in plan order, while a persistent worker pool keeps up to ``n_jobs``
-    shards in flight ahead of the consumer.  Closing the generator (e.g.
+    in plan order.  The plan is cut into runs of ``shards_per_run``
+    consecutive shards, one pool task each, and a persistent worker pool
+    keeps up to ``n_jobs`` runs in flight ahead of the consumer.  The
+    next run is submitted as soon as a run's result is taken, before its
+    shards are delivered, so at most ``n_jobs`` runs are simulated past
+    the shard the consumer stops at.  Closing the generator (e.g.
     breaking out of the loop once a precision target converges) cancels
     and discards everything still in flight.
     """
@@ -222,20 +302,26 @@ class PipelinedShardExecutor:
         engine: str,
         n_jobs: int,
         *,
+        shards_per_run: int = 1,
         max_retries: int = DEFAULT_MAX_SHARD_RETRIES,
         worker: Optional[ShardWorker] = None,
     ) -> None:
         if n_jobs < 1:
             raise SimulationError(f"n_jobs must be >= 1, got {n_jobs!r}")
+        if shards_per_run < 1:
+            raise SimulationError(
+                f"shards_per_run must be >= 1, got {shards_per_run!r}"
+            )
         if max_retries < 0:
             raise SimulationError(f"max_retries must be >= 0, got {max_retries!r}")
         self.config = config
         self.root_state = root_state
         self.engine = engine
         self.n_jobs = n_jobs
+        self.shards_per_run = shards_per_run
         self.max_retries = max_retries
         self.pool_breaks = 0
-        self._worker: ShardWorker = worker if worker is not None else _run_shard_task
+        self._worker = worker
         self._pool: Optional[ProcessPoolExecutor] = None
         self._done_at: Dict[int, float] = {}
 
@@ -248,11 +334,12 @@ class PipelinedShardExecutor:
             initargs=(self.config, self.root_state, self.engine),
         )
 
-    def _submit(self, task: ShardTask) -> Future:
+    def _submit_run(self, number: int, run: Tuple[ShardTask, ...]) -> Future:
+        """Hand run ``number`` of the plan to the pool."""
         assert self._pool is not None
-        future = self._pool.submit(self._worker, task)
+        future = self._pool.submit(_run_shard_run, run, self._worker)
         future.add_done_callback(
-            lambda _f, i=task.index: self._done_at.setdefault(i, time.perf_counter())
+            lambda _f: self._done_at.setdefault(number, time.perf_counter())
         )
         return future
 
@@ -273,97 +360,119 @@ class PipelinedShardExecutor:
         tasks = list(plan)
         if not tasks:
             return
+        step = self.shards_per_run
+        runs = [tuple(tasks[i : i + step]) for i in range(0, len(tasks), step)]
         pending: Dict[int, Future] = {}
         retries: Dict[int, int] = {}
-        next_submit = 0
         self._pool = self._make_pool()
         try:
-            for task in tasks:
-                while next_submit < len(tasks) and len(pending) < self.n_jobs:
-                    queued = tasks[next_submit]
-                    try:
-                        pending[queued.index] = self._submit(queued)
-                    except BrokenProcessPool:
-                        # A worker died between the last result and this
-                        # submit, so the break surfaces here instead of
-                        # in result(); recover and retry on the new pool.
-                        self._recover(tasks, pending, retries)
-                        continue
-                    next_submit += 1
+            submitted = self._top_up(runs, pending, retries, 0)
+            for number, run in enumerate(runs):
                 while True:
                     try:
-                        chronologies, wall_seconds = pending[task.index].result()
+                        per_shard, wall_seconds = pending[number].result()
                         break
                     except BrokenProcessPool:
-                        self._recover(tasks, pending, retries)
+                        self._recover(runs, pending, retries)
                     except SimulationError:
                         raise
                     except Exception as exc:
                         raise SimulationError(
-                            f"shard {task.index} raised in its worker: {exc!r}"
+                            f"run of {_describe(run)} raised in its worker: {exc!r}"
                         ) from exc
-                committed_at = time.perf_counter()
-                finished_at = self._done_at.pop(task.index, committed_at)
-                del pending[task.index]
-                yield ShardOutcome(
-                    task=task,
-                    chronologies=chronologies,
-                    wall_seconds=wall_seconds,
-                    queue_depth=len(pending),
-                    commit_lag_seconds=max(0.0, committed_at - finished_at),
-                    retries=retries.get(task.index, 0),
-                )
+                finished_at = self._done_at.pop(number, time.perf_counter())
+                del pending[number]
+                # Refill before delivering: the workers simulate the next
+                # runs while the consumer commits this one.
+                submitted = self._top_up(runs, pending, retries, submitted)
+                in_flight = sum(len(runs[queued]) for queued in pending)
+                for task, chronologies, seconds in split_run(
+                    run, per_shard, wall_seconds
+                ):
+                    yield ShardOutcome(
+                        task=task,
+                        chronologies=chronologies,
+                        wall_seconds=seconds,
+                        queue_depth=in_flight,
+                        commit_lag_seconds=max(0.0, time.perf_counter() - finished_at),
+                        retries=retries.get(number, 0),
+                    )
         finally:
             self.close()
 
+    def _top_up(
+        self,
+        runs: List[Tuple[ShardTask, ...]],
+        pending: Dict[int, Future],
+        retries: Dict[int, int],
+        submitted: int,
+    ) -> int:
+        """Submit runs until ``n_jobs`` are in flight; return the next to submit."""
+        while submitted < len(runs) and len(pending) < self.n_jobs:
+            try:
+                pending[submitted] = self._submit_run(submitted, runs[submitted])
+            except BrokenProcessPool:
+                # A worker died after the last result was taken, so the
+                # break surfaces here instead of in result(); recover and
+                # retry on the new pool.
+                self._recover(runs, pending, retries)
+                continue
+            submitted += 1
+        return submitted
+
     def _recover(
         self,
-        tasks: List[ShardTask],
+        runs: List[Tuple[ShardTask, ...]],
         pending: Dict[int, Future],
         retries: Dict[int, int],
     ) -> None:
-        """Rebuild the pool after a worker death and resubmit lost shards.
+        """Rebuild the pool after a worker death and resubmit lost runs.
 
-        A pool break kills every worker process, so any in-flight shard
+        A pool break kills every worker process, so any in-flight run
         without a completed result is lost and must be reseeded from its
-        index; results that finished before the break are kept as-is.
-        Each lost shard is charged one retry — a shard that keeps killing
-        its workers exhausts ``max_retries`` and fails the run.
+        shard indices; results that finished before the break are kept
+        as-is.  Each lost run — every shard in it — is charged one retry;
+        a run that keeps killing its workers exhausts ``max_retries`` and
+        fails the run.
 
         The resubmission itself can hit a *second* break (the freshly
         rebuilt pool dying before the first resubmit lands), so the
         rebuild-and-resubmit step loops: every break charges the still-
-        lost shards another retry, and a shard that keeps breaking pools
+        lost runs another retry, and a run that keeps breaking pools
         exhausts ``max_retries`` here like anywhere else.
         """
-        by_index = {task.index: task for task in tasks}
         while True:
             self.pool_breaks += 1
-            lost: List[int] = []
-            for index, future in pending.items():
-                if (
-                    future.done()
-                    and not future.cancelled()
-                    and future.exception() is None
-                ):
-                    continue  # finished before the crash; its result survives
-                lost.append(index)
-            for index in lost:
-                count = retries.get(index, 0) + 1
-                retries[index] = count
+            lost = [
+                number for number, future in pending.items() if not _future_ok(future)
+            ]
+            for number in lost:
+                count = retries.get(number, 0) + 1
+                retries[number] = count
                 if count > self.max_retries:
                     raise SimulationError(
-                        f"shard {index} was lost to a dying worker process "
-                        f"{count} times (max_retries={self.max_retries}); "
-                        "giving up on this run"
+                        f"run of {_describe(runs[number])} was lost to a dying worker "
+                        f"process {count} times (max_retries={self.max_retries}); "
+                        "giving up"
                     )
-                self._done_at.pop(index, None)
+                self._done_at.pop(number, None)
             assert self._pool is not None
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = self._make_pool()
             try:
-                for index in sorted(lost):
-                    pending[index] = self._submit(by_index[index])
+                for number in sorted(lost):
+                    pending[number] = self._submit_run(number, runs[number])
             except BrokenProcessPool:
                 continue
             return
+
+
+def _future_ok(future: Future) -> bool:
+    """Did this future finish cleanly (e.g. before a pool break)?"""
+    return future.done() and not future.cancelled() and future.exception() is None
+
+
+def _describe(run: Sequence[ShardTask]) -> str:
+    """``shard 3`` or ``shards 4-7``, for error messages."""
+    first, last = run[0].index, run[-1].index
+    return f"shard {first}" if first == last else f"shards {first}-{last}"

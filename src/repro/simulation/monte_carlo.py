@@ -38,25 +38,22 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from multiprocessing import get_context
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .._validation import require_int
 from ..exceptions import ParameterError, SimulationError
-from .batch import BATCH_SHARD_SIZE, shard_sizes, simulate_groups_batch
+# simulate_groups_batch is looked up here by perfbench's tracer, which
+# wraps the kernel in this module and in the executor that calls it.
+from .batch import BATCH_SHARD_SIZE, simulate_groups_batch  # noqa: F401
 from .checkpoint import (
     RunCheckpoint,
     config_fingerprint,
     load_checkpoint,
     save_checkpoint,
 )
-from .compiled import (
-    MISSING_NUMBA_HINT,
-    compiled_kernel_available,
-    simulate_groups_compiled,
-)
+from .compiled import MISSING_NUMBA_HINT, compiled_kernel_available
 from .config import RaidGroupConfig
 from .executor import (
     DEFAULT_MAX_SHARD_RETRIES,
@@ -65,8 +62,10 @@ from .executor import (
     ShardTask,
     ShardWorker,
     shard_plan,
+    simulate_shards,
+    split_run,
 )
-from .raid_simulator import GroupChronology, RaidGroupSimulator
+from .raid_simulator import GroupChronology
 from .results import SimulationResult
 from .rng import make_seed_sequence
 from .streaming import (
@@ -85,39 +84,28 @@ ENGINES = ("event", "batch", "compiled", "auto")
 #: group).
 _SHARDED_ENGINES = ("batch", "compiled")
 
-#: Rows per in-process batch-kernel call: serial runs hand the kernel
-#: ``max(1, KERNEL_ROWS // shard_size)`` consecutive seed shards at once
-#: (each on its own stream, so results do not change).  The width
-#: balances the kernel's fixed per-iteration numpy dispatch overhead
-#: against its temporary memory, which grows with width.  On a 2-vCPU
-#: machine without numba (Table 2 base case, one shard per call) the
-#: kernel ran 17.8k groups/s at 512 rows, 32.9k at 2,048 and 35.7k at
-#: 4,096; 2,048 rows cost +3.7% peak RSS on a serial fleet run.
+#: Rows per batch-kernel call: a fixed-size run hands the kernel up to
+#: ``KERNEL_ROWS // shard_size`` consecutive seed shards at once, in
+#: process and in each pool task alike (each shard on its own stream,
+#: so results do not change).  The width balances the kernel's fixed
+#: per-iteration numpy dispatch overhead against its temporary memory,
+#: which grows with width.  On a 2-vCPU machine without numba (Table 2
+#: base case, one shard per call) the kernel ran 17.8k groups/s at 512
+#: rows, 32.9k at 2,048 and 35.7k at 4,096; 2,048 rows cost +3.7% peak
+#: RSS on a serial fleet run.
 KERNEL_ROWS = 2048
 
 
-def _run_batch(args) -> List[GroupChronology]:
-    """Worker: simulate a batch of replications (module-level for pickling)."""
-    config, seed_states = args
-    simulator = RaidGroupSimulator(config)
-    out = []
-    for state in seed_states:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(**state)))
-        out.append(simulator.run(rng))
-    return out
+def _shards_per_run(engine: str, shard_size: int, n_shards: int, n_jobs: int) -> int:
+    """Consecutive seed shards one task advances in one kernel call.
 
-
-def _run_shard(args) -> List[GroupChronology]:
-    """Worker: one vectorized/compiled shard (module-level for pickling)."""
-    config, seed_state, n, engine = args
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(**seed_state)))
-    kernel = simulate_groups_compiled if engine == "compiled" else simulate_groups_batch
-    return kernel(config, n, rng)
-
-
-def _shards_per_call(engine: str, shard_size: int) -> int:
-    """Consecutive seed shards one in-process kernel call may advance."""
-    return max(1, KERNEL_ROWS // shard_size) if engine == "batch" else 1
+    Batch runs take up to :data:`KERNEL_ROWS` rows, but no more than an
+    even split of the plan over ``n_jobs`` workers, so a small plan still
+    reaches every worker; compiled and event shards go one at a time.
+    """
+    if engine != "batch":
+        return 1
+    return max(1, min(KERNEL_ROWS // shard_size, -(-n_shards // n_jobs)))
 
 
 def _seed_state(seq: np.random.SeedSequence) -> dict:
@@ -223,10 +211,12 @@ class MonteCarloRunner:
         reproduce byte-identical results.
     n_jobs:
         Worker processes; 1 (default) runs in-process.  Never changes
-        numeric results, only wall-clock.  Streaming runs
-        (:meth:`run_streaming`) execute shards through a pipelined
+        numeric results, only wall-clock.  Both :meth:`run` and
+        :meth:`run_streaming` execute shards through a pipelined
         speculative pool (:mod:`~repro.simulation.executor`) that keeps
-        up to ``n_jobs`` shards in flight on **both** engines.  0 is
+        up to ``n_jobs`` runs of consecutive shards in flight on every
+        engine; fixed-size batch runs are up to :data:`KERNEL_ROWS`
+        rows, cut shorter so every worker gets one.  0 is
         allowed only for distributed streaming runs
         (``run_streaming(workers=...)``) and means "no local shard
         pool": every shard is simulated by a remote worker.
@@ -297,10 +287,13 @@ class MonteCarloRunner:
                 "a materialized run() has nobody else to simulate the fleet"
             )
         engine = self.resolve_engine()
-        if engine in _SHARDED_ENGINES:
-            chronologies = self._run_sharded_engine(engine)
-        else:
-            chronologies = self._run_event_engine()
+        # The batch shard partition for every engine: the event engine's
+        # per-group seeds do not depend on it.
+        plan = shard_plan(0, 0, self.n_groups, BATCH_SHARD_SIZE)
+        _, source = self._local_outcomes(
+            plan, engine, _seed_state(make_seed_sequence(self.seed))
+        )
+        chronologies = [chrono for outcome in source for chrono in outcome.chronologies]
         return SimulationResult(
             config=self.config,
             chronologies=chronologies,
@@ -342,12 +335,16 @@ class MonteCarloRunner:
         With ``n_jobs > 1`` the shards are executed by a
         :class:`~repro.simulation.executor.PipelinedShardExecutor`: a
         persistent ``spawn``-context worker pool speculatively simulates
-        up to ``n_jobs`` shards ahead (each shard's streams are a pure
-        function of its index) while this process commits results
-        strictly in shard order — so parallel runs are **bit-identical**
-        to serial ones on both engines, including checkpoints, resume,
-        and convergence stopping (in-flight shards past the stopping
-        shard are discarded as if never run).
+        up to ``n_jobs`` runs of consecutive shards ahead (each shard's
+        streams are a pure function of its index) while this process
+        commits results strictly in shard order — so parallel runs are
+        **bit-identical** to serial ones on every engine, including
+        checkpoints, resume, and convergence stopping (in-flight shards
+        past the stopping shard are discarded as if never run).  A
+        fixed-size batch run hands each worker up to :data:`KERNEL_ROWS`
+        rows of shards per kernel call, like the serial path; a precision
+        target keeps one shard per task, so it simulates at most
+        ``n_jobs`` shards past the one it stops at.
 
         Parameters
         ----------
@@ -448,10 +445,12 @@ class MonteCarloRunner:
             prior_elapsed = checkpoint.elapsed_seconds
 
         # The shard plan toward the cap is a pure function of the cursor,
-        # so it is fixed up front; stopping merely truncates it.
+        # so it is fixed up front; stopping merely truncates it, and an
+        # interruption cuts it before anything past it is simulated.
         target = fixed_target if fixed_target is not None else cap
         plan = shard_plan(shards_done, groups_done, target, shard_size)
-        root = make_seed_sequence(self.seed)
+        plan = plan[:stop_after_shards]
+        root_state = _seed_state(make_seed_sequence(self.seed))
         hub: "Optional[RemoteWorkerHub]" = None
         owned_hub = False
         if workers is not None and _shard_runner is None and bool(plan):
@@ -467,18 +466,12 @@ class MonteCarloRunner:
                 "n_jobs=0 (no local shard pool) requires workers= — there "
                 "would be nobody to simulate the shards"
             )
-        parallel = (
-            (self.n_jobs > 1 or hub is not None)
-            and _shard_runner is None
-            and bool(plan)
-        )
-        executor = None
         if hub is not None:
             from .remote import DistributedShardExecutor
 
             executor = DistributedShardExecutor(
                 self.config,
-                _seed_state(root),
+                root_state,
                 engine,
                 self.n_jobs,
                 hub=hub,
@@ -486,36 +479,20 @@ class MonteCarloRunner:
                 worker=_shard_worker,
             )
             source = executor.outcomes(plan)
-        elif parallel:
-            executor = PipelinedShardExecutor(
-                self.config,
-                _seed_state(root),
+        else:
+            # A precision target may stop after any shard, so only
+            # fixed-size runs group shards into kernel calls.
+            executor, source = self._local_outcomes(
+                plan,
                 engine,
-                min(self.n_jobs, len(plan)),
+                root_state,
+                shard_size=shard_size,
+                grouped=precision is None,
                 max_retries=max_shard_retries,
                 worker=_shard_worker,
+                shard_runner=_shard_runner,
             )
-            source = executor.outcomes(plan)
-        else:
-            # Serial path: advance the sequential spawn cursor past every
-            # stream the completed shards consumed, so shard k always
-            # sees the same children regardless of interruptions.
-            if engine in _SHARDED_ENGINES:
-                if shards_done:
-                    root.spawn(shards_done)
-            elif groups_done:
-                root.spawn(groups_done)
-            # Only shards certain to be committed share a kernel call: a
-            # precision target may stop after any shard, so it keeps one
-            # shard per call, and an interruption cuts the plan.
-            per_call = (
-                _shards_per_call(engine, shard_size)
-                if precision is None and _shard_runner is None
-                else 1
-            )
-            source = self._serial_outcomes(
-                plan[:stop_after_shards], engine, root, _shard_runner, per_call
-            )
+        parallel = executor is not None
 
         kept: List[GroupChronology] = []
         start = time.perf_counter()
@@ -664,133 +641,74 @@ class MonteCarloRunner:
         for observer in observers:
             observer(event)
 
+    def _local_outcomes(
+        self,
+        plan: Sequence[ShardTask],
+        engine: str,
+        root_state: dict,
+        *,
+        shard_size: int = BATCH_SHARD_SIZE,
+        grouped: bool = True,
+        max_retries: int = DEFAULT_MAX_SHARD_RETRIES,
+        worker: Optional[ShardWorker] = None,
+        shard_runner: Optional[Callable[[int, int], List[GroupChronology]]] = None,
+    ) -> "Tuple[Optional[PipelinedShardExecutor], Iterator[ShardOutcome]]":
+        """The plan's outcomes, in order, from the spawn pool or in process.
+
+        ``n_jobs > 1`` runs the plan through a
+        :class:`~repro.simulation.executor.PipelinedShardExecutor`
+        (returned alongside, for its telemetry); ``n_jobs=1`` or an
+        injected ``shard_runner`` runs it here.  Either way ``grouped``
+        plans are cut into runs of :func:`_shards_per_run` shards.
+        """
+        pooled = self.n_jobs > 1 and shard_runner is None and bool(plan)
+        jobs = self.n_jobs if pooled else 1
+        per_run = (
+            _shards_per_run(engine, shard_size, len(plan), jobs)
+            if grouped and shard_runner is None
+            else 1
+        )
+        if not pooled:
+            return None, self._serial_outcomes(
+                plan, engine, root_state, shard_runner, per_run
+            )
+        executor = PipelinedShardExecutor(
+            self.config,
+            root_state,
+            engine,
+            min(jobs, -(-len(plan) // per_run)),
+            shards_per_run=per_run,
+            max_retries=max_retries,
+            worker=worker,
+        )
+        return executor, executor.outcomes(plan)
+
     def _serial_outcomes(
         self,
         plan: Sequence[ShardTask],
         engine: str,
-        root: np.random.SeedSequence,
+        root_state: dict,
         _shard_runner: Optional[Callable[[int, int], List[GroupChronology]]],
-        shards_per_call: int = 1,
+        shards_per_run: int = 1,
     ) -> Iterator[ShardOutcome]:
         """In-process shard execution (``n_jobs=1`` or an injected runner).
 
-        Consecutive shards are simulated ``shards_per_call`` at a time but
-        still delivered one by one, each timed at the call's wall time
-        times its share of the call's groups.
+        Consecutive shards are simulated ``shards_per_run`` at a time but
+        still delivered one by one, each timed at the run's wall time
+        times its share of the run's groups.
         """
-        for first in range(0, len(plan), shards_per_call):
-            tasks = plan[first : first + shards_per_call]
+        for first in range(0, len(plan), shards_per_run):
+            run = plan[first : first + shards_per_run]
             start = time.perf_counter()
             if _shard_runner is not None:
-                per_shard = [_shard_runner(task.index, task.n_groups) for task in tasks]
+                per_shard = [_shard_runner(task.index, task.n_groups) for task in run]
             else:
-                per_shard = self._simulate_shards(
-                    engine, root, [task.n_groups for task in tasks]
-                )
+                per_shard = simulate_shards(self.config, root_state, engine, run)
             wall = time.perf_counter() - start
-            groups = sum(task.n_groups for task in tasks)
-            for task, chronologies in zip(tasks, per_shard):
+            for task, chronologies, seconds in split_run(run, per_shard, wall):
                 yield ShardOutcome(
-                    task=task,
-                    chronologies=chronologies,
-                    wall_seconds=wall * (task.n_groups / groups),
+                    task=task, chronologies=chronologies, wall_seconds=seconds
                 )
-
-    def _simulate_shards(
-        self,
-        engine: str,
-        root: np.random.SeedSequence,
-        sizes: Sequence[int],
-    ) -> List[List[GroupChronology]]:
-        """Consecutive shards' chronologies, consuming the next spawn positions.
-
-        Batch shards share one kernel call; compiled and event shards run
-        one after another.
-        """
-        if engine in _SHARDED_ENGINES:
-            rngs = [
-                np.random.Generator(np.random.PCG64(child))
-                for child in root.spawn(len(sizes))
-            ]
-            if engine == "compiled":
-                return [
-                    simulate_groups_compiled(self.config, n, rng)
-                    for n, rng in zip(sizes, rngs)
-                ]
-            if len(sizes) == 1:
-                return [simulate_groups_batch(self.config, sizes[0], rngs[0])]
-            fleet = simulate_groups_batch(self.config, sizes, rngs)
-            ends = np.cumsum(sizes).tolist()
-            return [fleet[end - n : end] for n, end in zip(sizes, ends)]
-        simulator = RaidGroupSimulator(self.config)
-        return [
-            [
-                simulator.run(np.random.Generator(np.random.PCG64(child)))
-                for child in root.spawn(n)
-            ]
-            for n in sizes
-        ]
-
-    # ------------------------------------------------------------------
-    def _run_event_engine(self) -> List[GroupChronology]:
-        """Reference path: one seed-spawned event loop per group."""
-        root = make_seed_sequence(self.seed)
-        children = root.spawn(self.n_groups)
-
-        if self.n_jobs <= 1:
-            simulator = RaidGroupSimulator(self.config)
-            return [
-                simulator.run(np.random.Generator(np.random.PCG64(child)))
-                for child in children
-            ]
-        # Per-group seeds are independent of the partition, so clamping
-        # the job count to the fleet size changes nothing numerically.
-        jobs = min(self.n_jobs, self.n_groups)
-        batches: List[List[dict]] = [[] for _ in range(jobs)]
-        for idx, child in enumerate(children):
-            batches[idx % jobs].append(_seed_state(child))
-        ctx = get_context("spawn")
-        with ctx.Pool(jobs) as pool:
-            results = pool.map(_run_batch, [(self.config, batch) for batch in batches])
-        # Restore replication order: batch b holds indices b, b+J, ...
-        chronologies: List[GroupChronology] = [None] * self.n_groups  # type: ignore[list-item]
-        flat_iters = [iter(r) for r in results]
-        for idx in range(self.n_groups):
-            chronologies[idx] = next(flat_iters[idx % jobs])
-        return chronologies
-
-    def _run_sharded_engine(self, engine: str) -> List[GroupChronology]:
-        """Vectorized/compiled path: one seed-spawned stream per shard.
-
-        The shard partition is a pure function of ``n_groups``
-        (:data:`~repro.simulation.batch.BATCH_SHARD_SIZE`), so results do
-        not depend on ``n_jobs``.  In process, batch shards go to the
-        kernel :data:`KERNEL_ROWS` rows at a time; pool workers take one
-        shard each.  The compiled engine reuses the batch engine's
-        partition and per-shard seeding verbatim — only the kernel that
-        consumes each shard's generator differs.
-        """
-        root = make_seed_sequence(self.seed)
-        sizes = shard_sizes(self.n_groups, BATCH_SHARD_SIZE)
-        jobs = min(self.n_jobs, len(sizes))
-        if jobs <= 1:
-            per_call = _shards_per_call(engine, BATCH_SHARD_SIZE)
-            shards = [
-                shard
-                for first in range(0, len(sizes), per_call)
-                for shard in self._simulate_shards(
-                    engine, root, sizes[first : first + per_call]
-                )
-            ]
-        else:
-            ctx = get_context("spawn")
-            tasks = [
-                (self.config, _seed_state(child), n, engine)
-                for n, child in zip(sizes, root.spawn(len(sizes)))
-            ]
-            with ctx.Pool(jobs) as pool:
-                shards = pool.map(_run_shard, tasks)
-        return [chrono for shard in shards for chrono in shard]
 
 
 def simulate_raid_groups(

@@ -88,6 +88,7 @@ from .executor import (
     ShardOutcome,
     ShardTask,
     ShardWorker,
+    _future_ok,
     simulate_shard,
 )
 from .raid_simulator import DDFType, GroupChronology
@@ -1057,11 +1058,6 @@ class DistributedShardExecutor:
                 f"shard {task.index} raised in its worker: {exc!r}"
             ) from exc
         self.complete(task, chronologies, wall_seconds, worker="local")
-
-
-def _future_ok(future: Future) -> bool:
-    """Did this future finish cleanly before a pool break?"""
-    return future.done() and not future.cancelled() and future.exception() is None
 
 
 __all__ = [

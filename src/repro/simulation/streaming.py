@@ -568,8 +568,9 @@ class ProgressEvent:
     shard_seconds:
         Worker-side wall time of the shard just committed (its
         simulation time, excluding queue wait; 0 when unavailable).
-        When one in-process kernel call simulated several shards, each
-        gets the call's wall time times its share of the call's groups.
+        When one run (in process or in a pool task) simulated several
+        shards, each gets the run's wall time times its share of the
+        run's groups.
     shard_groups_per_second:
         Throughput of the shard just committed, from the worker's own
         monotonic clock (``task.n_groups / shard_seconds``) — the

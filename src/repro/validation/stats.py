@@ -22,7 +22,6 @@ import dataclasses
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from ..simulation.raid_simulator import GroupChronology
 
@@ -71,13 +70,17 @@ def count_homogeneity_pvalue(
     table = count_table(a, b, max_bin)
     if table.shape[1] < 2:
         return None
-    _, p, _, _ = _scipy_stats.chi2_contingency(table)
+    from scipy.stats import chi2_contingency
+
+    _, p, _, _ = chi2_contingency(table)
     return float(p)
 
 
 def ks_pvalue(a: np.ndarray, b: np.ndarray) -> "tuple[float, float]":
     """Two-sample KS statistic and p-value (location/shape probe)."""
-    stat, p = _scipy_stats.ks_2samp(a, b)
+    from scipy.stats import ks_2samp
+
+    stat, p = ks_2samp(a, b)
     return float(stat), float(p)
 
 
@@ -126,7 +129,9 @@ def pathway_mix_pvalue(
         # One fleet has no DDFs at all: the mix carries no evidence (the
         # count tests capture the asymmetry itself).
         return None
-    _, p, _, _ = _scipy_stats.chi2_contingency(table)
+    from scipy.stats import chi2_contingency
+
+    _, p, _, _ = chi2_contingency(table)
     return float(p)
 
 

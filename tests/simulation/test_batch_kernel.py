@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import repro.simulation.batch as batch_module
+import repro.simulation.executor as executor_module
 import repro.simulation.monte_carlo as monte_carlo
 from repro.distributions import Exponential, Weibull
 from repro.exceptions import SimulationError
@@ -218,15 +219,15 @@ class TestThroughputObservability:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The ``n_groups`` argument of every batch-kernel call the runner makes."""
+    """The ``n_groups`` argument of every in-process batch-kernel call."""
     calls = []
-    real = monte_carlo.simulate_groups_batch
+    real = executor_module.simulate_groups_batch
 
     def spy(config, n_groups, rng):
         calls.append(n_groups)
         return real(config, n_groups, rng)
 
-    monkeypatch.setattr(monte_carlo, "simulate_groups_batch", spy)
+    monkeypatch.setattr(executor_module, "simulate_groups_batch", spy)
     return calls
 
 
@@ -325,13 +326,13 @@ class TestSeveralShardsPerCall:
     def test_shard_times_split_the_call_time_by_groups(self, monkeypatch):
         # A clock that moves only inside kernel calls, 1 s per call.
         clock = [0.0]
-        real = monte_carlo.simulate_groups_batch
+        real = executor_module.simulate_groups_batch
 
         def timed_kernel(config, n_groups, rng):
             clock[0] += 1.0
             return real(config, n_groups, rng)
 
-        monkeypatch.setattr(monte_carlo, "simulate_groups_batch", timed_kernel)
+        monkeypatch.setattr(executor_module, "simulate_groups_batch", timed_kernel)
         monkeypatch.setattr(
             monte_carlo, "time", types.SimpleNamespace(perf_counter=lambda: clock[0])
         )

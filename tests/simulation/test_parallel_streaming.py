@@ -1,10 +1,11 @@
 """Pipelined parallel shard executor: determinism, resume, fault tolerance.
 
 The executor's contract is that ``n_jobs`` never changes numbers, only
-wall-clock: a streaming run with ``n_jobs>1`` must be bit-identical to
-``n_jobs=1`` on both engines — for fixed-size and convergence-stopped
-fleets, through checkpoint/resume, and across worker crashes (a lost
-shard is reseeded from its index and retried).
+wall-clock: a streaming or materialized run with ``n_jobs>1`` must be
+bit-identical to ``n_jobs=1`` on every engine — for fixed-size and
+convergence-stopped fleets, through checkpoint/resume, and across worker
+crashes (a lost run of shards is reseeded from its indices and retried) —
+however the plan is cut into runs of shards.
 """
 
 import json
@@ -24,9 +25,14 @@ from repro.simulation.executor import (
     _child_seed,
     _run_shard_task,
     shard_plan,
-    simulate_shard,
+    simulate_shards,
 )
-from repro.simulation.monte_carlo import MonteCarloRunner, _seed_state
+from repro.simulation.monte_carlo import (
+    BATCH_SHARD_SIZE,
+    MonteCarloRunner,
+    _seed_state,
+    _shards_per_run,
+)
 
 SHARD = 32
 N_GROUPS = 160
@@ -85,6 +91,24 @@ class TestShardPlan:
         small = shard_plan(0, 0, 64, 32)
         large = shard_plan(0, 0, 1000, 32)
         assert large[: len(small)] == small
+
+
+class TestRunLength:
+    def test_batch_runs_fill_the_kernel_width(self):
+        # 128 shards of 512 over 2 workers: 2,048-row runs.
+        assert _shards_per_run("batch", 512, 128, 2) == 4
+        assert _shards_per_run("batch", 256, 100, 1) == 8
+
+    def test_small_plan_reaches_every_worker(self):
+        # 5 shards at n_jobs=3: runs of 2, 2 and 1.
+        assert _shards_per_run("batch", 512, 5, 3) == 2
+        assert _shards_per_run("batch", SHARD, 5, 2) == 3
+        assert _shards_per_run("batch", 512, 2, 4) == 1
+
+    def test_wide_shards_and_other_engines_go_one_at_a_time(self):
+        assert _shards_per_run("batch", 4096, 10, 1) == 1
+        assert _shards_per_run("event", 512, 128, 2) == 1
+        assert _shards_per_run("compiled", 512, 128, 2) == 1
 
 
 class TestChildSeedReconstruction:
@@ -151,6 +175,8 @@ class TestParallelDeterminism:
             shard_size=SHARD, checkpoint_path=path, stop_after_shards=2
         )
         assert interrupted.stop_reason == "interrupted"
+        # The interruption cuts the plan: nothing past it was simulated.
+        assert interrupted.executor_stats["discarded_in_flight"] == 0
         resumed = make_runner(engine, n_jobs=3).run_streaming(
             shard_size=SHARD, checkpoint_path=path, resume_from=path
         )
@@ -169,19 +195,57 @@ class TestParallelDeterminism:
         assert parallel.result.summary() == serial.result.summary()
         assert len(parallel.result.chronologies) == 64
 
+    def test_kernel_width_runs_bit_identical(self, tmp_path):
+        # 10 shards of 512 over 2 workers: pool runs of 4, 4 and 2 shards,
+        # each one 2,048-row kernel call at most.
+        n_groups = 9 * BATCH_SHARD_SIZE + 37
+        assert _shards_per_run("batch", BATCH_SHARD_SIZE, 10, 2) == 4
+        serial = make_runner("batch", n_groups=n_groups).run_streaming()
+        events = []
+        parallel = make_runner("batch", n_groups=n_groups, n_jobs=2).run_streaming(
+            observers=(events.append,)
+        )
+        assert canonical(parallel) == canonical(serial)
+        assert [event.shards_completed for event in events] == list(range(1, 11))
+        assert parallel.executor_stats["n_jobs"] == 2
+        # At most two runs of four shards are ever in flight.
+        assert max(event.queue_depth for event in events) <= 8
+
+    def test_materialized_batch_run_matches_serial(self):
+        # Six shards, the last one short: pool runs of 3 and 3 shards,
+        # in-process runs of 4 and 2.
+        n_groups = 5 * BATCH_SHARD_SIZE + 100
+        serial = make_runner("batch", n_groups=n_groups).run()
+        parallel = make_runner("batch", n_groups=n_groups, n_jobs=2).run()
+        assert parallel.n_groups == n_groups
+        assert [c.ddf_times for c in parallel.chronologies] == [
+            c.ddf_times for c in serial.chronologies
+        ]
+        assert json.dumps(
+            parallel.to_accumulator().to_dict(), sort_keys=True
+        ) == json.dumps(serial.to_accumulator().to_dict(), sort_keys=True)
+
 
 class TestWorkerFaultTolerance:
     def test_crashed_shard_is_reseeded_and_retried(self, tmp_path, monkeypatch):
+        """The hook kills the worker at shard 1, the middle of the first
+        pool run (shards 0-2): the whole run is lost, reseeded and
+        re-run once, so every shard of it shows one retry."""
         crash_dir = tmp_path / "crashes"
         crash_dir.mkdir()
         monkeypatch.setenv(CRASH_DIR_ENV, str(crash_dir))
+        assert _shards_per_run("batch", SHARD, N_GROUPS // SHARD, 2) == 3
         reference = canonical(make_runner("batch").run_streaming(shard_size=SHARD))
+        events = []
         streaming = make_runner("batch", n_jobs=2).run_streaming(
-            shard_size=SHARD, _shard_worker=crash_once_worker
+            shard_size=SHARD,
+            observers=(events.append,),
+            _shard_worker=crash_once_worker,
         )
         assert canonical(streaming) == reference
-        assert streaming.executor_stats["pool_breaks"] >= 1
-        assert streaming.executor_stats["shard_retries"] >= 1
+        assert streaming.executor_stats["pool_breaks"] == 1
+        assert streaming.executor_stats["shard_retries"] >= 3
+        assert [event.shard_retries for event in events[:3]] == [1, 1, 1]
         assert len(os.listdir(crash_dir)) == 1  # crashed exactly once
 
     def test_retries_exhausted_raises(self):
@@ -199,16 +263,20 @@ class TestWorkerFaultTolerance:
         of letting BrokenProcessPool escape the run."""
         config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
         root_state = _seed_state(np.random.SeedSequence(11))
-        plan = shard_plan(0, 0, 4 * SHARD, SHARD)
+        # Four runs of two shards: the third submission is the refill
+        # right after the first run's result is taken.
+        plan = shard_plan(0, 0, 8 * SHARD, SHARD)
 
-        clean = PipelinedShardExecutor(config, root_state, "batch", n_jobs=2)
+        clean = PipelinedShardExecutor(
+            config, root_state, "batch", n_jobs=2, shards_per_run=2
+        )
         reference = [outcome.chronologies for outcome in clean.outcomes(plan)]
 
         broken = _SubmitBreakExecutor(
-            config, root_state, "batch", n_jobs=2, break_at_submit=3
+            config, root_state, "batch", n_jobs=2, shards_per_run=2, break_at_submit=3
         )
         outcomes = list(broken.outcomes(plan))
-        assert [outcome.task.index for outcome in outcomes] == [0, 1, 2, 3]
+        assert [outcome.task.index for outcome in outcomes] == list(range(8))
         assert broken.pool_breaks == 1
         assert [outcome.chronologies for outcome in outcomes] == reference
 
@@ -220,12 +288,16 @@ class TestWorkerFaultTolerance:
         escape the run as a raw BrokenProcessPool.  Scripted per-attempt
         so pool timing cannot change which shard is in flight: shard 1's
         first attempt dies at ``result()``, its resubmission dies at
-        ``_submit`` inside ``_recover``, its third attempt completes."""
+        ``_submit_run`` inside ``_recover``, its third attempt completes.
+        Shard 1 shares its run with shard 0, so both are lost and charged
+        together."""
         config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
         root_state = _seed_state(np.random.SeedSequence(11))
         plan = shard_plan(0, 0, 4 * SHARD, SHARD)
 
-        clean = _ScriptedBreakExecutor(config, root_state, "batch", n_jobs=2)
+        clean = _ScriptedBreakExecutor(
+            config, root_state, "batch", n_jobs=2, shards_per_run=2
+        )
         reference = [outcome.chronologies for outcome in clean.outcomes(plan)]
 
         broken = _ScriptedBreakExecutor(
@@ -233,14 +305,15 @@ class TestWorkerFaultTolerance:
             root_state,
             "batch",
             n_jobs=2,
+            shards_per_run=2,
             script={(1, 0): "break-result", (1, 1): "break-submit"},
         )
         outcomes = list(broken.outcomes(plan))
         assert [outcome.task.index for outcome in outcomes] == [0, 1, 2, 3]
         assert broken.pool_breaks == 2
         assert [outcome.chronologies for outcome in outcomes] == reference
-        # Each break charged the lost shard one retry.
-        assert [outcome.retries for outcome in outcomes] == [0, 2, 0, 0]
+        # Each break charged every shard of the lost run one retry.
+        assert [outcome.retries for outcome in outcomes] == [2, 2, 0, 0]
 
     def test_double_break_inside_recover_still_charges_max_retries(self):
         """The second break's retry charge counts toward ``max_retries``:
@@ -253,11 +326,44 @@ class TestWorkerFaultTolerance:
             root_state,
             "batch",
             n_jobs=2,
+            shards_per_run=2,
             script={(1, 0): "break-result", (1, 1): "break-submit"},
             max_retries=1,
         )
         with pytest.raises(SimulationError, match="dying worker"):
             list(broken.outcomes(plan))
+
+    def test_next_run_is_submitted_before_a_run_is_delivered(self):
+        """The refill happens as soon as a run's result is taken, so the
+        workers keep simulating while the consumer commits; with a
+        precision target that bounds the waste at ``n_jobs`` shards."""
+        config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
+        root_state = _seed_state(np.random.SeedSequence(11))
+        plan = shard_plan(0, 0, 4 * SHARD, SHARD)
+        executor = _ScriptedBreakExecutor(config, root_state, "batch", n_jobs=2)
+        outcomes = executor.outcomes(plan)
+        first = next(outcomes)
+        assert first.task.index == 0
+        assert sorted(executor._attempts) == [0, 1, 2]
+        assert first.queue_depth == 2
+        outcomes.close()
+
+    def test_run_time_is_split_over_its_shards_by_groups(self):
+        """The shards of one pool run share the run's worker time in
+        proportion to their group counts, adding up to the whole."""
+        config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
+        root_state = _seed_state(np.random.SeedSequence(11))
+        total = 3 * SHARD + 8
+        plan = shard_plan(0, 0, total, SHARD)
+        executor = _ScriptedBreakExecutor(
+            config, root_state, "batch", n_jobs=1, shards_per_run=4, run_seconds=2.0
+        )
+        outcomes = list(executor.outcomes(plan))
+        shares = [SHARD / total] * 3 + [8 / total]
+        assert [o.wall_seconds for o in outcomes] == pytest.approx(
+            [2.0 * share for share in shares], rel=1e-12
+        )
+        assert sum(o.wall_seconds for o in outcomes) == pytest.approx(2.0, rel=1e-12)
 
     def test_deterministic_worker_exception_not_retried(self):
         def failing_runner(shard_index, n):
@@ -279,7 +385,7 @@ def _raise_value_error(task):
 
 
 class _SubmitBreakExecutor(PipelinedShardExecutor):
-    """Real pool, but the break surfaces at the Nth ``_submit`` call —
+    """Real pool, but the break surfaces at the Nth ``_submit_run`` call —
     the window a worker death opens when the pool's broken flag is set
     between a consumed result and the next submission."""
 
@@ -288,11 +394,11 @@ class _SubmitBreakExecutor(PipelinedShardExecutor):
         self._submit_calls = 0
         self._break_at = break_at_submit
 
-    def _submit(self, task):
+    def _submit_run(self, number, run):
         self._submit_calls += 1
         if self._submit_calls == self._break_at:
             raise BrokenProcessPool("worker died before this submit")
-        return super()._submit(task)
+        return super()._submit_run(number, run)
 
 
 class _FakePool:
@@ -303,34 +409,38 @@ class _FakePool:
 
 
 class _ScriptedBreakExecutor(PipelinedShardExecutor):
-    """No real pool: submissions simulate synchronously in-process and a
-    ``script`` mapping ``(shard index, attempt) -> "break-submit" |
+    """No real pool: run submissions simulate synchronously in-process and
+    a ``script`` mapping ``(shard index, attempt) -> "break-submit" |
     "break-result"`` dictates exactly where ``BrokenProcessPool``
-    surfaces.  Worker timing cannot influence the schedule, so recovery
-    paths — including a rebuilt pool breaking again during ``_recover``'s
-    resubmission — are pinned deterministically."""
+    surfaces for the run holding that shard (attempts count per run).
+    Worker timing cannot influence the schedule, so recovery paths —
+    including a rebuilt pool breaking again during ``_recover``'s
+    resubmission — are pinned deterministically.  ``run_seconds``, when
+    given, is reported as every run's worker time."""
 
-    def __init__(self, *args, script=None, **kwargs):
+    def __init__(self, *args, script=None, run_seconds=None, **kwargs):
         super().__init__(*args, **kwargs)
         self._script = dict(script or {})
+        self._run_seconds = run_seconds
         self._attempts = {}
 
     def _make_pool(self):
         return _FakePool()
 
-    def _submit(self, task):
-        attempt = self._attempts.get(task.index, 0)
-        self._attempts[task.index] = attempt + 1
-        action = self._script.get((task.index, attempt))
-        if action == "break-submit":
+    def _submit_run(self, number, run):
+        attempt = self._attempts.get(number, 0)
+        self._attempts[number] = attempt + 1
+        actions = [self._script.get((task.index, attempt)) for task in run]
+        if "break-submit" in actions:
             raise BrokenProcessPool("worker died before this submit")
         future = Future()
-        if action == "break-result":
-            future.set_exception(BrokenProcessPool("worker died mid-shard"))
+        if "break-result" in actions:
+            future.set_exception(BrokenProcessPool("worker died mid-run"))
         else:
             start = time.perf_counter()
-            chronologies = simulate_shard(
-                self.config, self.root_state, self.engine, task
-            )
-            future.set_result((chronologies, time.perf_counter() - start))
+            per_shard = simulate_shards(self.config, self.root_state, self.engine, run)
+            seconds = self._run_seconds
+            if seconds is None:
+                seconds = time.perf_counter() - start
+            future.set_result((per_shard, seconds))
         return future
