@@ -17,7 +17,8 @@ shards across the pipelined process-pool shard executor when
 * **Mid-flight answers** (:class:`RefinementJob`): the run's progress
   observer publishes a snapshot after every committed shard, so a
   non-blocking query can read the current estimate and confidence
-  interval while refinement continues.
+  interval while refinement continues.  A run commits the shards of
+  one kernel call together, so snapshots advance a run at a time.
 * **Fault tolerance**: worker kills inside the shard executor are
   retried there (shards reseeded from their index); the job completes
   with identical statistics, and the retry count is surfaced in

@@ -13,11 +13,11 @@ byte-identical as long as they are *committed* in order.
 
 :class:`PipelinedShardExecutor` exploits exactly that split:
 
-* the plan is cut into *runs* of consecutive shards; each pool task
-  advances one run, and a batch-engine run is a single
-  :func:`~repro.simulation.batch.simulate_groups_batch` call of up to
-  :data:`~repro.simulation.monte_carlo.KERNEL_ROWS` rows (the in-process
-  path groups shards the same way),
+* the plan is cut into *runs* of consecutive shards, each sized when it
+  is submitted; each pool task advances one run, and a batch-engine run
+  is a single :func:`~repro.simulation.batch.simulate_groups_batch` call
+  of up to :data:`~repro.simulation.monte_carlo.KERNEL_ROWS` rows (the
+  in-process path groups shards the same way),
 * a persistent ``spawn``-context :class:`~concurrent.futures.ProcessPoolExecutor`
   keeps up to ``n_jobs`` runs in flight ahead of the commit cursor, and
   submits the next run as soon as it takes a run's result — *before*
@@ -26,8 +26,10 @@ byte-identical as long as they are *committed* in order.
 * the main process consumes results **in shard order**, one shard at a
   time, and folds them into the accumulator, so convergence stopping,
   checkpoints, and observers behave exactly as in a serial run,
-* shards in flight when a precision target stops the run are simply
-  never committed — discarded as if they had never been simulated,
+* shards simulated or in flight past the one a precision target stops
+  at are simply never committed — discarded as if they had never been
+  simulated: the rest of the stopping shard's run plus at most
+  ``n_jobs`` runs,
 * a crashed or killed worker breaks the pool; the executor rebuilds it,
   **reseeds every lost run from its shard indices**, and retries each
   run up to ``max_retries`` times before raising
@@ -95,8 +97,10 @@ class ShardOutcome:
         in a pool task) split the run's wall time by their shares of its
         groups.
     queue_depth:
-        Shards still in flight after this one was delivered: submitted
-        to the pool (or claimed by a worker) and not yet taken back.
+        Shards simulated or in flight and not yet delivered when this
+        one was: the rest of its run, plus every shard submitted to the
+        pool (or claimed by a worker) and not yet taken back.  On the
+        last shard a run commits, it is the number of shards discarded.
     commit_lag_seconds:
         Time from when this shard's run finished until the shard was
         delivered to the commit loop (0 for serial execution).
@@ -285,14 +289,15 @@ class PipelinedShardExecutor:
     """Out-of-order speculative shard execution with in-order delivery.
 
     :meth:`outcomes` yields one :class:`ShardOutcome` per planned shard,
-    in plan order.  The plan is cut into runs of ``shards_per_run``
-    consecutive shards, one pool task each, and a persistent worker pool
-    keeps up to ``n_jobs`` runs in flight ahead of the consumer.  The
-    next run is submitted as soon as a run's result is taken, before its
-    shards are delivered, so at most ``n_jobs`` runs are simulated past
-    the shard the consumer stops at.  Closing the generator (e.g.
-    breaking out of the loop once a precision target converges) cancels
-    and discards everything still in flight.
+    in plan order.  The plan is cut lazily into runs of consecutive
+    shards, one pool task each, and a persistent worker pool keeps up to
+    ``n_jobs`` runs in flight ahead of the consumer.  ``shards_per_run()``
+    gives each run's length when that run is submitted.  The next run is
+    submitted as soon as a run's result is taken, before its shards are
+    delivered, so past the shard the consumer stops at at most the rest
+    of its run and ``n_jobs`` more runs are simulated.  Closing the
+    generator (e.g. breaking out of the loop once a precision target
+    converges) cancels and discards everything still in flight.
     """
 
     def __init__(
@@ -302,16 +307,12 @@ class PipelinedShardExecutor:
         engine: str,
         n_jobs: int,
         *,
-        shards_per_run: int = 1,
+        shards_per_run: Callable[[], int] = lambda: 1,
         max_retries: int = DEFAULT_MAX_SHARD_RETRIES,
         worker: Optional[ShardWorker] = None,
     ) -> None:
         if n_jobs < 1:
             raise SimulationError(f"n_jobs must be >= 1, got {n_jobs!r}")
-        if shards_per_run < 1:
-            raise SimulationError(
-                f"shards_per_run must be >= 1, got {shards_per_run!r}"
-            )
         if max_retries < 0:
             raise SimulationError(f"max_retries must be >= 0, got {max_retries!r}")
         self.config = config
@@ -360,14 +361,15 @@ class PipelinedShardExecutor:
         tasks = list(plan)
         if not tasks:
             return
-        step = self.shards_per_run
-        runs = [tuple(tasks[i : i + step]) for i in range(0, len(tasks), step)]
+        runs: List[Tuple[ShardTask, ...]] = []  # every run cut so far, in order
         pending: Dict[int, Future] = {}
         retries: Dict[int, int] = {}
         self._pool = self._make_pool()
         try:
-            submitted = self._top_up(runs, pending, retries, 0)
-            for number, run in enumerate(runs):
+            cut = self._top_up(tasks, runs, pending, retries, 0)
+            number = 0
+            while number < len(runs):
+                run = runs[number]
                 while True:
                     try:
                         per_shard, wall_seconds = pending[number].result()
@@ -384,41 +386,54 @@ class PipelinedShardExecutor:
                 del pending[number]
                 # Refill before delivering: the workers simulate the next
                 # runs while the consumer commits this one.
-                submitted = self._top_up(runs, pending, retries, submitted)
+                cut = self._top_up(tasks, runs, pending, retries, cut)
                 in_flight = sum(len(runs[queued]) for queued in pending)
-                for task, chronologies, seconds in split_run(
-                    run, per_shard, wall_seconds
+                for delivered, (task, chronologies, seconds) in enumerate(
+                    split_run(run, per_shard, wall_seconds), 1
                 ):
                     yield ShardOutcome(
                         task=task,
                         chronologies=chronologies,
                         wall_seconds=seconds,
-                        queue_depth=in_flight,
+                        queue_depth=in_flight + len(run) - delivered,
                         commit_lag_seconds=max(0.0, time.perf_counter() - finished_at),
                         retries=retries.get(number, 0),
                     )
+                number += 1
         finally:
             self.close()
 
     def _top_up(
         self,
+        tasks: List[ShardTask],
         runs: List[Tuple[ShardTask, ...]],
         pending: Dict[int, Future],
         retries: Dict[int, int],
-        submitted: int,
+        cut: int,
     ) -> int:
-        """Submit runs until ``n_jobs`` are in flight; return the next to submit."""
-        while submitted < len(runs) and len(pending) < self.n_jobs:
-            try:
-                pending[submitted] = self._submit_run(submitted, runs[submitted])
-            except BrokenProcessPool:
-                # A worker died after the last result was taken, so the
-                # break surfaces here instead of in result(); recover and
-                # retry on the new pool.
-                self._recover(runs, pending, retries)
-                continue
-            submitted += 1
-        return submitted
+        """Cut and submit runs until ``n_jobs`` are in flight.
+
+        Each run takes the next ``shards_per_run()`` shards of ``tasks``
+        from index ``cut``, sized as it is cut; returns the new cut.
+        """
+        while cut < len(tasks) and len(pending) < self.n_jobs:
+            length = self.shards_per_run()
+            if length < 1:
+                raise SimulationError(f"shards_per_run() must be >= 1, got {length!r}")
+            run = tuple(tasks[cut : cut + length])
+            number = len(runs)
+            runs.append(run)
+            cut += len(run)
+            while True:
+                try:
+                    pending[number] = self._submit_run(number, run)
+                    break
+                except BrokenProcessPool:
+                    # A worker died after the last result was taken, so
+                    # the break surfaces here instead of in result();
+                    # recover and retry on the new pool.
+                    self._recover(runs, pending, retries)
+        return cut
 
     def _recover(
         self,

@@ -37,6 +37,7 @@ engines"):
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -84,7 +85,7 @@ ENGINES = ("event", "batch", "compiled", "auto")
 #: group).
 _SHARDED_ENGINES = ("batch", "compiled")
 
-#: Rows per batch-kernel call: a fixed-size run hands the kernel up to
+#: Rows per batch-kernel call: a run hands the kernel up to
 #: ``KERNEL_ROWS // shard_size`` consecutive seed shards at once, in
 #: process and in each pool task alike (each shard on its own stream,
 #: so results do not change).  The width balances the kernel's fixed
@@ -100,8 +101,10 @@ def _shards_per_run(engine: str, shard_size: int, n_shards: int, n_jobs: int) ->
     """Consecutive seed shards one task advances in one kernel call.
 
     Batch runs take up to :data:`KERNEL_ROWS` rows, but no more than an
-    even split of the plan over ``n_jobs`` workers, so a small plan still
-    reaches every worker; compiled and event shards go one at a time.
+    even split of ``n_shards`` over ``n_jobs`` workers, so a small plan
+    still reaches every worker; compiled and event shards go one at a
+    time.  ``n_shards`` is the plan length, or for a precision target
+    the shards it is estimated to still need.
     """
     if engine != "batch":
         return 1
@@ -136,7 +139,11 @@ class _ExecutorStats:
     workers: Dict[str, Dict[str, float]] = dataclasses.field(default_factory=dict)
 
     def observe(self, outcome: ShardOutcome) -> None:
-        """Fold one committed shard's telemetry in."""
+        """Fold one committed shard's telemetry in.
+
+        The last committed shard's queue depth counts what was simulated
+        or in flight past it, which the run then discards.
+        """
         self.shards += 1
         self.groups_total += outcome.task.n_groups
         self.shard_seconds_total += outcome.wall_seconds
@@ -340,11 +347,17 @@ class MonteCarloRunner:
         commits results strictly in shard order — so parallel runs are
         **bit-identical** to serial ones on every engine, including
         checkpoints, resume, and convergence stopping (in-flight shards
-        past the stopping shard are discarded as if never run).  A
-        fixed-size batch run hands each worker up to :data:`KERNEL_ROWS`
-        rows of shards per kernel call, like the serial path; a precision
-        target keeps one shard per task, so it simulates at most
-        ``n_jobs`` shards past the one it stops at.
+        past the stopping shard are discarded as if never run).  A batch
+        run hands each worker up to :data:`KERNEL_ROWS` rows of shards per
+        kernel call, like the serial path.  Under a precision target each
+        run is sized from the groups still missing to ``min_groups``, then
+        from the current CI width
+        (:meth:`~repro.simulation.streaming.Precision.groups_needed`), but
+        the stopping rule is still tested after every committed shard, so
+        the run stops at the same shard with the same bytes; whatever was
+        simulated past it is dropped.  Serially that is less than one run
+        (at most ``KERNEL_ROWS // shard_size - 1`` shards); with the pool,
+        the rest of the stopping shard's run plus at most ``n_jobs`` runs.
 
         Parameters
         ----------
@@ -363,7 +376,9 @@ class MonteCarloRunner:
         observers:
             Callables receiving a
             :class:`~repro.simulation.streaming.ProgressEvent` after each
-            shard (``done=True`` on the last).
+            committed shard (``done=True`` on the last).  The shards of
+            one run are committed together once its kernel call returns,
+            so their events arrive in a burst.
         keep_chronologies:
             Also materialize every chronology and attach a
             :class:`~repro.simulation.results.SimulationResult`
@@ -444,12 +459,15 @@ class MonteCarloRunner:
             groups_done = checkpoint.groups_completed
             prior_elapsed = checkpoint.elapsed_seconds
 
+        # A resumed accumulator may already meet the target; then there
+        # is nothing to simulate.
+        converged = precision is not None and precision.satisfied_by(accumulator)
         # The shard plan toward the cap is a pure function of the cursor,
         # so it is fixed up front; stopping merely truncates it, and an
         # interruption cuts it before anything past it is simulated.
         target = fixed_target if fixed_target is not None else cap
         plan = shard_plan(shards_done, groups_done, target, shard_size)
-        plan = plan[:stop_after_shards]
+        plan = [] if converged else plan[:stop_after_shards]
         root_state = _seed_state(make_seed_sequence(self.seed))
         hub: "Optional[RemoteWorkerHub]" = None
         owned_hub = False
@@ -466,6 +484,14 @@ class MonteCarloRunner:
                 "n_jobs=0 (no local shard pool) requires workers= — there "
                 "would be nobody to simulate the shards"
             )
+
+        def groups_needed() -> float:
+            # Read when each local run starts; a fixed-size run needs its
+            # whole plan.
+            if precision is None:
+                return math.inf
+            return precision.groups_needed(accumulator)
+
         if hub is not None:
             from .remote import DistributedShardExecutor
 
@@ -480,14 +506,12 @@ class MonteCarloRunner:
             )
             source = executor.outcomes(plan)
         else:
-            # A precision target may stop after any shard, so only
-            # fixed-size runs group shards into kernel calls.
             executor, source = self._local_outcomes(
                 plan,
                 engine,
                 root_state,
                 shard_size=shard_size,
-                grouped=precision is None,
+                groups_needed=groups_needed,
                 max_retries=max_shard_retries,
                 worker=_shard_worker,
                 shard_runner=_shard_runner,
@@ -499,7 +523,6 @@ class MonteCarloRunner:
         shards_this_call = 0
         groups_at_start = groups_done
         stop_reason: Optional[str] = None
-        converged = False
         stats = _ExecutorStats(
             mode=(
                 "distributed"
@@ -509,7 +532,9 @@ class MonteCarloRunner:
             n_jobs=executor.n_jobs if executor is not None else 1,
         )
         try:
-            if not plan:
+            if converged:
+                stop_reason = "converged"
+            elif not plan:
                 stop_reason = "fixed" if fixed_target is not None else "max_groups"
             for outcome in source:
                 accumulator.add_shard(outcome.chronologies)
@@ -648,7 +673,7 @@ class MonteCarloRunner:
         root_state: dict,
         *,
         shard_size: int = BATCH_SHARD_SIZE,
-        grouped: bool = True,
+        groups_needed: Callable[[], float] = lambda: math.inf,
         max_retries: int = DEFAULT_MAX_SHARD_RETRIES,
         worker: Optional[ShardWorker] = None,
         shard_runner: Optional[Callable[[int, int], List[GroupChronology]]] = None,
@@ -658,26 +683,31 @@ class MonteCarloRunner:
         ``n_jobs > 1`` runs the plan through a
         :class:`~repro.simulation.executor.PipelinedShardExecutor`
         (returned alongside, for its telemetry); ``n_jobs=1`` or an
-        injected ``shard_runner`` runs it here.  Either way ``grouped``
-        plans are cut into runs of :func:`_shards_per_run` shards.
+        injected ``shard_runner`` runs it here.  Either way the plan is
+        cut into runs of :func:`_shards_per_run` shards, each sized when
+        it starts from ``groups_needed()``, the groups still to simulate
+        (``inf``, the default, for the whole plan).
         """
         pooled = self.n_jobs > 1 and shard_runner is None and bool(plan)
         jobs = self.n_jobs if pooled else 1
-        per_run = (
-            _shards_per_run(engine, shard_size, len(plan), jobs)
-            if grouped and shard_runner is None
-            else 1
-        )
+
+        def run_length() -> int:
+            if shard_runner is not None:
+                return 1
+            # Clamped as a float: the estimate may be inf or astronomical.
+            shards = min(groups_needed() / shard_size, len(plan))
+            return _shards_per_run(engine, shard_size, math.ceil(shards), jobs)
+
         if not pooled:
             return None, self._serial_outcomes(
-                plan, engine, root_state, shard_runner, per_run
+                plan, engine, root_state, shard_runner, run_length
             )
         executor = PipelinedShardExecutor(
             self.config,
             root_state,
             engine,
-            min(jobs, -(-len(plan) // per_run)),
-            shards_per_run=per_run,
+            min(jobs, -(-len(plan) // run_length())),
+            shards_per_run=run_length,
             max_retries=max_retries,
             worker=worker,
         )
@@ -689,25 +719,33 @@ class MonteCarloRunner:
         engine: str,
         root_state: dict,
         _shard_runner: Optional[Callable[[int, int], List[GroupChronology]]],
-        shards_per_run: int = 1,
+        run_length: Callable[[], int],
     ) -> Iterator[ShardOutcome]:
         """In-process shard execution (``n_jobs=1`` or an injected runner).
 
-        Consecutive shards are simulated ``shards_per_run`` at a time but
-        still delivered one by one, each timed at the run's wall time
+        Consecutive shards are simulated ``run_length()`` at a time, sized
+        when the run starts (after the previous run's shards were taken),
+        but still delivered one by one, each timed at the run's wall time
         times its share of the run's groups.
         """
-        for first in range(0, len(plan), shards_per_run):
-            run = plan[first : first + shards_per_run]
+        first = 0
+        while first < len(plan):
+            run = plan[first : first + run_length()]
+            first += len(run)
             start = time.perf_counter()
             if _shard_runner is not None:
                 per_shard = [_shard_runner(task.index, task.n_groups) for task in run]
             else:
                 per_shard = simulate_shards(self.config, root_state, engine, run)
             wall = time.perf_counter() - start
-            for task, chronologies, seconds in split_run(run, per_shard, wall):
+            for delivered, (task, chronologies, seconds) in enumerate(
+                split_run(run, per_shard, wall), 1
+            ):
                 yield ShardOutcome(
-                    task=task, chronologies=chronologies, wall_seconds=seconds
+                    task=task,
+                    chronologies=chronologies,
+                    wall_seconds=seconds,
+                    queue_depth=len(run) - delivered,
                 )
 
 

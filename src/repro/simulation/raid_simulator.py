@@ -54,6 +54,7 @@ that hit the boundaries deliberately.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import enum
 from typing import List, Optional
@@ -130,7 +131,7 @@ class GroupChronology:
 
     def ddfs_before(self, hours: float) -> int:
         """DDFs at or before a given age."""
-        return int(np.searchsorted(np.asarray(self.ddf_times), hours, side="right"))
+        return bisect.bisect_right(self.ddf_times, hours)
 
 
 class _Slot:

@@ -19,9 +19,10 @@ one machine with *unchanged semantics*:
 * :class:`RemoteWorkerHub` — the coordinator side.  A listening socket
   plus one thread per connected worker.  Each worker thread drives the
   handshake, claims tasks from the active run's shared queue, and awaits
-  results; heartbeat staleness or a socket error abandons the claimed
-  shard back to the queue, *charged against* ``max_retries`` exactly like
-  a local :class:`~concurrent.futures.process.BrokenProcessPool`.
+  results, sending the worker its next task before it decodes a result;
+  heartbeat staleness or a socket error abandons the claimed shard back
+  to the queue, *charged against* ``max_retries`` exactly like a local
+  :class:`~concurrent.futures.process.BrokenProcessPool`.
 
 * :class:`DistributedShardExecutor` — a drop-in for
   :class:`~repro.simulation.executor.PipelinedShardExecutor` whose
@@ -697,34 +698,29 @@ class RemoteWorkerHub:
             elif time.monotonic() - link.last_seen > self.heartbeat_timeout:
                 raise ConnectionError("worker did not answer init")
 
-        while session.accepting():
-            task = session.claim(link.name, timeout=_POLL_SECONDS)
+        # The shard this worker is simulating: claimed, sent, not yet back.
+        task: Optional[ShardTask] = None
+        sent_at = 0.0
+        while True:
             if task is None:
-                # Nothing claimable; keep the link warm and liveness fresh.
-                try:
+                if not session.accepting():
+                    return
+                task = session.claim(link.name, timeout=_POLL_SECONDS)
+                if task is None:
+                    # Nothing claimable; keep the link warm and liveness fresh.
                     message = link.reader.read(0.0)
-                except ConnectionError:
-                    raise
-                if message is not None:
-                    link.last_seen = time.monotonic()
-                elif time.monotonic() - link.last_seen > self.heartbeat_timeout:
-                    raise ConnectionError("worker heartbeat timed out while idle")
-                continue
-            sent_at = time.perf_counter()
+                    if message is not None:
+                        link.last_seen = time.monotonic()
+                    elif time.monotonic() - link.last_seen > self.heartbeat_timeout:
+                        raise ConnectionError("worker heartbeat timed out while idle")
+                    continue
+                sent_at = self._send_task(link, session, epoch, task)
             try:
-                link.send(
-                    {
-                        "t": "task",
-                        "epoch": epoch,
-                        "index": task.index,
-                        "group_offset": task.group_offset,
-                        "n_groups": task.n_groups,
-                    }
-                )
                 result = self._await_result(link, session, epoch, task.index)
             except (ConnectionError, OSError) as exc:
                 session.abandon(task, f"{link.name}: {exc}")
                 raise ConnectionError(str(exc)) from exc
+            rtt = time.perf_counter() - sent_at
             if result is None:
                 # Session stopped accepting while the shard was in
                 # flight (convergence drain): discard, don't commit.
@@ -742,10 +738,21 @@ class RemoteWorkerHub:
                     )
                 )
                 return
+            # Send the next shard before decoding this one, so the worker
+            # simulates while this process decodes and commits.  Sent after
+            # publishing, it would wait for the interpreter lock that the
+            # woken consumer's commit holds, and the worker would start up
+            # in the middle of the consumer's own work.
+            following = session.claim(link.name)
+            lost: Optional[ConnectionError] = None
+            if following is not None:
+                try:
+                    sent_at = self._send_task(link, session, epoch, following)
+                except ConnectionError as exc:
+                    lost = exc
             chronologies = [
                 chronology_from_dict(c) for c in result["chronologies"]
             ]
-            rtt = time.perf_counter() - sent_at
             link.shards_committed += 1
             link.wall_seconds += float(result["wall_seconds"])
             link.rtt_total += rtt
@@ -757,6 +764,37 @@ class RemoteWorkerHub:
                 worker=link.name,
                 rtt_seconds=rtt,
             )
+            if lost is not None:
+                raise lost
+            task = following
+
+    @staticmethod
+    def _send_task(
+        link: _WorkerLink,
+        session: "DistributedShardExecutor",
+        epoch: int,
+        task: ShardTask,
+    ) -> float:
+        """Send one claimed shard to the worker; return when it was sent.
+
+        A failed send abandons the shard (charged one retry) and raises
+        ConnectionError to drop the link.
+        """
+        sent_at = time.perf_counter()
+        try:
+            link.send(
+                {
+                    "t": "task",
+                    "epoch": epoch,
+                    "index": task.index,
+                    "group_offset": task.group_offset,
+                    "n_groups": task.n_groups,
+                }
+            )
+        except (ConnectionError, OSError) as exc:
+            session.abandon(task, f"{link.name}: {exc}")
+            raise ConnectionError(str(exc)) from exc
+        return sent_at
 
     def _await_result(
         self,
@@ -945,7 +983,6 @@ class DistributedShardExecutor:
         finally:
             with self._cond:
                 self._stopped = True
-                self.discarded_in_flight = len(self._claimed) + len(self._results)
                 self._by_index.clear()
                 self._queue.clear()
                 self._cond.notify_all()

@@ -291,10 +291,11 @@ class FleetAccumulator:
 
     def add_chronology(self, chrono: GroupChronology) -> None:
         """Fold one group's mission in."""
+        n_ddfs = chrono.n_ddfs
         self.n_groups += 1
-        self.total_ddfs += chrono.n_ddfs
-        self.ddf_moments.add(float(chrono.n_ddfs))
-        first_year = chrono.ddfs_before(self.first_year_horizon)
+        self.total_ddfs += n_ddfs
+        self.ddf_moments.add(float(n_ddfs))
+        first_year = chrono.ddfs_before(self.first_year_horizon) if n_ddfs else 0
         self.total_first_year_ddfs += first_year
         self.first_year_moments.add(float(first_year))
         for kind in chrono.ddf_types:
@@ -305,17 +306,15 @@ class FleetAccumulator:
         self.n_restores += chrono.n_restores
         self.n_spare_waits += chrono.n_spare_waits
         self.spare_wait_hours += chrono.spare_wait_hours
-        if chrono.ddf_times:
-            self.first_ddf.offer_first_ddf(chrono.ddf_times[0])
-        else:
+        if not n_ddfs:
+            # Most groups see no DDF: no reservoir value, no curve update.
             self.first_ddf.offer_censored()
-        if self.time_grid is not None:
-            assert self.grid_counts is not None
-            times = np.asarray(chrono.ddf_times, dtype=float)
-            if times.size:
-                self.grid_counts += np.searchsorted(
-                    times, self.time_grid, side="right"
-                ).astype(np.int64)
+            return
+        self.first_ddf.offer_first_ddf(chrono.ddf_times[0])
+        if self.grid_counts is not None:
+            self.grid_counts += np.searchsorted(
+                np.asarray(chrono.ddf_times, dtype=float), self.time_grid, side="right"
+            ).astype(np.int64)
 
     def add_shard(self, chronologies: Iterable[GroupChronology]) -> None:
         """Fold a whole shard in, in order."""
@@ -541,6 +540,28 @@ class Precision:
             return False
         return accumulator.relative_ci_width(self.confidence) <= self.rel_ci_width
 
+    def groups_needed(self, accumulator: FleetAccumulator) -> float:
+        """Rough count of further groups until this target is met.
+
+        Below :attr:`min_groups` it is exactly the groups still missing
+        to it, which the target needs whatever the width.  From there the
+        CI width shrinks like ``1/sqrt(n)``, so at width ``w`` after ``n``
+        groups about ``n * (w / rel_ci_width)**2 - n`` remain.  It is
+        ``inf`` while the width is undefined (no DDF yet), and may be
+        ``inf`` or far past any fleet cap for an unreachable width, so
+        callers clamp it as a float.  It sizes how far a run simulates
+        ahead; the stopping rule stays :meth:`satisfied_by`.
+        """
+        n = accumulator.n_groups
+        if n < self.min_groups:
+            return float(self.min_groups - n)
+        width = accumulator.relative_ci_width(self.confidence)
+        if math.isinf(width):
+            return math.inf
+        # Products overflow to inf where ``** 2`` would raise.
+        ratio = width / self.rel_ci_width
+        return n * ratio * ratio - n
+
 
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
@@ -578,8 +599,10 @@ class ProgressEvent:
         which folds in queueing, commit ordering and observer overhead
         (0 when unavailable).
     queue_depth:
-        Shards speculatively in flight behind this commit (0 for serial
-        execution).
+        Shards simulated or in flight behind this commit and not yet
+        committed: the rest of this shard's run, plus, on a pool or
+        remote workers, every shard submitted and not yet taken back.
+        On the final event it is the number of shards the run dropped.
     commit_lag_seconds:
         How long the committed shard's finished result waited for the
         in-order commit cursor (0 for serial execution).
@@ -656,7 +679,7 @@ class StderrProgressReporter:
         if event.shard_worker != "local":
             visible += f"  [{event.shard_worker}]"
         if event.queue_depth:
-            visible += f"  [{event.queue_depth} in flight]"
+            visible += f"  [{event.queue_depth} uncommitted]"
         if event.done:
             status = "converged" if event.converged else "finished"
             visible += f"  — {status} in {event.elapsed_seconds:.1f}s"

@@ -12,11 +12,16 @@ callers (``DESIGN.md`` §4f):
   :class:`ProgressEvent` and in the run manifest;
 * several seed shards per kernel call — the in-process runner hands the
   kernel ``KERNEL_ROWS`` rows at a time, yet commits, checkpoints,
-  reports and stops shard by shard exactly as with one shard per call.
+  reports and stops shard by shard exactly as with one shard per call;
+  a precision target sizes each run from its estimate and drops what it
+  simulated past the stopping shard;
+* the seven golden fingerprints (:mod:`.goldens`) pin the NumPy kernel
+  byte for byte.
 """
 
 import dataclasses
 import json
+import math
 import types
 
 import numpy as np
@@ -34,7 +39,16 @@ from repro.simulation import (
     simulate_raid_groups,
 )
 from repro.simulation.batch import _BlockSampler, simulate_groups_batch
-from repro.simulation.monte_carlo import KERNEL_ROWS, MonteCarloRunner
+from repro.simulation.executor import ShardTask, simulate_shard
+from repro.simulation.monte_carlo import KERNEL_ROWS, MonteCarloRunner, _seed_state
+from repro.simulation.rng import make_seed_sequence
+
+from .goldens import (
+    GOLDEN_BATCH_FINGERPRINTS,
+    chronology_fingerprint,
+    golden_batch_cases,
+    hot_config,
+)
 
 
 class TestBlockSampler:
@@ -235,6 +249,42 @@ def canonical(streaming) -> str:
     return json.dumps(streaming.accumulator.to_dict(), sort_keys=True)
 
 
+def without_clock(path) -> dict:
+    """A checkpoint's contents minus its wall clock."""
+    state = load_checkpoint(path).to_dict()
+    del state["elapsed_seconds"]
+    return state
+
+
+def estimated_runs(widths, precision, shard, n_shards):
+    """``(runs, stop)`` of a serial precision run over equal shards.
+
+    ``widths[i]`` is the relative CI width after shard ``i + 1``.  Each
+    run is sized when it starts: the groups still missing to
+    ``min_groups``, then ``n * (w / target)**2 - n``, within one kernel
+    call and the rest of the plan.  ``runs`` ends with the run holding
+    ``stop``, the first shard that meets the target (``None`` if none).
+    """
+    runs, done = [], 0
+    while done < n_shards:
+        n = done * shard
+        if n < precision.min_groups:
+            needed = precision.min_groups - n
+        elif math.isinf(widths[done - 1]):
+            needed = math.inf
+        else:
+            ratio = widths[done - 1] / precision.rel_ci_width
+            needed = n * ratio * ratio - n
+        wanted = math.ceil(min(needed / shard, n_shards))
+        runs.append(max(1, min(KERNEL_ROWS // shard, wanted, n_shards - done)))
+        for k in range(done + 1, done + runs[-1] + 1):
+            met = widths[k - 1] <= precision.rel_ci_width
+            if met and k * shard >= precision.min_groups:
+                return runs, k
+        done += runs[-1]
+    return runs, None
+
+
 ONE_YEAR = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
 #: A shard size that puts four shards in every fixed-size kernel call.
 QUARTER = KERNEL_ROWS // 4
@@ -287,16 +337,33 @@ class TestSeveralShardsPerCall:
         assert len(kernel_calls) == 2
         assert seen == [(k, k * QUARTER) for k in range(1, 6)]
 
-    def test_precision_target_runs_one_shard_per_call(self, kernel_calls):
+    def test_precision_target_runs_follow_the_estimate(self, kernel_calls):
+        # An unreachable target simulates the groups still missing to
+        # min_groups, then is cut like the fixed run of its cap.
+        runner = MonteCarloRunner(ONE_YEAR, n_groups=9 * 256, seed=24, engine="batch")
+        capped = runner.run_streaming(
+            until=Precision(rel_ci_width=1e-9), shard_size=256
+        )
+        assert capped.stop_reason == "max_groups"
+        assert kernel_calls == [256, [256] * 8]
+
+        del kernel_calls[:]
         shard = 128
         config = RaidGroupConfig.paper_base_case()
-        precision = Precision(rel_ci_width=0.3)
+        precision = Precision(rel_ci_width=0.2)
         runner = MonteCarloRunner(config, n_groups=32 * shard, seed=23, engine="batch")
-        converged = runner.run_streaming(until=precision, shard_size=shard)
+        events = []
+        converged = runner.run_streaming(
+            until=precision, shard_size=shard, observers=(events.append,)
+        )
         assert converged.stop_reason == "converged"
         stop = converged.shards_run
-        # One call per shard, and none past the stopping shard.
-        assert kernel_calls == [shard] * stop
+        runs = [len(call) if isinstance(call, list) else 1 for call in kernel_calls]
+        widths = [event.rel_ci_width for event in events]
+        assert (runs, stop) == estimated_runs(widths, precision, shard, 32)
+        assert runs[0] == precision.min_groups // shard
+        assert len(runs) > 2
+        assert converged.executor_stats["discarded_in_flight"] == sum(runs) - stop
 
         # It stops at the first shard whose accumulator meets the target,
         # and equals the fixed run of that many shards.
@@ -307,6 +374,78 @@ class TestSeveralShardsPerCall:
 
         assert canonical(fixed(stop)) == canonical(converged)
         assert not precision.satisfied_by(fixed(stop - 1).accumulator)
+
+    def test_precision_stop_inside_a_run_drops_the_rest(self, kernel_calls, tmp_path):
+        # Two shards reach min_groups; the estimate then asks for 12 more,
+        # but the target is met at shard 10, the 8th of that call: shards
+        # 11-14 never reach the accumulator, the checkpoint or an observer.
+        shard = 128
+        precision = Precision(rel_ci_width=0.3)
+        config = RaidGroupConfig.paper_base_case()
+        runner = MonteCarloRunner(config, n_groups=32 * shard, seed=29, engine="batch")
+        path = str(tmp_path / "run.ckpt")
+        events = []
+        converged = runner.run_streaming(
+            until=precision,
+            shard_size=shard,
+            checkpoint_path=path,
+            observers=(events.append,),
+        )
+        assert kernel_calls == [[shard] * 2, [shard] * 12]
+        assert converged.shards_run == 10
+        assert [e.shards_completed for e in events] == list(range(1, 11))
+        assert load_checkpoint(path).shards_completed == 10
+        # Serially, less than one run is dropped per stop.
+        discarded = converged.executor_stats["discarded_in_flight"]
+        assert discarded == 4 <= KERNEL_ROWS // shard - 1
+
+    def test_interrupted_precision_run_resumes_identically(
+        self, kernel_calls, tmp_path
+    ):
+        shard = 64
+        precision = Precision(rel_ci_width=0.5, min_groups=64)
+        config = RaidGroupConfig.paper_base_case()
+        runner = MonteCarloRunner(config, n_groups=100 * shard, seed=3, engine="batch")
+        reference_path = str(tmp_path / "reference.ckpt")
+        reference = runner.run_streaming(
+            until=precision, shard_size=shard, checkpoint_path=reference_path
+        )
+        assert reference.stop_reason == "converged"
+        # Shards 2-7 share one call, so the interruption at 4 cuts a run.
+        assert kernel_calls == [shard, [shard] * 6, [shard] * 2]
+
+        del kernel_calls[:]
+        path = str(tmp_path / "run.ckpt")
+        interrupted = runner.run_streaming(
+            until=precision, shard_size=shard, checkpoint_path=path, stop_after_shards=4
+        )
+        assert interrupted.stop_reason == "interrupted"
+        assert interrupted.executor_stats["discarded_in_flight"] == 0
+        assert kernel_calls == [shard, [shard] * 3]
+        resumed = runner.run_streaming(
+            until=precision, shard_size=shard, checkpoint_path=path, resume_from=path
+        )
+        assert resumed.stop_reason == "converged"
+        assert resumed.shards_run == reference.shards_run
+        assert canonical(resumed) == canonical(reference)
+        assert without_clock(path) == without_clock(reference_path)
+
+    def test_materialized_precision_run_keeps_committed_shards(self, kernel_calls):
+        # Default 512-group shards: one reaches min_groups, the estimate
+        # asks for three more, and the target is met at the second.
+        config = hot_config()
+        precision = Precision(rel_ci_width=0.055)
+        runner = MonteCarloRunner(config, n_groups=8 * 512, seed=13, engine="batch")
+        result = runner.run(until=precision)
+        assert kernel_calls == [512, [512] * 3]
+        assert result.streaming.stop_reason == "converged"
+        assert result.streaming.shards_run == 3
+        assert result.streaming.executor_stats["discarded_in_flight"] == 1
+        assert result.n_groups == result.streaming.groups == 1536
+        fixed = MonteCarloRunner(config, n_groups=1536, seed=13, engine="batch").run()
+        assert chronology_payload(result.chronologies) == chronology_payload(
+            fixed.chronologies
+        )
 
     def test_service_shard_size_runs_eight_shards_per_call(self, kernel_calls):
         runner = MonteCarloRunner(ONE_YEAR, n_groups=9 * 256, seed=24, engine="batch")
@@ -348,3 +487,108 @@ class TestSeveralShardsPerCall:
         # The manifest's rate stays groups over summed shard time.
         executor = streaming.to_manifest()["executor"]
         assert executor["groups_per_second"] == pytest.approx(total, rel=1e-12)
+
+
+class TestGoldenBatchFingerprints:
+    def test_corpus_is_seven(self):
+        assert len(GOLDEN_BATCH_FINGERPRINTS) == 7
+        assert set(golden_batch_cases()) == set(GOLDEN_BATCH_FINGERPRINTS)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BATCH_FINGERPRINTS))
+    def test_numpy_batch_path_is_byte_stable(self, name):
+        config, n_groups, seed = golden_batch_cases()[name]
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        chronos = simulate_groups_batch(config, n_groups, rng)
+        assert chronology_fingerprint(chronos) == GOLDEN_BATCH_FINGERPRINTS[name], (
+            f"{name}: the NumPy batch path moved — if this is a deliberate "
+            "semantic change, regenerate the fingerprint in this commit"
+        )
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BATCH_FINGERPRINTS))
+    def test_multi_shard_call_equals_per_shard_calls(self, name):
+        # Uneven shards with a 1-group one in the middle: it drains long
+        # before its neighbours, so every later draw is split around an
+        # empty part and compaction remaps the shard bounds.
+        config, n_groups, seed = golden_batch_cases()[name]
+        sizes = [n_groups // 3, 1, n_groups - n_groups // 3 - 1]
+        children = np.random.SeedSequence(seed).spawn(len(sizes))
+
+        def generators():
+            return [np.random.Generator(np.random.PCG64(c)) for c in children]
+
+        per_shard = [
+            chrono
+            for n, rng in zip(sizes, generators())
+            for chrono in simulate_groups_batch(config, n, rng)
+        ]
+        together = simulate_groups_batch(config, sizes, generators())
+        assert chronology_fingerprint(together) == chronology_fingerprint(per_shard)
+
+
+def target_met_inside_a_run(widths, shard):
+    """``(precision, runs, k)``: a target first met at shard ``k``, inside
+    a serial run that simulates past it (see :func:`estimated_runs`).
+
+    Candidate targets lie midway between a record-low width and the
+    lowest one before it (twice the width when none before is finite),
+    at ``min_groups`` 1 and 256; the median candidate that stops inside
+    a run is taken.
+    """
+    targets, best = [], math.inf
+    for width in widths[:-1]:
+        if width < best:
+            targets.append((width + best) / 2.0 if math.isfinite(best) else 2.0 * width)
+            best = width
+    inside = []
+    for min_groups in (1, 256):
+        for target in targets:
+            precision = Precision(rel_ci_width=target, min_groups=min_groups)
+            runs, k = estimated_runs(widths, precision, shard, len(widths))
+            if k is not None and sum(runs) > k:
+                inside.append((precision, runs, k))
+    assert inside, f"no target stops inside a run for widths {widths}"
+    return inside[len(inside) // 2]
+
+
+class TestGoldenPrecisionRuns:
+    """Grouped precision runs against one-shard-per-call runs, per golden."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BATCH_FINGERPRINTS))
+    def test_grouped_run_equals_one_shard_per_call(self, name, tmp_path):
+        config, _, seed = golden_batch_cases()[name]
+        # 32 shards; the rare-DDF no-latent case needs a larger fleet
+        # before its width is defined.
+        n_groups = 8192 if name == "no-latent" else 2048
+        shard = n_groups // 32
+        runner = MonteCarloRunner(config, n_groups=n_groups, seed=seed, engine="batch")
+        events = []
+        runner.run_streaming(shard_size=shard, observers=(events.append,))
+        widths = [event.rel_ci_width for event in events]
+        precision, runs, k = target_met_inside_a_run(widths, shard)
+
+        grouped_path = str(tmp_path / "grouped.ckpt")
+        grouped = runner.run_streaming(
+            until=precision, shard_size=shard, checkpoint_path=grouped_path
+        )
+        root_state = _seed_state(make_seed_sequence(seed))
+
+        def one_shard(index, n):
+            return simulate_shard(config, root_state, "batch", ShardTask(index, 0, n))
+
+        single_path = str(tmp_path / "single.ckpt")
+        single = runner.run_streaming(
+            until=precision,
+            shard_size=shard,
+            checkpoint_path=single_path,
+            _shard_runner=one_shard,
+        )
+        fixed = MonteCarloRunner(
+            config, n_groups=k * shard, seed=seed, engine="batch"
+        ).run_streaming(shard_size=shard)
+        # The target was met inside a multi-shard run.
+        assert grouped.executor_stats["discarded_in_flight"] == sum(runs) - k > 0
+        assert single.executor_stats["discarded_in_flight"] == 0
+        assert grouped.stop_reason == single.stop_reason == "converged"
+        assert grouped.shards_run == single.shards_run == k
+        assert canonical(grouped) == canonical(single) == canonical(fixed)
+        assert without_clock(grouped_path) == without_clock(single_path)

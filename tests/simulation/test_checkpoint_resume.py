@@ -15,6 +15,7 @@ import pytest
 
 from repro.exceptions import ParameterError, SimulationError
 from repro.simulation import (
+    Precision,
     RaidGroupConfig,
     RunCheckpoint,
     load_checkpoint,
@@ -113,6 +114,33 @@ class TestInterruptResume:
         )
         assert calls == []
         assert resumed.groups == N_GROUPS
+
+    def test_resume_of_converged_run_simulates_nothing(self, tmp_path):
+        path = str(tmp_path / "run.ckpt")
+        until = Precision(rel_ci_width=0.5, min_groups=64)
+        runner = MonteCarloRunner(
+            RaidGroupConfig.paper_base_case(), n_groups=100_000, seed=3, engine="batch"
+        )
+        converged = runner.run_streaming(
+            until=until, shard_size=64, checkpoint_path=path
+        )
+        assert converged.stop_reason == "converged"
+        assert (converged.shards_run, converged.groups) == (9, 576)
+
+        calls = []
+
+        def counting_runner(shard_index, n):  # pragma: no cover - must not run
+            calls.append((shard_index, n))
+            return []
+
+        resumed = runner.run_streaming(
+            until=until, shard_size=64, resume_from=path, _shard_runner=counting_runner
+        )
+        assert calls == []
+        assert resumed.converged
+        assert resumed.stop_reason == "converged"
+        assert (resumed.shards_run, resumed.groups) == (9, 576)
+        assert resumed.accumulator.to_dict() == load_checkpoint(path).accumulator_state
 
 
 class TestValidation:

@@ -6,10 +6,6 @@ kernel through a different random-stream interleaving, so the two are
 compared in distribution (the promoted :mod:`repro.validation.stats`
 battery), exactly like event-vs-batch.  What IS byte-pinned:
 
-* the NumPy batch path itself — seven golden ``(config, seed)``
-  fingerprints at the bottom of this file must never move unless the
-  batch kernel's semantics deliberately change (regenerate them in the
-  same commit and say so in the commit message);
 * the compiled engine against *itself* — fixed ``(config, n_groups,
   seed)`` is reproducible, whole leading shards are seed-stable, and
   parallel / streaming / checkpoint-resumed runs are bit-identical to
@@ -26,7 +22,6 @@ exercise the real JIT on machines that have the ``[speed]`` extra.
 """
 
 import dataclasses
-import hashlib
 import json
 
 import numpy as np
@@ -50,6 +45,7 @@ from repro.simulation import (
 from repro.simulation import compiled as compiled_mod
 from repro.validation.stats import compare_fleets
 
+from .goldens import hot_config
 from .test_simulator_semantics import BIG, Scripted
 
 #: Deterministic thresholds for the fixed-seed statistical assertions
@@ -71,18 +67,6 @@ def no_kernel(monkeypatch):
     monkeypatch.delenv(compiled_mod.PURE_PYTHON_ENV, raising=False)
     monkeypatch.setattr(compiled_mod, "_numba_checked", True)
     monkeypatch.setattr(compiled_mod, "_numba_ok", False)
-
-
-def hot_config():
-    """High failure rates so small fleets produce events quickly."""
-    return RaidGroupConfig(
-        n_data=3,
-        time_to_op=Exponential(2_000.0),
-        time_to_restore=Exponential(50.0),
-        time_to_latent=Exponential(1_500.0),
-        time_to_scrub=Exponential(100.0),
-        mission_hours=8_760.0,
-    )
 
 
 class TestAvailabilityGates:
@@ -447,108 +431,3 @@ class TestBaseCaseStatsSlow:
             f"worst outcome {result.worst()} "
             f"(min_p={result.min_p:.4g}, max_abs_z={result.max_abs_z:.3g})"
         )
-
-
-def chronology_fingerprint(chronologies) -> str:
-    """Canonical sha256 over a fleet's complete chronologies."""
-    payload = [
-        {
-            "ddf_times": c.ddf_times,
-            "ddf_types": [k.value for k in c.ddf_types],
-            "n_op_failures": c.n_op_failures,
-            "n_latent_defects": c.n_latent_defects,
-            "n_scrub_repairs": c.n_scrub_repairs,
-            "n_restores": c.n_restores,
-            "n_checks": c.n_checks,
-            "n_policy_repairs": c.n_policy_repairs,
-        }
-        for c in chronologies
-    ]
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-def golden_batch_cases():
-    """The seven pinned (config, n_groups, seed) batch-path cases."""
-    base = RaidGroupConfig.paper_base_case()
-    hot = hot_config()
-    return {
-        "base-case": (base, 64, 2007),
-        "base-case-2y": (RaidGroupConfig.paper_base_case(mission_hours=17_520.0), 128, 1),
-        "raid6-hot": (hot.as_raid6(), 96, 2),
-        "kofn-policy": (
-            RaidGroupConfig.k_of_n(
-                3,
-                6,
-                time_to_op=Exponential(4_000.0),
-                time_to_restore=Weibull(shape=2.0, scale=24.0, location=1.0),
-                repair_policy=RepairPolicyConfig(
-                    check_interval_hours=168.0, repair_threshold=5
-                ),
-                mission_hours=8_760.0,
-            ),
-            96,
-            3,
-        ),
-        "no-latent": (base.without_latent_defects(), 128, 4),
-        "hot-600": (hot, 600, 5),
-        "fast-scrub": (
-            RaidGroupConfig.paper_base_case(
-                scrub_characteristic_hours=12.0, mission_hours=17_520.0
-            ),
-            64,
-            6,
-        ),
-    }
-
-
-#: sha256 of each golden case's complete chronologies on the NumPy batch
-#: kernel.  These pin the byte-exact behaviour of the *NumPy* path: the
-#: compiled engine must never perturb it (shared helpers, import-time
-#: side effects, dispatch changes).  If a deliberate batch-kernel
-#: semantic change moves them, regenerate via
-#: ``chronology_fingerprint`` in the same commit and say so.
-GOLDEN_BATCH_FINGERPRINTS = {
-    "base-case": "f04151de5b04ea5553edbb449a2ec731df66529b2fd54cc66f797b0225bf5944",
-    "base-case-2y": "c7b7d1e6582b64d361c26b85dccc40a97ab75b8c143e7a2db8eb4b592f0a2d59",
-    "raid6-hot": "cbcf2fd9a779fd1d3c1bd214866c0063d8becd8eb1c3c6d8002785e37b36b7b7",
-    "kofn-policy": "4f5b84218e423b57b74be004c049d4fa3fb4d162a79073a7bb7408b669a32714",
-    "no-latent": "5cae430f98c194b55b2ef24657c883c160fe9e5f1d7ddfe33bdba4502e600e08",
-    "hot-600": "4a4a9111b72f5f92fc2863ea4025d74cd88f15dbab5e30f81403caca9eed123c",
-    "fast-scrub": "ee2b13cf76bb429988afd78dc882e8a9206e03f104750c99031bf304ed6520b4",
-}
-
-
-class TestGoldenBatchFingerprints:
-    def test_corpus_is_seven(self):
-        assert len(GOLDEN_BATCH_FINGERPRINTS) == 7
-        assert set(golden_batch_cases()) == set(GOLDEN_BATCH_FINGERPRINTS)
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_BATCH_FINGERPRINTS))
-    def test_numpy_batch_path_is_byte_stable(self, name):
-        config, n_groups, seed = golden_batch_cases()[name]
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        chronos = simulate_groups_batch(config, n_groups, rng)
-        assert chronology_fingerprint(chronos) == GOLDEN_BATCH_FINGERPRINTS[name], (
-            f"{name}: the NumPy batch path moved — if this is a deliberate "
-            "semantic change, regenerate the fingerprint in this commit"
-        )
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_BATCH_FINGERPRINTS))
-    def test_multi_shard_call_equals_per_shard_calls(self, name):
-        # Uneven shards with a 1-group one in the middle: it drains long
-        # before its neighbours, so every later draw is split around an
-        # empty part and compaction remaps the shard bounds.
-        config, n_groups, seed = golden_batch_cases()[name]
-        sizes = [n_groups // 3, 1, n_groups - n_groups // 3 - 1]
-        children = np.random.SeedSequence(seed).spawn(len(sizes))
-
-        def generators():
-            return [np.random.Generator(np.random.PCG64(c)) for c in children]
-
-        per_shard = [
-            chrono
-            for n, rng in zip(sizes, generators())
-            for chrono in simulate_groups_batch(config, n, rng)
-        ]
-        together = simulate_groups_batch(config, sizes, generators())
-        assert chronology_fingerprint(together) == chronology_fingerprint(per_shard)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulation import Precision, RaidGroupConfig, load_checkpoint
+from repro.simulation import Precision, RaidGroupConfig
 from repro.simulation.executor import (
     PipelinedShardExecutor,
     ShardTask,
@@ -29,10 +29,13 @@ from repro.simulation.executor import (
 )
 from repro.simulation.monte_carlo import (
     BATCH_SHARD_SIZE,
+    KERNEL_ROWS,
     MonteCarloRunner,
     _seed_state,
     _shards_per_run,
 )
+
+from .test_batch_kernel import without_clock
 
 SHARD = 32
 N_GROUPS = 160
@@ -142,15 +145,15 @@ class TestParallelDeterminism:
         assert parallel.executor_stats["mode"] == "pipelined"
         assert serial.executor_stats["mode"] == "serial"
         # Checkpoints agree on everything but wall clock.
-        a = load_checkpoint(serial_ckpt).to_dict()
-        b = load_checkpoint(parallel_ckpt).to_dict()
-        a.pop("elapsed_seconds"), b.pop("elapsed_seconds")
-        assert a == b
+        assert without_clock(serial_ckpt) == without_clock(parallel_ckpt)
         # Executor telemetry rides on the progress events.
         assert events and events[-1].done
         assert all(event.shard_seconds > 0.0 for event in events)
         assert all(event.queue_depth >= 0 for event in events)
-        assert max(event.queue_depth for event in events) <= 3
+        # In flight: the rest of the shard's run plus at most three runs.
+        per_run = _shards_per_run(engine, SHARD, N_GROUPS // SHARD, 3)
+        assert max(event.queue_depth for event in events) <= per_run - 1 + 3 * per_run
+        assert events[-1].queue_depth == 0
 
     def test_precision_run_bit_identical_and_discards_speculation(self):
         until = Precision(rel_ci_width=2.0, min_groups=64)
@@ -166,6 +169,32 @@ class TestParallelDeterminism:
         # The run converged before the plan was exhausted, so the executor
         # had speculative shards in flight that were thrown away.
         assert parallel.executor_stats["discarded_in_flight"] > 0
+
+    @pytest.mark.parametrize("n_jobs", [2, 3])
+    def test_grouped_precision_run_bit_identical_and_bounded(self, n_jobs, tmp_path):
+        # 200 shards in runs of up to 64: two reach min_groups, the rest
+        # are sized from the estimate; the target is met at shard 160,
+        # inside a run, on both paths.
+        until = Precision(rel_ci_width=0.5, min_groups=64)
+        serial_ckpt = str(tmp_path / "serial.ckpt")
+        parallel_ckpt = str(tmp_path / "parallel.ckpt")
+        serial = make_runner("batch", n_groups=200 * SHARD).run_streaming(
+            until=until, shard_size=SHARD, checkpoint_path=serial_ckpt
+        )
+        pooled = make_runner("batch", n_groups=200 * SHARD, n_jobs=n_jobs)
+        parallel = pooled.run_streaming(
+            until=until, shard_size=SHARD, checkpoint_path=parallel_ckpt
+        )
+        assert serial.stop_reason == parallel.stop_reason == "converged"
+        assert serial.shards_run == parallel.shards_run == 160
+        assert canonical(parallel) == canonical(serial)
+        assert without_clock(serial_ckpt) == without_clock(parallel_ckpt)
+        # Dropped past the stop: less than one run serially; the rest of
+        # the stopping shard's run plus at most n_jobs runs on the pool.
+        per_run = KERNEL_ROWS // SHARD
+        assert 0 < serial.executor_stats["discarded_in_flight"] <= per_run - 1
+        dropped = parallel.executor_stats["discarded_in_flight"]
+        assert 0 < dropped <= per_run - 1 + n_jobs * per_run
 
     @pytest.mark.parametrize("engine", ["event", "batch"])
     def test_interrupt_resume_parallel_bit_identical(self, engine, tmp_path):
@@ -208,8 +237,8 @@ class TestParallelDeterminism:
         assert canonical(parallel) == canonical(serial)
         assert [event.shards_completed for event in events] == list(range(1, 11))
         assert parallel.executor_stats["n_jobs"] == 2
-        # At most two runs of four shards are ever in flight.
-        assert max(event.queue_depth for event in events) <= 8
+        # In flight: the rest of a run of four plus at most two such runs.
+        assert max(event.queue_depth for event in events) <= 3 + 8
 
     def test_materialized_batch_run_matches_serial(self):
         # Six shards, the last one short: pool runs of 3 and 3 shards,
@@ -268,12 +297,17 @@ class TestWorkerFaultTolerance:
         plan = shard_plan(0, 0, 8 * SHARD, SHARD)
 
         clean = PipelinedShardExecutor(
-            config, root_state, "batch", n_jobs=2, shards_per_run=2
+            config, root_state, "batch", n_jobs=2, shards_per_run=lambda: 2
         )
         reference = [outcome.chronologies for outcome in clean.outcomes(plan)]
 
         broken = _SubmitBreakExecutor(
-            config, root_state, "batch", n_jobs=2, shards_per_run=2, break_at_submit=3
+            config,
+            root_state,
+            "batch",
+            n_jobs=2,
+            shards_per_run=lambda: 2,
+            break_at_submit=3,
         )
         outcomes = list(broken.outcomes(plan))
         assert [outcome.task.index for outcome in outcomes] == list(range(8))
@@ -296,7 +330,7 @@ class TestWorkerFaultTolerance:
         plan = shard_plan(0, 0, 4 * SHARD, SHARD)
 
         clean = _ScriptedBreakExecutor(
-            config, root_state, "batch", n_jobs=2, shards_per_run=2
+            config, root_state, "batch", n_jobs=2, shards_per_run=lambda: 2
         )
         reference = [outcome.chronologies for outcome in clean.outcomes(plan)]
 
@@ -305,7 +339,7 @@ class TestWorkerFaultTolerance:
             root_state,
             "batch",
             n_jobs=2,
-            shards_per_run=2,
+            shards_per_run=lambda: 2,
             script={(1, 0): "break-result", (1, 1): "break-submit"},
         )
         outcomes = list(broken.outcomes(plan))
@@ -326,7 +360,7 @@ class TestWorkerFaultTolerance:
             root_state,
             "batch",
             n_jobs=2,
-            shards_per_run=2,
+            shards_per_run=lambda: 2,
             script={(1, 0): "break-result", (1, 1): "break-submit"},
             max_retries=1,
         )
@@ -336,7 +370,8 @@ class TestWorkerFaultTolerance:
     def test_next_run_is_submitted_before_a_run_is_delivered(self):
         """The refill happens as soon as a run's result is taken, so the
         workers keep simulating while the consumer commits; with a
-        precision target that bounds the waste at ``n_jobs`` shards."""
+        precision target that bounds the waste at the rest of the
+        stopping shard's run plus ``n_jobs`` runs."""
         config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
         root_state = _seed_state(np.random.SeedSequence(11))
         plan = shard_plan(0, 0, 4 * SHARD, SHARD)
@@ -356,7 +391,12 @@ class TestWorkerFaultTolerance:
         total = 3 * SHARD + 8
         plan = shard_plan(0, 0, total, SHARD)
         executor = _ScriptedBreakExecutor(
-            config, root_state, "batch", n_jobs=1, shards_per_run=4, run_seconds=2.0
+            config,
+            root_state,
+            "batch",
+            n_jobs=1,
+            shards_per_run=lambda: 4,
+            run_seconds=2.0,
         )
         outcomes = list(executor.outcomes(plan))
         shares = [SHARD / total] * 3 + [8 / total]

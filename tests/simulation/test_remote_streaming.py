@@ -184,6 +184,29 @@ class TestDistributedDeterminism:
         assert sum(w["shards_committed"] for w in workers.values()) == 5
         assert all(w["mean_rtt_seconds"] > 0.0 for w in workers.values())
 
+    def test_next_shard_is_sent_before_a_result_is_published(self, hub, monkeypatch):
+        """A link sends its worker the next shard as soon as a result
+        arrives, before decoding and publishing it, so the worker does
+        not wait for the consumer's commit."""
+        published = []
+        complete = DistributedShardExecutor.complete
+
+        def recording_complete(self, task, *args, **kwargs):
+            with self._cond:
+                published.append((task.index, sorted(self._claimed)))
+            return complete(self, task, *args, **kwargs)
+
+        monkeypatch.setattr(DistributedShardExecutor, "complete", recording_complete)
+        serial = make_runner("batch").run_streaming(shard_size=SHARD)
+        stop = start_workers(hub, 1)
+        distributed = make_runner("batch", n_jobs=0).run_streaming(
+            shard_size=SHARD, workers=hub
+        )
+        stop.set()
+        assert canonical(distributed) == canonical(serial)
+        # Each shard but the last is published with its successor claimed.
+        assert published == [(i, [i, i + 1]) for i in range(4)] + [(4, [4])]
+
     def test_convergence_stop_drains_in_flight_remote_shards(self, hub):
         until = Precision(rel_ci_width=2.0, min_groups=64)
         serial = make_runner("batch", n_groups=512, seed=5).run_streaming(

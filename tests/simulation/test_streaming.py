@@ -176,6 +176,23 @@ class TestFleetAccumulator:
         acc.add_shard([make_chronology(0), make_chronology(0)])
         assert acc.relative_ci_width() == math.inf  # mean 0: undefined
 
+    def test_ddf_exactly_on_a_boundary_counts(self):
+        # A DDF at the first-year horizon is a first-year DDF, and one at
+        # a grid age is on the curve at that age (both "at or before").
+        def at(*times):
+            chrono = make_chronology(len(times), mission_hours=87_600.0)
+            chrono.ddf_times = list(times)
+            return chrono
+
+        acc = FleetAccumulator(
+            mission_hours=87_600.0, time_grid=[100.0, 8_760.0, 9_000.0]
+        )
+        acc.add_shard([at(100.0, 8_760.0), at(), at(8_760.5), at(9_000.0)])
+        assert acc.total_first_year_ddfs == 2
+        assert acc.first_year_moments.count == 4
+        assert acc.grid_counts.tolist() == [1, 2, 4]
+        assert acc.first_ddf.n_seen == 3 and acc.first_ddf.n_censored == 1
+
     def test_roundtrip_bitwise(self):
         acc = FleetAccumulator(mission_hours=8_760.0, time_grid=[1000.0, 8000.0])
         acc.add_shard([make_chronology(k) for k in (0, 1, 3, 0, 2)])
@@ -336,7 +353,7 @@ class TestStderrProgressReporter:
 
         stream = io.StringIO()
         StderrProgressReporter(stream=stream)(make_event(queue_depth=3))
-        assert "[3 in flight]" in stream.getvalue()
+        assert "[3 uncommitted]" in stream.getvalue()
 
 
 class TestStreamingMatchesMaterialized:
