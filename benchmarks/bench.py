@@ -19,18 +19,13 @@ Cases (all seed 0):
   backend: a loopback hub plus two real ``repro worker`` subprocesses,
   no local pool.  Skipped (with a stderr line) on machines with fewer
   than 2 CPUs, where the loopback workers would just contend.
-* ``compiled_5000`` / ``stream_compiled_5000`` — the Numba-JIT kernel
-  (same shapes as the batch cases); measured only when numba is
-  importable, and held to ``compiled_5000 >= COMPILED_MIN_SPEEDUP x
-  batch_5000`` groups/s in the same run.
 
 ``--case NAME`` (repeatable) re-measures just the named case(s) —
 handy for iterating on one kernel without the full suite.  The anchor
 is skipped like any other case, so regression comparison needs an
 unfiltered run.  Every row records ``engine_backend`` (``python`` /
-``numpy`` / ``compiled``), so baselines written on machines without
-numba stay comparable: the compiled cases are simply absent there and
-the case intersection does the rest.
+``numpy``).  Only cases present in both files are compared, so a
+baseline with cases this harness no longer measures stays comparable.
 
 Regression check (``--baseline BENCH_x.json``): for each non-anchor case
 present in both files, compare ``groups_per_s / anchor_groups_per_s``
@@ -61,20 +56,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.simulation import (
-    MonteCarloRunner,
-    RaidGroupConfig,
-    numba_available,
-    simulate_raid_groups,
-)
+from repro.simulation import MonteCarloRunner, RaidGroupConfig, simulate_raid_groups
 
 #: The case every other case is normalized by for cross-machine comparison.
 ANCHOR_CASE = "event_1000"
-
-#: Same-run speedup the compiled kernel must hold over the NumPy batch
-#: kernel at 5,000 groups (the ISSUE 9 bar; checked only when numba is
-#: importable, since the compiled cases do not run otherwise).
-COMPILED_MIN_SPEEDUP = 2.0
 
 #: Relative (anchor-normalized) slowdown tolerated before failing.
 DEFAULT_MAX_SLOWDOWN = 0.30
@@ -104,7 +89,6 @@ def run_cases(
 
     ``only`` restricts the run to the named cases (``--case`` on the
     command line); ``None`` means all cases available on this machine.
-    The compiled cases are measured only when numba is importable.
     """
     config = RaidGroupConfig.paper_base_case()
     cpus = os.cpu_count() or 1
@@ -183,47 +167,6 @@ def run_cases(
                 True,
             )
 
-    if numba_available():
-        if wanted("compiled_5000"):
-            # One untimed call first so JIT compilation does not pollute
-            # the measurement (the batch warmup above does not touch the
-            # compiled kernel).
-            simulate_raid_groups(config, n_groups=64, seed=SEED, engine="compiled")
-            wall, result = _time_best(
-                3,
-                lambda: simulate_raid_groups(
-                    config, n_groups=5000, seed=SEED, engine="compiled"
-                ),
-            )
-            add(
-                "compiled_5000",
-                5000,
-                "compiled",
-                "compiled",
-                wall,
-                result.summary()["total_ddfs"],
-                False,
-            )
-        if wanted("stream_compiled_5000"):
-            runner = MonteCarloRunner(
-                config, n_groups=5000, seed=SEED, engine="compiled", n_jobs=jobs
-            )
-            wall, streaming = _time_best(2, lambda: runner.run_streaming())
-            add(
-                "stream_compiled_5000",
-                5000,
-                f"streaming+compiled/j{jobs}",
-                "compiled",
-                wall,
-                streaming.accumulator.total_ddfs,
-                False,
-            )
-    elif only and {"compiled_5000", "stream_compiled_5000"} & set(only):
-        print(
-            "bench: compiled cases skipped — numba is not installed "
-            '(pip install "repro[speed]")',
-            file=sys.stderr,
-        )
     return rows
 
 
@@ -268,29 +211,6 @@ def _measure_stream_remote(config, n_workers: int = 2):
         for proc in procs:
             proc.wait(timeout=30.0)
         hub.close()
-
-
-def compiled_floor_failures(
-    doc: Dict[str, object], min_speedup: float = COMPILED_MIN_SPEEDUP
-) -> List[str]:
-    """Same-run ``compiled_5000 >= min_speedup x batch_5000`` check.
-
-    Empty when either case is absent (numba missing, or a ``--case``
-    filter excluded one side) — the bar only applies when both kernels
-    were actually measured in this run.
-    """
-    cases = {r["case"]: r for r in doc["results"]}
-    if "compiled_5000" not in cases or "batch_5000" not in cases:
-        return []
-    compiled_gps = float(cases["compiled_5000"]["groups_per_s"])
-    batch_gps = float(cases["batch_5000"]["groups_per_s"])
-    if batch_gps <= 0 or compiled_gps >= min_speedup * batch_gps:
-        return []
-    return [
-        f"compiled_5000: {compiled_gps:.1f} groups/s is "
-        f"{compiled_gps / batch_gps:.2f}x batch_5000 ({batch_gps:.1f}); "
-        f"the compiled kernel must hold >= {min_speedup:.1f}x"
-    ]
 
 
 def bench_document(rows: List[Dict[str, object]]) -> Dict[str, object]:
@@ -418,11 +338,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     _report(doc, baseline)
     print(f"wrote {out}")
 
-    failures = compiled_floor_failures(doc)
-    if baseline is not None:
-        failures += compare(doc, baseline, max_slowdown=args.max_slowdown)
-    if baseline is None and not failures:
+    if baseline is None:
         return 0
+    failures = compare(doc, baseline, max_slowdown=args.max_slowdown)
     cpus = os.cpu_count() or 1
     enforced = args.enforce or cpus >= MIN_CORES_FOR_BAR
     for failure in failures:

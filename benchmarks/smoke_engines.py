@@ -1,15 +1,10 @@
 """Smoke benchmark: engine speedups and streaming ``n_jobs`` scaling.
 
-Three measurements on the Table 2 base case, recorded under
+Two measurements on the Table 2 base case, recorded under
 ``benchmarks/results/``:
 
 * event-vs-batch engine speedup (1,000 groups, single process), checked
   against its >= 5x acceptance bar in ``engine_speedup.txt``;
-* batch-vs-compiled kernel speedup (5,000 groups, single process) in
-  ``compiled_speedup.txt`` — measured only when numba is importable
-  (otherwise the file records the skip) and its >= 2x bar is only
-  *enforced* on machines with at least 4 CPUs, mirroring the streaming
-  bar below;
 * streaming-runner shard-parallel scaling (4,000 groups, batch engine,
   ``n_jobs`` 1 vs 4) in ``streaming_jobs.txt``.  The >= 1.8x bar for
   4 jobs is only *enforced* on machines with at least 4 CPUs — on
@@ -33,21 +28,12 @@ import sys
 import time
 from pathlib import Path
 
-from repro.simulation import (
-    MonteCarloRunner,
-    RaidGroupConfig,
-    numba_available,
-    simulate_raid_groups,
-)
+from repro.simulation import MonteCarloRunner, RaidGroupConfig, simulate_raid_groups
 
 RESULTS_DIR = Path(__file__).parent / "results"
 N_GROUPS = 1000
 SEED = 0
 MIN_SPEEDUP = 5.0
-
-#: Compiled-kernel workload and bar (the ISSUE 9 acceptance criterion).
-COMPILED_GROUPS = 5000
-MIN_COMPILED_SPEEDUP = 2.0
 
 #: Streaming-scaling workload: large enough that shard compute outweighs
 #: per-worker spawn cost on a multi-core machine.
@@ -106,49 +92,6 @@ def engine_smoke() -> tuple[str, bool]:
     return report, ok
 
 
-def compiled_smoke() -> tuple[str, bool]:
-    cores = os.cpu_count() or 1
-    if not numba_available():
-        report = (
-            "Compiled kernel smoke: unavailable (numba not installed); "
-            'install the optional extra with pip install "repro[speed]"'
-        )
-        (RESULTS_DIR / "compiled_speedup.txt").write_text(report + "\n")
-        return report, True
-    # JIT-compile outside the timed region.
-    simulate_raid_groups(
-        RaidGroupConfig.paper_base_case(), n_groups=64, seed=SEED, engine="compiled"
-    )
-    t_batch = time_engine("batch", n_groups=COMPILED_GROUPS)
-    t_compiled = time_engine("compiled", n_groups=COMPILED_GROUPS)
-    speedup = t_batch / t_compiled
-    enforced = cores >= MIN_CORES_FOR_BAR
-    bar = (
-        f"(acceptance bar: >= {MIN_COMPILED_SPEEDUP:.0f}x)"
-        if enforced
-        else f"(bar >= {MIN_COMPILED_SPEEDUP:.0f}x not enforced: only {cores} "
-        "CPU(s); timings too noisy)"
-    )
-    lines = [
-        "Compiled kernel smoke: Table 2 base case, "
-        f"{COMPILED_GROUPS} groups, seed {SEED}, single process (best of 3)",
-        f"batch kernel    : {t_batch * 1000.0:8.1f} ms",
-        f"compiled kernel : {t_compiled * 1000.0:8.1f} ms",
-        f"speedup         : {speedup:8.1f}x  {bar}",
-    ]
-    report = "\n".join(lines)
-    (RESULTS_DIR / "compiled_speedup.txt").write_text(report + "\n")
-    ok = True
-    if enforced and speedup < MIN_COMPILED_SPEEDUP:
-        print(
-            f"FAIL: compiled speedup {speedup:.1f}x below the "
-            f"{MIN_COMPILED_SPEEDUP:.0f}x bar on a {cores}-CPU machine",
-            file=sys.stderr,
-        )
-        ok = False
-    return report, ok
-
-
 def streaming_smoke() -> tuple[str, bool]:
     cores = os.cpu_count() or 1
     t_serial, acc_serial = time_streaming(1)
@@ -189,14 +132,11 @@ def streaming_smoke() -> tuple[str, bool]:
 def main() -> int:
     RESULTS_DIR.mkdir(exist_ok=True)
     engine_report, engine_ok = engine_smoke()
-    compiled_report, compiled_ok = compiled_smoke()
     streaming_report, streaming_ok = streaming_smoke()
     print(engine_report)
     print()
-    print(compiled_report)
-    print()
     print(streaming_report)
-    return 0 if (engine_ok and compiled_ok and streaming_ok) else 1
+    return 0 if (engine_ok and streaming_ok) else 1
 
 
 if __name__ == "__main__":

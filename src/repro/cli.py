@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 from .experiments.registry import EXPERIMENTS, get_experiment
 from .reporting import format_table, write_csv
 from .simulation.config import RaidGroupConfig
-from .simulation.monte_carlo import MonteCarloRunner
+from .simulation.monte_carlo import ENGINES, MonteCarloRunner
 from .simulation.streaming import Precision, StderrProgressReporter
 
 #: Column headers per experiment, matching each result's ``rows()``.
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=int, default=1, help="worker processes")
     run.add_argument(
         "--engine",
-        choices=["event", "batch", "compiled", "auto", "solver"],
+        choices=[*ENGINES, "solver"],
         default="event",
         help=(
             "simulation engine for stochastic experiments: the reference "
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--jobs", type=int, default=1, help="worker processes")
     report.add_argument(
         "--engine",
-        choices=["event", "batch", "compiled", "auto"],
+        choices=ENGINES,
         default="event",
         help="simulation engine for the fleet-driven sections",
     )
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--engine",
-        choices=["event", "batch", "compiled", "auto"],
+        choices=ENGINES,
         default="auto",
         help="simulation engine (default auto)",
     )
@@ -410,19 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     fuzz.add_argument(
-        "--engine-pair",
-        action="append",
-        choices=["compiled"],
-        default=None,
-        metavar="PAIR",
-        help=(
-            "additional engine pair to fuzz; 'compiled' adds the "
-            "compiled-vs-batch statistical comparison to every "
-            "batch-supported case (skipped with a notice when numba is "
-            "unavailable)"
-        ),
-    )
-    fuzz.add_argument(
         "--progress",
         action="store_true",
         help="one status line per case on stderr",
@@ -456,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--engine",
-        choices=["auto", "batch", "compiled", "event"],
+        choices=ENGINES,
         default="auto",
         help="simulation engine (default auto)",
     )
@@ -668,38 +655,10 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         sampler = ConfigSampler(
             analytical_bias=args.analytical_bias, kn_bias=args.kn_bias
         )
-    compiled_check = False
-    if args.engine_pair and "compiled" in args.engine_pair:
-        from .simulation import compiled_kernel_available
-
-        if compiled_kernel_available():
-            compiled_check = True
-        else:
-            print(
-                "fuzz: NOTICE: --engine-pair compiled skipped — numba is not "
-                'installed (pip install "repro[speed]"); running the standard '
-                "pairs only",
-                file=sys.stderr,
-            )
-    fuzzer = DifferentialFuzzer(
-        sampler=sampler, n_groups=args.groups, compiled_check=compiled_check
-    )
+    fuzzer = DifferentialFuzzer(sampler=sampler, n_groups=args.groups)
     if args.replay is not None:
         config, seed, n_groups, data = load_bundle(args.replay)
         fuzzer.n_groups = n_groups
-        if data.get("status") == "compiled-divergence" and not fuzzer.compiled_check:
-            # The bundle can only reproduce with the compiled pair active.
-            from .simulation import compiled_kernel_available
-
-            if compiled_kernel_available():
-                fuzzer.compiled_check = True
-            else:
-                print(
-                    "fuzz: NOTICE: bundle needs the compiled engine pair but "
-                    'numba is not installed (pip install "repro[speed]"); '
-                    "the failure cannot reproduce here",
-                    file=sys.stderr,
-                )
         result = fuzzer.run_case(config, seed, index=int(data.get("case_index", 0)))
         rows: List[List[object]] = [
             ["bundle", args.replay],
@@ -731,13 +690,11 @@ def _run_fuzz(args: argparse.Namespace) -> int:
     )
     n_differential = sum(1 for c in report.cases if c.mode == "differential")
     n_anchored = sum(1 for c in report.cases if c.anchor is not None)
-    n_compiled = sum(1 for c in report.cases if c.compiled is not None)
     rows = [
         ["campaign seed", report.seed],
         ["cases", report.n_cases],
         ["differential (both engines)", n_differential],
         ["oracle-only (event engine)", report.n_cases - n_differential],
-        ["compiled-vs-batch paired", n_compiled],
         ["closed-form anchored", n_anchored],
         ["groups per engine per case", args.groups],
         ["failures", len(report.failures)],

@@ -14,12 +14,9 @@ time-to-scrub distributions — none of which needs to be exponential.
   one group over one mission;
 * :mod:`~repro.simulation.batch` — NumPy-vectorized lockstep engine
   advancing whole fleets together (``engine="batch"``);
-* :mod:`~repro.simulation.compiled` — Numba-JIT per-group kernel with
-  the batch engine's shard structure (``engine="compiled"``, optional
-  ``[speed]`` extra, statistical-equivalence contract);
 * :mod:`~repro.simulation.monte_carlo` — fleet-level replication runner
   (:func:`simulate_raid_groups`,
-  ``engine="event"|"batch"|"compiled"|"auto"``);
+  ``engine="event"|"batch"|"auto"``);
 * :mod:`~repro.simulation.streaming` — mergeable incremental fleet
   statistics, convergence targets (:class:`Precision`), and progress
   observers for shard-by-shard runs (``MonteCarloRunner.run_streaming``);
@@ -39,12 +36,6 @@ time-to-scrub distributions — none of which needs to be exponential.
 from .availability import AvailabilityReport
 from .batch import BATCH_SHARD_SIZE, simulate_groups_batch
 from .checkpoint import RunCheckpoint, load_checkpoint, save_checkpoint
-from .compiled import (
-    compiled_engine_unsupported_reason,
-    compiled_kernel_available,
-    numba_available,
-    simulate_groups_compiled,
-)
 from .config import RaidGroupConfig, RepairPolicyConfig
 from .executor import (
     DEFAULT_MAX_SHARD_RETRIES,
@@ -77,10 +68,6 @@ __all__ = [
     "RaidGroupSimulator",
     "RepairPolicyConfig",
     "simulate_groups_batch",
-    "simulate_groups_compiled",
-    "compiled_engine_unsupported_reason",
-    "compiled_kernel_available",
-    "numba_available",
     "GroupChronology",
     "DDFType",
     "DDFEvent",

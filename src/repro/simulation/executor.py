@@ -58,7 +58,6 @@ import numpy as np
 
 from ..exceptions import SimulationError
 from .batch import next_shard_size, simulate_groups_batch
-from .compiled import simulate_groups_compiled
 from .config import RaidGroupConfig
 from .raid_simulator import GroupChronology, RaidGroupSimulator
 
@@ -185,17 +184,14 @@ def simulate_shard(
 ) -> List[GroupChronology]:
     """Simulate one shard from its indices alone (pure, order-free).
 
-    Batch/compiled engines: one root child per shard (child
-    ``task.index``).  Event engine: one root child per group (children
+    Batch engine: one root child per shard (child ``task.index``).
+    Event engine: one root child per group (children
     ``task.group_offset`` through ``task.group_offset + task.n_groups -
-    1``).  All match the root's sequential ``spawn`` order exactly.
+    1``).  Both match the root's sequential ``spawn`` order exactly.
     """
-    if engine in ("batch", "compiled"):
+    if engine == "batch":
         rng = np.random.Generator(np.random.PCG64(_child_seed(root_state, task.index)))
-        kernel = (
-            simulate_groups_compiled if engine == "compiled" else simulate_groups_batch
-        )
-        return kernel(config, task.n_groups, rng)
+        return simulate_groups_batch(config, task.n_groups, rng)
     simulator = RaidGroupSimulator(config)
     return [
         simulator.run(
@@ -217,7 +213,7 @@ def simulate_shards(
 
     Batch shards share one kernel call, each drawing from its own shard's
     generator, so the result equals :func:`simulate_shard` per shard;
-    compiled and event shards run one after another.
+    event shards run one after another.
     """
     if engine != "batch" or len(run) == 1:
         return [simulate_shard(config, root_state, engine, task) for task in run]

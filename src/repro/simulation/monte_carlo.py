@@ -20,18 +20,11 @@ engines"):
     byte-identical for a fixed ``(config, n_groups, seed)`` regardless of
     ``n_jobs``, but the engines' random streams differ, so the two
     engines agree in distribution rather than sample for sample.
-``"compiled"``
-    The Numba-JIT kernel (:mod:`~repro.simulation.compiled`): the batch
-    engine's shard structure and seeding with a nopython per-group event
-    loop.  Needs the optional ``[speed]`` extra (numba); byte-
-    reproducible on its own stream order, statistically equivalent to
-    the other engines.
 ``"auto"``
-    ``"compiled"`` when numba is importable and the configuration
-    supports the vectorized kernels
+    ``"batch"`` when the configuration supports it
     (:attr:`~repro.simulation.config.RaidGroupConfig.supports_batch_engine`),
-    else ``"batch"`` when the configuration supports it, else
-    ``"event"``.
+    else ``"event"`` — decided from the configuration alone, so a query
+    gives the same bytes on every host.
 """
 
 from __future__ import annotations
@@ -44,7 +37,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from .._validation import require_int
-from ..exceptions import ParameterError, SimulationError
+from ..exceptions import ParameterError
 # simulate_groups_batch is looked up here by perfbench's tracer, which
 # wraps the kernel in this module and in the executor that calls it.
 from .batch import BATCH_SHARD_SIZE, simulate_groups_batch  # noqa: F401
@@ -54,7 +47,6 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .compiled import MISSING_NUMBA_HINT, compiled_kernel_available
 from .config import RaidGroupConfig
 from .executor import (
     DEFAULT_MAX_SHARD_RETRIES,
@@ -78,22 +70,17 @@ from .streaming import (
 )
 
 #: Engine names accepted by :class:`MonteCarloRunner`.
-ENGINES = ("event", "batch", "compiled", "auto")
-
-#: The concrete engines sharing the batch shard/seeding structure (one
-#: spawned SeedSequence child per shard; the event engine spawns one per
-#: group).
-_SHARDED_ENGINES = ("batch", "compiled")
+ENGINES = ("event", "batch", "auto")
 
 #: Rows per batch-kernel call: a run hands the kernel up to
 #: ``KERNEL_ROWS // shard_size`` consecutive seed shards at once, in
 #: process and in each pool task alike (each shard on its own stream,
 #: so results do not change).  The width balances the kernel's fixed
 #: per-iteration numpy dispatch overhead against its temporary memory,
-#: which grows with width.  On a 2-vCPU machine without numba (Table 2
-#: base case, one shard per call) the kernel ran 17.8k groups/s at 512
-#: rows, 32.9k at 2,048 and 35.7k at 4,096; 2,048 rows cost +3.7% peak
-#: RSS on a serial fleet run.
+#: which grows with width.  On a 2-vCPU machine (Table 2 base case, one
+#: shard per call) the kernel ran 17.8k groups/s at 512 rows, 32.9k at
+#: 2,048 and 35.7k at 4,096; 2,048 rows cost +3.7% peak RSS on a serial
+#: fleet run.
 KERNEL_ROWS = 2048
 
 
@@ -102,9 +89,9 @@ def _shards_per_run(engine: str, shard_size: int, n_shards: int, n_jobs: int) ->
 
     Batch runs take up to :data:`KERNEL_ROWS` rows, but no more than an
     even split of ``n_shards`` over ``n_jobs`` workers, so a small plan
-    still reaches every worker; compiled and event shards go one at a
-    time.  ``n_shards`` is the plan length, or for a precision target
-    the shards it is estimated to still need.
+    still reaches every worker; event shards go one at a time.
+    ``n_shards`` is the plan length, or for a precision target the
+    shards it is estimated to still need.
     """
     if engine != "batch":
         return 1
@@ -229,11 +216,8 @@ class MonteCarloRunner:
         pool": every shard is simulated by a remote worker.
     engine:
         ``"event"`` (default, the reference per-group event loop),
-        ``"batch"`` (the vectorized lockstep engine), ``"compiled"``
-        (the Numba-JIT kernel; needs the ``[speed]`` extra), or
-        ``"auto"`` (``"compiled"`` when numba is importable and the
-        config supports the vectorized kernels, else ``"batch"`` when
-        the config supports it, else ``"event"``).
+        ``"batch"`` (the vectorized lockstep engine), or ``"auto"``
+        (``"batch"`` when the config supports it, else ``"event"``).
     """
 
     config: RaidGroupConfig
@@ -251,22 +235,18 @@ class MonteCarloRunner:
             raise ParameterError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        if self.engine in _SHARDED_ENGINES:
+        if self.engine == "batch":
             reason = self.config.batch_engine_unsupported_reason
             if reason is not None:
                 raise ParameterError(
                     f"engine={self.engine!r} cannot run this config: {reason}"
                 )
-        if self.engine == "compiled" and not compiled_kernel_available():
-            raise SimulationError(MISSING_NUMBA_HINT)
 
     # ------------------------------------------------------------------
     def resolve_engine(self) -> str:
         """The concrete engine a :meth:`run` call will use."""
         if self.engine == "auto":
-            if self.config.supports_batch_engine:
-                return "compiled" if compiled_kernel_available() else "batch"
-            return "event"
+            return "batch" if self.config.supports_batch_engine else "event"
         return self.engine
 
     def run(self, until: "Union[Precision, float, None]" = None) -> SimulationResult:
@@ -334,8 +314,7 @@ class MonteCarloRunner:
         discarded (unless ``keep_chronologies``).  Shard seeding matches
         the materialized :meth:`run` path exactly — one spawned
         :class:`~numpy.random.SeedSequence` child per group (event
-        engine) or per shard (batch and compiled engines) — so a
-        fixed-size streaming
+        engine) or per shard (batch engine) — so a fixed-size streaming
         run reproduces :meth:`run` and a converged run is reproducible
         from ``(config, seed, engine, shards_run)``.
 

@@ -53,8 +53,8 @@ worker → coordinator
 ====================  =======================================================
 ``hello``             ``v`` (protocol version), ``host``, ``pid``
 ``init_ok``           worker accepted the run constants (``epoch``)
-``init_err``          worker cannot run this engine/config (``epoch``,
-                      ``reason``)
+``init_err``          worker does not know the engine or cannot run it
+                      for this config (``epoch``, ``reason``)
 ``result``            ``epoch``, ``index``, ``wall_seconds``,
                       ``chronologies``
 ``task_err``          the shard raised on the worker (``epoch``,
@@ -326,9 +326,9 @@ def _serve_connection(
                 epoch = int(message["epoch"])
                 engine = str(message["engine"])
                 # Parse the config before the capability check: engine
-                # support is per-config (the compiled kernel gates on the
-                # same structure the batch engine does), and a config this
-                # host cannot even deserialize is an init_err, not a crash.
+                # support is per-config (the batch engine cannot run some
+                # structures), and a config this host cannot even
+                # deserialize is an init_err, not a crash.
                 try:
                     new_config = config_from_dict(message["config"])
                 except Exception as exc:
@@ -407,17 +407,18 @@ def _serve_connection(
 def _engine_unavailable_reason(
     engine: str, config: RaidGroupConfig
 ) -> Optional[str]:
-    """Why this host cannot run ``engine`` for ``config``, or None if it can."""
-    if engine == "compiled":
-        from .compiled import compiled_engine_unsupported_reason
+    """Why this host cannot run ``engine`` for ``config``, or None if it can.
 
-        reason = compiled_engine_unsupported_reason(config)
-        if reason is not None:
-            return f"compiled engine unavailable on this host: {reason}"
-    elif engine == "batch":
+    An engine name this worker does not know is refused rather than run
+    on the event loop, which would commit chronologies from the wrong
+    random streams.
+    """
+    if engine == "batch":
         reason = config.batch_engine_unsupported_reason
         if reason is not None:
             return f"batch engine cannot run this config: {reason}"
+    elif engine != "event":
+        return f"unknown engine {engine!r}: this worker runs 'event' and 'batch'"
     return None
 
 

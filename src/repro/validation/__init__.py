@@ -38,7 +38,6 @@ from .differential import (
     compare_solver_answer,
     load_bundle,
     run_batch_engine,
-    run_compiled_engine,
     run_event_engine,
     run_event_engine_traced,
     run_fuzz_campaign,
@@ -74,7 +73,6 @@ __all__ = [
     "compare_solver_answer",
     "load_bundle",
     "run_batch_engine",
-    "run_compiled_engine",
     "run_event_engine",
     "run_event_engine_traced",
     "run_fuzz_campaign",

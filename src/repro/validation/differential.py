@@ -23,14 +23,6 @@ the validation battery:
    skip this stage: that route *is* the pair of engines already under
    test.
 
-With ``compiled_check=True`` (the CLI's ``--engine-pair compiled``) the
-battery gains a **compiled-vs-batch** stage between 2 and 3: the
-compiled kernel (:mod:`repro.simulation.compiled`) runs the same fleet
-under the same coupled seed and is compared against the batch fleet with
-the same statistical battery and confirmation re-run — the enforcement
-arm of the compiled engine's statistical-equivalence contract
-(``compiled-divergence``).
-
 A failing case is greedily shrunk to a minimal still-failing
 configuration and written as a JSON repro bundle
 (``repro-fuzz-bundle/1``) containing the config, the seed, and the first
@@ -52,14 +44,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..distributions import Mixture
-from ..exceptions import SimulationError
 from ..simulation.batch import BATCH_SHARD_SIZE, shard_sizes, simulate_groups_batch
 from ..simulation.checkpoint import atomic_write_text, config_fingerprint
-from ..simulation.compiled import (
-    MISSING_NUMBA_HINT,
-    compiled_kernel_available,
-    simulate_groups_compiled,
-)
 from ..simulation.config import RaidGroupConfig
 from ..simulation.raid_simulator import GroupChronology, RaidGroupSimulator
 from ..simulation.rng import make_seed_sequence
@@ -184,24 +170,6 @@ def run_batch_engine(
     return out
 
 
-def run_compiled_engine(
-    config: RaidGroupConfig, n_groups: int, seed: int
-) -> List[GroupChronology]:
-    """Serial compiled-engine fleet; shard partition and per-shard seed
-    spawning identical to :func:`run_batch_engine` (only the kernel that
-    consumes each shard's generator differs)."""
-    sizes = shard_sizes(n_groups, BATCH_SHARD_SIZE)
-    children = make_seed_sequence(seed).spawn(len(sizes))
-    out: List[GroupChronology] = []
-    for n, child in zip(sizes, children):
-        out.extend(
-            simulate_groups_compiled(
-                config, n, np.random.Generator(np.random.PCG64(child))
-            )
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Case results, reports, bundles.
 # ---------------------------------------------------------------------------
@@ -217,12 +185,11 @@ class CaseResult:
     n_groups: int
     mode: str  # "differential" | "oracle-only"
     # "ok" | "invariant-violation" | "divergence" | "anchor-mismatch"
-    # | "solver-divergence" | "compiled-divergence"
+    # | "solver-divergence"
     status: str
     detail: str = ""
     violations: List[InvariantViolation] = dataclasses.field(default_factory=list)
     comparison: Optional[FleetComparison] = None
-    compiled: Optional[FleetComparison] = None
     anchor: Optional[AnchorResult] = None
     solver: Optional[SolverComparison] = None
     shrunk_config: Optional[RaidGroupConfig] = None
@@ -247,7 +214,6 @@ class CaseResult:
             "mode": self.mode,
             "violations": [v.to_dict() for v in self.violations[:20]],
             "comparison": self.comparison.to_dict() if self.comparison else None,
-            "compiled": self.compiled.to_dict() if self.compiled else None,
             "anchor": self.anchor.to_dict() if self.anchor else None,
             "solver": self.solver.to_dict() if self.solver else None,
             "shrunk_config": (
@@ -338,19 +304,12 @@ class DifferentialFuzzer:
     confirm_factor:
         Fleet-size multiplier for the confirmation re-run of a suspect
         comparison (independent derived seed).
-    event_runner, batch_runner, compiled_runner:
+    event_runner, batch_runner:
         Injectable engine runners ``(config, n_groups, seed) ->
         chronologies`` — the test suite substitutes a mutated runner to
         verify the battery catches planted semantic bugs.  The event
         runner replaces only the *untraced* comparison fleet; oracle
         traces always come from the real event engine.
-    compiled_check:
-        Also run the compiled-vs-batch engine pair (stage 2b) on
-        batch-supported configs.  Off by default; enabling it with the
-        default runner requires the compiled kernel to be runnable
-        (numba installed, or the pure-Python escape forced) and raises
-        :class:`~repro.exceptions.SimulationError` otherwise — the CLI
-        checks availability first and prints a visible skip notice.
     max_shrink_evaluations:
         Budget for the greedy shrinker (each evaluation re-runs the
         battery on a candidate configuration).
@@ -372,8 +331,6 @@ class DifferentialFuzzer:
         confirm_factor: int = 4,
         event_runner: Optional[Runner] = None,
         batch_runner: Optional[Runner] = None,
-        compiled_runner: Optional[Runner] = None,
-        compiled_check: bool = False,
         max_shrink_evaluations: int = 24,
         solver_check: bool = True,
         solver_n_steps: int = SOLVER_N_STEPS,
@@ -386,14 +343,6 @@ class DifferentialFuzzer:
         self.confirm_factor = confirm_factor
         self.event_runner = event_runner or run_event_engine
         self.batch_runner = batch_runner or run_batch_engine
-        self.compiled_runner = compiled_runner or run_compiled_engine
-        if (
-            compiled_check
-            and compiled_runner is None
-            and not compiled_kernel_available()
-        ):
-            raise SimulationError(MISSING_NUMBA_HINT)
-        self.compiled_check = compiled_check
         self.max_shrink_evaluations = max_shrink_evaluations
         self.solver_check = solver_check
         self.solver_n_steps = solver_n_steps
@@ -468,41 +417,6 @@ class DifferentialFuzzer:
                         else "confirmed cross-engine divergence"
                     )
                     return result
-
-            # 2b. Compiled-vs-batch engine pair (opt-in): the enforcement
-            # arm of the compiled engine's statistical-equivalence
-            # contract, under the same battery and confirmation protocol
-            # as the event-vs-batch pair.
-            if self.compiled_check:
-                compiled = self.compiled_runner(config, n_groups, seed)
-                compiled_violations = [
-                    v
-                    for chrono in compiled
-                    for v in check_chronology(config, chrono)
-                ]
-                if compiled_violations:
-                    result.status = "invariant-violation"
-                    result.violations = compiled_violations
-                    result.detail = (
-                        f"compiled engine: {compiled_violations[0].invariant}: "
-                        f"{compiled_violations[0].detail}"
-                    )
-                    return result
-                compiled_comparison = compare_fleets(batch, compiled)
-                result.compiled = compiled_comparison
-                if compiled_comparison.suspect(self.p_floor, self.z_ceiling):
-                    confirmed = self._confirm_compiled(config, seed, n_groups)
-                    if confirmed is not None:
-                        result.status = "compiled-divergence"
-                        result.compiled = confirmed
-                        worst = confirmed.worst()
-                        result.detail = (
-                            f"confirmed compiled-vs-batch divergence: {worst.name} "
-                            f"(statistic {worst.statistic:.3g}, p {worst.p_value!r})"
-                            if worst
-                            else "confirmed compiled-vs-batch divergence"
-                        )
-                        return result
 
             # 3. Closed-form anchor (exponential-only configs).
             if anchor_ineligibility(config) is None:
@@ -583,20 +497,6 @@ class DifferentialFuzzer:
         event = self.event_runner(config, n_confirm, confirm_seed)
         batch = self.batch_runner(config, n_confirm, confirm_seed)
         comparison = compare_fleets(event, batch)
-        return comparison if comparison.suspect(self.p_floor, self.z_ceiling) else None
-
-    def _confirm_compiled(
-        self, config: RaidGroupConfig, seed: int, n_groups: int
-    ) -> Optional[FleetComparison]:
-        """Confirmation re-run for a suspect compiled-vs-batch comparison
-        (independent derived seed, ``confirm_factor``× fleet)."""
-        confirm_seed = int(
-            np.random.SeedSequence([seed, 0xC0DE]).generate_state(1)[0]
-        )
-        n_confirm = n_groups * self.confirm_factor
-        batch = self.batch_runner(config, n_confirm, confirm_seed)
-        compiled = self.compiled_runner(config, n_confirm, confirm_seed)
-        comparison = compare_fleets(batch, compiled)
         return comparison if comparison.suspect(self.p_floor, self.z_ceiling) else None
 
     # -- shrinking -----------------------------------------------------

@@ -78,11 +78,10 @@ def golden_batch_cases():
 
 
 #: sha256 of each golden case's complete chronologies on the NumPy batch
-#: kernel.  These pin the byte-exact behaviour of the *NumPy* path: the
-#: compiled engine must never perturb it (shared helpers, import-time
-#: side effects, dispatch changes).  If a deliberate batch-kernel
-#: semantic change moves them, regenerate via
-#: ``chronology_fingerprint`` in the same commit and say so.
+#: kernel.  They pin the batch path byte for byte, so shared helpers,
+#: import-time side effects and dispatch changes cannot perturb it
+#: unnoticed.  If a deliberate batch-kernel semantic change moves them,
+#: regenerate via ``chronology_fingerprint`` in the same commit and say so.
 GOLDEN_BATCH_FINGERPRINTS = {
     "base-case": "f04151de5b04ea5553edbb449a2ec731df66529b2fd54cc66f797b0225bf5944",
     "base-case-2y": "c7b7d1e6582b64d361c26b85dccc40a97ab75b8c143e7a2db8eb4b592f0a2d59",

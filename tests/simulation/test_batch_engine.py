@@ -199,9 +199,10 @@ class TestBatchRunner:
             c.ddf_times for c in parallel.chronologies
         ]
 
-    def test_unknown_engine_rejected(self, hot_config):
+    @pytest.mark.parametrize("engine", ["warp", "compiled"])
+    def test_unknown_engine_rejected(self, hot_config, engine):
         with pytest.raises(ParameterError):
-            MonteCarloRunner(config=hot_config, engine="warp")
+            MonteCarloRunner(config=hot_config, engine=engine)
 
     def test_batch_rejects_unsupported_config(self, hot_config):
         import dataclasses

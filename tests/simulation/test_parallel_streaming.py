@@ -111,7 +111,6 @@ class TestRunLength:
     def test_wide_shards_and_other_engines_go_one_at_a_time(self):
         assert _shards_per_run("batch", 4096, 10, 1) == 1
         assert _shards_per_run("event", 512, 128, 2) == 1
-        assert _shards_per_run("compiled", 512, 128, 2) == 1
 
 
 class TestChildSeedReconstruction:

@@ -360,18 +360,14 @@ class TestChaos:
 class TestWorkerRobustness:
     """Regressions: a worker must answer errors over the wire, not die."""
 
-    def test_compiled_init_without_numba_answers_init_err(self, monkeypatch):
-        """Regression (high): a worker told to run ``engine="compiled"``
-        on a host without numba must reply ``init_err`` — the capability
-        check used to call ``compiled_engine_unsupported_reason()``
-        without its config argument and crash the worker process with a
-        TypeError instead of declining."""
-        import repro.simulation.compiled as compiled_module
+    @pytest.mark.parametrize("engine", ["compiled", "warp"])
+    def test_unknown_engine_init_err(self, engine):
+        """Regression: a worker told to run an engine it does not know
+        (a removed one from an older coordinator, or a made-up name) must
+        reply ``init_err``.  Running it on the event loop instead would
+        commit chronologies from the wrong random streams."""
         from repro.validation.generator import config_to_dict
 
-        monkeypatch.setattr(
-            compiled_module, "compiled_kernel_available", lambda: False
-        )
         listener = socket.create_server(("127.0.0.1", 0))
         host, port = listener.getsockname()[:2]
         stop = threading.Event()
@@ -394,11 +390,11 @@ class TestWorkerRobustness:
             }
             send_frame(
                 conn, lock,
-                {"t": "init", "epoch": 1, "engine": "compiled", **constants},
+                {"t": "init", "epoch": 1, "engine": engine, **constants},
             )
             err = _read_tagged(reader, "init_err")
             assert err["epoch"] == 1
-            assert "compiled engine unavailable" in err["reason"]
+            assert f"unknown engine {engine!r}" in err["reason"]
             # The rejection left the worker alive: the same connection
             # still accepts an engine this host *can* run and serves it.
             send_frame(

@@ -55,21 +55,6 @@ def make_doc(anchor_gps=1000.0, batch_gps=15000.0, stream_gps=14000.0):
     }
 
 
-def add_compiled_case(doc, compiled_gps):
-    doc["results"].append(
-        {
-            "case": "compiled_5000",
-            "n_groups": 5000,
-            "engine": "compiled",
-            "engine_backend": "compiled",
-            "wall_s": 0.1,
-            "groups_per_s": compiled_gps,
-            "ddf_count": 645,
-        }
-    )
-    return doc
-
-
 class TestCompare:
     def test_identical_runs_pass(self):
         doc = make_doc()
@@ -128,38 +113,6 @@ class TestCompare:
             }
         )
         assert bench.compare(extended, make_doc()) == []
-
-
-class TestCompiledFloor:
-    def test_no_compiled_case_no_check(self):
-        # Machines without numba never measure compiled_5000; the bar
-        # simply does not apply there.
-        assert bench.compiled_floor_failures(make_doc()) == []
-
-    def test_fast_compiled_passes(self):
-        doc = add_compiled_case(make_doc(batch_gps=15000.0), compiled_gps=45000.0)
-        assert bench.compiled_floor_failures(doc) == []
-
-    def test_slow_compiled_fails(self):
-        doc = add_compiled_case(make_doc(batch_gps=15000.0), compiled_gps=20000.0)
-        failures = bench.compiled_floor_failures(doc)
-        assert len(failures) == 1
-        assert failures[0].startswith("compiled_5000:")
-        assert "2.0x" in failures[0]
-
-    def test_exactly_at_bar_passes(self):
-        doc = add_compiled_case(make_doc(batch_gps=15000.0), compiled_gps=30000.0)
-        assert bench.compiled_floor_failures(doc) == []
-
-    def test_bar_is_configurable(self):
-        doc = add_compiled_case(make_doc(batch_gps=15000.0), compiled_gps=30000.0)
-        assert bench.compiled_floor_failures(doc, min_speedup=3.0)
-
-    def test_missing_batch_side_no_check(self):
-        # A --case compiled_5000 re-measure has no batch row to compare.
-        doc = add_compiled_case(make_doc(), compiled_gps=1.0)
-        doc["results"] = [r for r in doc["results"] if r["case"] != "batch_5000"]
-        assert bench.compiled_floor_failures(doc) == []
 
 
 class TestDocumentSchema:

@@ -4,12 +4,7 @@ shrunk, and written as replayable repro bundles."""
 import dataclasses
 import json
 
-import pytest
-
 from repro.distributions import Exponential, Weibull
-from repro.exceptions import SimulationError
-from repro.simulation import compiled as compiled_mod
-from repro.simulation.compiled import numba_available
 from repro.simulation.config import RaidGroupConfig
 from repro.simulation.raid_simulator import DDFType
 from repro.validation import (
@@ -17,7 +12,6 @@ from repro.validation import (
     DifferentialFuzzer,
     load_bundle,
     run_batch_engine,
-    run_compiled_engine,
     run_event_engine,
     run_fuzz_campaign,
 )
@@ -125,94 +119,6 @@ class TestPlantedMutation:
         assert result.status == "invariant-violation"
         assert result.violations
         assert result.detail.startswith("batch engine")
-
-
-@pytest.fixture
-def compiled_enabled(monkeypatch):
-    """Make the compiled kernel runnable: real numba, or the pure escape."""
-    if not numba_available():
-        monkeypatch.setenv(compiled_mod.PURE_PYTHON_ENV, "1")
-
-
-@pytest.fixture
-def no_kernel(monkeypatch):
-    """Simulate a numba-free install even if numba is importable here."""
-    monkeypatch.delenv(compiled_mod.PURE_PYTHON_ENV, raising=False)
-    monkeypatch.setattr(compiled_mod, "_numba_checked", True)
-    monkeypatch.setattr(compiled_mod, "_numba_ok", False)
-
-
-def drop_latent_ddfs_compiled(config, n_groups, seed):
-    """The drop_latent_ddfs mutation planted on the *compiled* runner, so
-    only stage 2b (compiled-vs-batch) can catch it."""
-    out = []
-    for chrono in run_compiled_engine(config, n_groups, seed):
-        kept = [
-            (t, k)
-            for t, k in zip(chrono.ddf_times, chrono.ddf_types)
-            if k is not DDFType.LATENT_THEN_OP
-        ]
-        out.append(
-            dataclasses.replace(
-                chrono,
-                ddf_times=[t for t, _ in kept],
-                ddf_types=[k for _, k in kept],
-            )
-        )
-    return out
-
-
-class TestCompiledEnginePair:
-    def test_opt_in_without_kernel_is_an_actionable_error(self, no_kernel):
-        with pytest.raises(SimulationError, match=r"repro\[speed\]"):
-            DifferentialFuzzer(n_groups=16, compiled_check=True)
-
-    def test_custom_runner_needs_no_kernel(self, no_kernel):
-        # An injected runner (e.g. a replayed bundle's recorded fleets)
-        # must not require numba.
-        DifferentialFuzzer(
-            n_groups=16, compiled_check=True, compiled_runner=run_batch_engine
-        )
-
-    def test_clean_case_pairs_compiled_and_passes(self, compiled_enabled):
-        fuzzer = DifferentialFuzzer(n_groups=128, n_traces=4, compiled_check=True)
-        result = fuzzer.run_case(HOT, seed=20, index=3)
-        assert result.status == "ok"
-        assert result.compiled is not None
-        assert not result.compiled.suspect(fuzzer.p_floor, fuzzer.z_ceiling)
-
-    def test_unpaired_case_has_no_compiled_section(self):
-        fuzzer = DifferentialFuzzer(n_groups=64, n_traces=2)
-        result = fuzzer.run_case(HOT, seed=20, shrink=False)
-        assert result.compiled is None
-
-    def test_planted_compiled_mutation_is_caught_and_bundled(
-        self, compiled_enabled, tmp_path
-    ):
-        fuzzer = DifferentialFuzzer(
-            n_groups=128,
-            n_traces=4,
-            compiled_check=True,
-            compiled_runner=drop_latent_ddfs_compiled,
-        )
-        result = fuzzer.run_case(HOT, seed=20, index=3)
-
-        assert result.status == "compiled-divergence"
-        assert "compiled-vs-batch" in result.detail
-        assert result.compiled is not None
-        assert result.compiled.suspect(fuzzer.p_floor, fuzzer.z_ceiling)
-        # The event-vs-batch pair is clean: only stage 2b saw the bug.
-        assert result.comparison is not None
-        assert not result.comparison.suspect(fuzzer.p_floor, fuzzer.z_ceiling)
-        assert result.shrunk_config is not None
-
-        path = fuzzer.write_bundle(result, str(tmp_path))
-        config, seed, n_groups, raw = load_bundle(path)
-        assert raw["status"] == "compiled-divergence"
-        assert raw["compiled"] is not None
-
-        replay = fuzzer.run_case(config, seed, shrink=False)
-        assert replay.status == "compiled-divergence"
 
 
 #: A transition-matrix-routed hot configuration: near-exponential Weibull
