@@ -110,8 +110,12 @@ class ShardOutcome:
         Which worker simulated the committed copy — ``"local"`` for the
         in-process pool, ``host:pid`` for a remote worker.
     rtt_seconds:
-        Coordinator-side round trip (send task → receive result) for
-        remote workers; 0 for local execution.
+        Coordinator-side round trip for remote workers; 0 for local
+        execution.  A run's round trip (task sent → its last shard's
+        frame received) is split over its shards as their frames
+        arrive: each is charged the time since the previous frame of its
+        run, the first since the task was sent, so a run's shards add up
+        to its round trip.
     """
 
     task: ShardTask
@@ -248,7 +252,8 @@ def split_run(
 def _run_shard_task(task: ShardTask) -> "Tuple[List[GroupChronology], float]":
     """One-shard worker: simulate one shard, timing the simulation.
 
-    The distributed executor's local pool runs it per claimed shard.
+    The body of a ``_shard_worker`` hook that only adds a failure to it;
+    pool tasks otherwise run whole runs (:func:`_run_shard_run`).
     """
     start = time.perf_counter()
     chronologies = simulate_shard(

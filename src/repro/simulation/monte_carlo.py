@@ -88,14 +88,15 @@ def _shards_per_run(engine: str, shard_size: int, n_shards: int, n_jobs: int) ->
     """Consecutive seed shards one task advances in one kernel call.
 
     Batch runs take up to :data:`KERNEL_ROWS` rows, but no more than an
-    even split of ``n_shards`` over ``n_jobs`` workers, so a small plan
-    still reaches every worker; event shards go one at a time.
+    even split of ``n_shards`` over ``n_jobs`` claimants (pool workers,
+    or a distributed run's local jobs and connected remote workers), so
+    a small plan still reaches every one; event shards go one at a time.
     ``n_shards`` is the plan length, or for a precision target the
     shards it is estimated to still need.
     """
     if engine != "batch":
         return 1
-    return max(1, min(KERNEL_ROWS // shard_size, -(-n_shards // n_jobs)))
+    return max(1, min(KERNEL_ROWS // shard_size, -(-n_shards // max(1, n_jobs))))
 
 
 def _seed_state(seq: np.random.SeedSequence) -> dict:
@@ -278,7 +279,10 @@ class MonteCarloRunner:
         # per-group seeds do not depend on it.
         plan = shard_plan(0, 0, self.n_groups, BATCH_SHARD_SIZE)
         _, source = self._local_outcomes(
-            plan, engine, _seed_state(make_seed_sequence(self.seed))
+            plan,
+            engine,
+            _seed_state(make_seed_sequence(self.seed)),
+            lambda jobs: _shards_per_run(engine, BATCH_SHARD_SIZE, len(plan), jobs),
         )
         chronologies = [chrono for outcome in source for chrono in outcome.chronologies]
         return SimulationResult(
@@ -337,6 +341,15 @@ class MonteCarloRunner:
         simulated past it is dropped.  Serially that is less than one run
         (at most ``KERNEL_ROWS // shard_size - 1`` shards); with the pool,
         the rest of the stopping shard's run plus at most ``n_jobs`` runs.
+        A distributed run (``workers=``) cuts its runs by the same rule,
+        split over its ``n_jobs`` local jobs plus the connected remote
+        workers.  When every claimant keeps pace with the commits it
+        drops the rest of the stopping shard's run, plus one run per
+        remote link (the one queued behind the run arriving), plus
+        ``n_jobs`` local runs.  The shared queue holds no claimant back,
+        though: a link still receiving a run past the stop has two out,
+        and a claimant that finished later runs while the commit waited
+        on a slower one's shard drops those too.
 
         Parameters
         ----------
@@ -385,8 +398,8 @@ class MonteCarloRunner:
             (e.g. the one ``repro serve`` owns) or a ``"host:port"``
             bind address, in which case an ephemeral hub is opened for
             this run and closed with it.  ``repro worker --connect``
-            processes that dial the hub pull shards alongside the local
-            pool; because every shard is reseeded from its index and
+            processes that dial the hub pull runs of shards alongside the
+            local pool; because every shard is reseeded from its index and
             commits stay in shard order, the distributed run is
             bit-identical to the serial one.
         """
@@ -464,12 +477,16 @@ class MonteCarloRunner:
                 "would be nobody to simulate the shards"
             )
 
-        def groups_needed() -> float:
-            # Read when each local run starts; a fixed-size run needs its
-            # whole plan.
-            if precision is None:
-                return math.inf
-            return precision.groups_needed(accumulator)
+        def run_length(claimants: int) -> int:
+            # One rule for every executor, read on this thread whenever a
+            # run is sized: the groups still needed (a fixed-size run
+            # needs its whole plan) split over the claimants counted then.
+            # Clamped as a float: the estimate may be inf or astronomical.
+            needed = (
+                math.inf if precision is None else precision.groups_needed(accumulator)
+            )
+            shards = min(needed / shard_size, len(plan))
+            return _shards_per_run(engine, shard_size, math.ceil(shards), claimants)
 
         if hub is not None:
             from .remote import DistributedShardExecutor
@@ -480,6 +497,7 @@ class MonteCarloRunner:
                 engine,
                 self.n_jobs,
                 hub=hub,
+                shards_per_run=lambda: run_length(self.n_jobs + hub.n_workers()),
                 max_retries=max_shard_retries,
                 worker=_shard_worker,
             )
@@ -489,8 +507,7 @@ class MonteCarloRunner:
                 plan,
                 engine,
                 root_state,
-                shard_size=shard_size,
-                groups_needed=groups_needed,
+                run_length,
                 max_retries=max_shard_retries,
                 worker=_shard_worker,
                 shard_runner=_shard_runner,
@@ -650,9 +667,8 @@ class MonteCarloRunner:
         plan: Sequence[ShardTask],
         engine: str,
         root_state: dict,
+        run_length: Callable[[int], int],
         *,
-        shard_size: int = BATCH_SHARD_SIZE,
-        groups_needed: Callable[[], float] = lambda: math.inf,
         max_retries: int = DEFAULT_MAX_SHARD_RETRIES,
         worker: Optional[ShardWorker] = None,
         shard_runner: Optional[Callable[[int, int], List[GroupChronology]]] = None,
@@ -663,30 +679,25 @@ class MonteCarloRunner:
         :class:`~repro.simulation.executor.PipelinedShardExecutor`
         (returned alongside, for its telemetry); ``n_jobs=1`` or an
         injected ``shard_runner`` runs it here.  Either way the plan is
-        cut into runs of :func:`_shards_per_run` shards, each sized when
-        it starts from ``groups_needed()``, the groups still to simulate
-        (``inf``, the default, for the whole plan).
+        cut into runs of ``run_length(jobs)`` shards (one per run with a
+        ``shard_runner``), each sized when it starts.
         """
         pooled = self.n_jobs > 1 and shard_runner is None and bool(plan)
         jobs = self.n_jobs if pooled else 1
 
-        def run_length() -> int:
-            if shard_runner is not None:
-                return 1
-            # Clamped as a float: the estimate may be inf or astronomical.
-            shards = min(groups_needed() / shard_size, len(plan))
-            return _shards_per_run(engine, shard_size, math.ceil(shards), jobs)
+        def per_run() -> int:
+            return 1 if shard_runner is not None else run_length(jobs)
 
         if not pooled:
             return None, self._serial_outcomes(
-                plan, engine, root_state, shard_runner, run_length
+                plan, engine, root_state, shard_runner, per_run
             )
         executor = PipelinedShardExecutor(
             self.config,
             root_state,
             engine,
-            min(jobs, -(-len(plan) // run_length())),
-            shards_per_run=run_length,
+            min(jobs, -(-len(plan) // per_run())),
+            shards_per_run=per_run,
             max_retries=max_retries,
             worker=worker,
         )

@@ -1,4 +1,4 @@
-"""TCP remote-worker backend for the pipelined shard executor.
+"""TCP remote-worker backend for the shard executor.
 
 The spawn-key seed reconstruction (:func:`.executor._child_seed`) makes a
 :class:`~repro.simulation.executor.ShardTask` a pure function of its
@@ -9,20 +9,24 @@ one machine with *unchanged semantics*:
 
 * :func:`run_worker` — the ``repro worker --connect HOST:PORT`` client
   loop.  It dials the coordinator, announces itself, receives the run
-  constants, then pulls shard tasks one at a time (work stealing: a fast
-  host simply asks more often), simulating each with its local engine via
-  the very same :func:`~repro.simulation.executor.simulate_shard` the
-  process pool uses, and streams back length-prefixed JSON chronology
-  payloads.  A background thread heartbeats; a dropped connection triggers
-  reconnect with exponential backoff.
+  constants, then pulls *runs* of consecutive shards (work stealing: a
+  fast host simply asks more often).  It simulates each run in one
+  :func:`~repro.simulation.executor.simulate_shards` call, as a pool task
+  does, and streams back one length-prefixed JSON result frame per shard,
+  the shard's chronologies in columns.  A background thread heartbeats; a
+  dropped connection triggers reconnect with exponential backoff.
 
 * :class:`RemoteWorkerHub` — the coordinator side.  A listening socket
   plus one thread per connected worker.  Each worker thread drives the
-  handshake, claims tasks from the active run's shared queue, and awaits
-  results, sending the worker its next task before it decodes a result;
-  heartbeat staleness or a socket error abandons the claimed shard back
-  to the queue, *charged against* ``max_retries`` exactly like a local
-  :class:`~concurrent.futures.process.BrokenProcessPool`.
+  handshake, claims runs from the active session's shared queue, and
+  publishes each shard as its frame arrives.  It sends the worker its next
+  run as soon as the first frame of the current one arrives, so a link
+  holds at most two runs.  Heartbeat staleness or a socket error abandons
+  every shard not yet back to the queue, each *charged* one retry against
+  ``max_retries`` exactly like a local
+  :class:`~concurrent.futures.process.BrokenProcessPool`.  An idle link
+  waits on the hub's condition, which :meth:`RemoteWorkerHub.register`
+  notifies, so a new run reaches idle workers at once.
 
 * :class:`DistributedShardExecutor` — a drop-in for
   :class:`~repro.simulation.executor.PipelinedShardExecutor` whose
@@ -33,7 +37,7 @@ one machine with *unchanged semantics*:
   through checkpoint/resume, convergence stopping (in-flight remote shards
   are drained and discarded), and mid-run worker loss.
 
-Wire format (version 1): every frame is a 4-byte big-endian unsigned
+Wire format (version 2): every frame is a 4-byte big-endian unsigned
 length followed by that many bytes of UTF-8 JSON.  JSON round-trips
 Python floats exactly (shortest-repr), so chronologies survive the wire
 bit-identical.  Messages carry a ``t`` tag:
@@ -43,8 +47,8 @@ coordinator → worker
 ====================  =======================================================
 ``init``              run constants: ``epoch``, ``engine``, ``config``,
                       ``root_state``
-``task``              one shard: ``epoch``, ``index``, ``group_offset``,
-                      ``n_groups``
+``task``              one run of consecutive shards: ``epoch``, ``shards``
+                      (one ``[index, group_offset, n_groups]`` per shard)
 ``drain``             no work right now (convergence drain / between runs)
 ====================  =======================================================
 
@@ -55,21 +59,25 @@ worker → coordinator
 ``init_ok``           worker accepted the run constants (``epoch``)
 ``init_err``          worker does not know the engine or cannot run it
                       for this config (``epoch``, ``reason``)
-``result``            ``epoch``, ``index``, ``wall_seconds``,
-                      ``chronologies``
-``task_err``          the shard raised on the worker (``epoch``,
-                      ``index``, ``error``) — fails the run with the
-                      real error instead of burning retries
-``hb``                heartbeat (also sent while a long shard simulates)
+``result``            one shard of a run, in run order: ``epoch``,
+                      ``index``, ``wall_seconds`` (the shard's share of the
+                      run's), ``columns`` (the shard's chronologies as
+                      columns, see :func:`chronology_to_dict`)
+``task_err``          the run raised on the worker (``epoch``, ``index``
+                      of its first shard, ``error``) — fails the run with
+                      the real error instead of burning retries
+``hb``                heartbeat (also sent while a long run simulates)
 ====================  =======================================================
 
 The ``epoch`` stamps every task/result with the run it belongs to, so a
 result that limps in after its run drained (or after the shard was
-reassigned) is recognizably stale and discarded.
+reassigned) is recognizably stale and discarded.  A hub refuses a
+``hello`` from another protocol version before it sends anything.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
 import os
@@ -77,24 +85,39 @@ import socket
 import struct
 import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..exceptions import SimulationError
 from .config import RaidGroupConfig
 from .executor import (
     DEFAULT_MAX_SHARD_RETRIES,
-    PipelinedShardExecutor,
     ShardOutcome,
     ShardTask,
     ShardWorker,
+    _describe,
     _future_ok,
-    simulate_shard,
+    _run_shard_run,
+    simulate_shards,
+    split_run,
 )
 from .raid_simulator import DDFType, GroupChronology
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard cap on a single frame — a 5k-group shard of pathological
 #: chronologies is well under 64 MiB; anything larger is a corrupt or
@@ -105,7 +128,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 DEFAULT_HEARTBEAT_INTERVAL = 1.0
 
 #: Coordinator-side staleness bound: a worker silent this long is
-#: presumed dead and its claimed shard is abandoned back to the queue.
+#: presumed dead and its unfinished shards are abandoned back to the queue.
 DEFAULT_HEARTBEAT_TIMEOUT = 15.0
 
 #: Internal poll quantum for socket reads and condition waits.
@@ -126,39 +149,36 @@ def parse_endpoint(spec: str) -> Tuple[str, int]:
 
 
 # ----------------------------------------------------------------------
-# Chronology wire codec.  JSON floats are exact (repr round-trip), enums
-# travel by value — the decoded chronology is byte-identical to the
-# original under the canonical json.dumps(..., sort_keys=True) test.
-def chronology_to_dict(chrono: GroupChronology) -> dict:
-    return {
-        "ddf_times": list(chrono.ddf_times),
-        "ddf_types": [t.value for t in chrono.ddf_types],
-        "n_op_failures": chrono.n_op_failures,
-        "n_latent_defects": chrono.n_latent_defects,
-        "n_scrub_repairs": chrono.n_scrub_repairs,
-        "n_restores": chrono.n_restores,
-        "mission_hours": chrono.mission_hours,
-        "n_spare_waits": chrono.n_spare_waits,
-        "spare_wait_hours": chrono.spare_wait_hours,
-        "n_checks": chrono.n_checks,
-        "n_policy_repairs": chrono.n_policy_repairs,
+# Chronology wire codec.  One shard's chronologies travel as one dict of
+# columns, one list per GroupChronology field in group order.  JSON
+# floats are exact (repr round-trip) and enums travel by value, so the
+# decoded chronologies equal the originals.
+
+#: GroupChronology's scalar fields in declaration order; the two fields
+#: before them are the DDF lists.
+_SCALARS = tuple(field.name for field in dataclasses.fields(GroupChronology))[2:]
+
+
+def chronology_to_dict(chronologies: Sequence[GroupChronology]) -> dict:
+    """One shard's chronologies as columns, one list per field."""
+    columns = {
+        "ddf_times": [c.ddf_times for c in chronologies],
+        "ddf_types": [[t.value for t in c.ddf_types] for c in chronologies],
     }
+    for name in _SCALARS:
+        columns[name] = list(map(attrgetter(name), chronologies))
+    return columns
 
 
-def chronology_from_dict(data: dict) -> GroupChronology:
-    return GroupChronology(
-        ddf_times=[float(t) for t in data["ddf_times"]],
-        ddf_types=[DDFType(t) for t in data["ddf_types"]],
-        n_op_failures=int(data["n_op_failures"]),
-        n_latent_defects=int(data["n_latent_defects"]),
-        n_scrub_repairs=int(data["n_scrub_repairs"]),
-        n_restores=int(data["n_restores"]),
-        mission_hours=float(data["mission_hours"]),
-        n_spare_waits=int(data["n_spare_waits"]),
-        spare_wait_hours=float(data["spare_wait_hours"]),
-        n_checks=int(data["n_checks"]),
-        n_policy_repairs=int(data["n_policy_repairs"]),
-    )
+def chronology_from_dict(columns: dict) -> List[GroupChronology]:
+    """The chronologies of one shard from :func:`chronology_to_dict`'s columns."""
+    kinds = [[DDFType(v) for v in values] for values in columns["ddf_types"]]
+    return [
+        GroupChronology(times, types, *scalars)
+        for times, types, *scalars in zip(
+            columns["ddf_times"], kinds, *(columns[name] for name in _SCALARS)
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +200,8 @@ class FrameReader:
 
     ``read(timeout)`` returns the next decoded message, ``None`` if no
     complete frame arrived within the timeout, and raises
-    :class:`ConnectionError` on EOF or a malformed frame.
+    :class:`ConnectionError` on EOF or a malformed frame.  A zero timeout
+    takes what the socket already holds without waiting.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -194,12 +215,12 @@ class FrameReader:
             if frame is not None:
                 return frame
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if remaining <= 0 and timeout > 0:
                 return None
-            self._sock.settimeout(remaining)
+            self._sock.settimeout(max(remaining, 0.0))
             try:
                 chunk = self._sock.recv(1 << 20)
-            except socket.timeout:
+            except (socket.timeout, BlockingIOError):
                 return None
             except OSError as exc:
                 raise ConnectionError(f"socket read failed: {exc!r}") from exc
@@ -238,9 +259,10 @@ def run_worker(
 ) -> int:
     """Connect to a coordinator and simulate shards until told to stop.
 
-    Returns the number of shards this worker completed (useful for
-    tests); runs forever across reconnects unless ``max_reconnects``
-    consecutive failed dials are exhausted or ``stop`` is set.
+    Returns the number of shards this worker simulated and sent back over
+    all its sessions; runs forever across reconnects unless
+    ``max_reconnects`` consecutive failed dials are exhausted or ``stop``
+    is set.
     """
     host, port = parse_endpoint(address)
     stop = stop if stop is not None else threading.Event()
@@ -260,8 +282,6 @@ def run_worker(
         failures = 0
         try:
             completed += _serve_connection(sock, heartbeat_interval, stop)
-        except (ConnectionError, OSError):
-            pass  # coordinator vanished; loop back and redial
         finally:
             try:
                 sock.close()
@@ -275,21 +295,13 @@ def run_worker(
 def _serve_connection(
     sock: socket.socket, heartbeat_interval: float, stop: threading.Event
 ) -> int:
-    """One connected session: handshake, then the pull-simulate-push loop."""
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    """One connected session: handshake, then the pull-simulate-push loop.
+
+    Returns the shards sent back, also when the coordinator hung up, which
+    is how a session usually ends.
+    """
     send_lock = threading.Lock()
     reader = FrameReader(sock)
-    send_frame(
-        sock,
-        send_lock,
-        {
-            "t": "hello",
-            "v": PROTOCOL_VERSION,
-            "host": socket.gethostname(),
-            "pid": os.getpid(),
-        },
-    )
-
     hb_stop = threading.Event()
 
     def _heartbeat() -> None:
@@ -305,14 +317,24 @@ def _serve_connection(
                 return
 
     hb_thread = threading.Thread(target=_heartbeat, daemon=True)
-    hb_thread.start()
-
     config: Optional[RaidGroupConfig] = None
     root_state: Optional[dict] = None
     engine = "event"
     epoch = -1
     completed = 0
     try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        send_frame(
+            sock,
+            send_lock,
+            {
+                "t": "hello",
+                "v": PROTOCOL_VERSION,
+                "host": socket.gethostname(),
+                "pid": os.getpid(),
+            },
+        )
+        hb_thread.start()
         while not stop.is_set():
             message = reader.read(_POLL_SECONDS)
             if message is None:
@@ -358,49 +380,56 @@ def _serve_connection(
             elif kind == "task":
                 if config is None or int(message["epoch"]) != epoch:
                     continue  # stale task from a drained run
-                task = ShardTask(
-                    index=int(message["index"]),
-                    group_offset=int(message["group_offset"]),
-                    n_groups=int(message["n_groups"]),
-                )
+                run = [
+                    ShardTask(index=int(i), group_offset=int(o), n_groups=int(n))
+                    for i, o, n in message["shards"]
+                ]
                 start = time.perf_counter()
                 try:
-                    chronologies = simulate_shard(config, root_state, engine, task)
+                    per_shard = simulate_shards(config, root_state, engine, run)
                 except Exception as exc:
-                    # A deterministic shard failure must reach the
-                    # coordinator as an actionable error, not kill the
-                    # worker (which would surface only as a heartbeat
-                    # timeout and burn retries on a shard that will
-                    # fail identically everywhere).
+                    # A deterministic failure must reach the coordinator
+                    # as an actionable error, not kill the worker (which
+                    # would surface only as a heartbeat timeout and burn
+                    # retries on a run that fails identically everywhere).
                     send_frame(
                         sock,
                         send_lock,
                         {
                             "t": "task_err",
                             "epoch": epoch,
-                            "index": task.index,
+                            "index": run[0].index,
                             "error": repr(exc),
                         },
                     )
                     continue
-                send_frame(
-                    sock,
-                    send_lock,
-                    {
-                        "t": "result",
-                        "epoch": epoch,
-                        "index": task.index,
-                        "wall_seconds": time.perf_counter() - start,
-                        "chronologies": [chronology_to_dict(c) for c in chronologies],
-                    },
-                )
-                completed += 1
+                wall_seconds = time.perf_counter() - start
+                # One frame per shard, so the coordinator publishes each
+                # shard as it arrives and no frame holds a whole run.
+                for task, chronologies, seconds in split_run(
+                    run, per_shard, wall_seconds
+                ):
+                    send_frame(
+                        sock,
+                        send_lock,
+                        {
+                            "t": "result",
+                            "epoch": epoch,
+                            "index": task.index,
+                            "wall_seconds": seconds,
+                            "columns": chronology_to_dict(chronologies),
+                        },
+                    )
+                    completed += 1
             elif kind == "drain":
                 continue  # nothing to do right now; keep listening
             # unknown tags are ignored for forward compatibility
+    except (ConnectionError, OSError):
+        pass  # the coordinator hung up; the caller redials
     finally:
         hb_stop.set()
-        hb_thread.join(timeout=2 * heartbeat_interval)
+        if hb_thread.is_alive():
+            hb_thread.join(timeout=2 * heartbeat_interval)
     return completed
 
 
@@ -443,6 +472,15 @@ class _WorkerLink:
     def send(self, message: dict) -> None:
         send_frame(self.sock, self.send_lock, message)
 
+    def poll(self) -> None:
+        """Take every frame already received without waiting.
+
+        Between runs only heartbeats and stale results arrive, so the
+        frames are dropped; each proves the worker alive.
+        """
+        while self.reader.read(0.0) is not None:
+            self.last_seen = time.monotonic()
+
     def stats(self) -> dict:
         return {
             "worker": self.name,
@@ -452,6 +490,20 @@ class _WorkerLink:
                 self.rtt_total / self.rtt_count if self.rtt_count else 0.0, 6
             ),
         }
+
+
+class _SentRun:
+    """A run sent to a worker: its shards still to arrive, in order, and
+    when the task was sent or the run's latest frame arrived."""
+
+    def __init__(self, run: Sequence[ShardTask]) -> None:
+        self.run = tuple(run)
+        self.pending: Deque[ShardTask] = deque(run)
+        self.last_at = 0.0
+
+
+def _unarrived(runs: Iterable[_SentRun]) -> List[ShardTask]:
+    return [task for sent in runs for task in sent.pending]
 
 
 class RemoteWorkerHub:
@@ -499,7 +551,8 @@ class RemoteWorkerHub:
 
         One distributed run owns the worker fleet at a time; concurrent
         runs (e.g. two service jobs) queue here until the active one
-        unregisters.
+        unregisters.  Idle links wait on the hub's condition, so the
+        notification starts them on the run at once.
         """
         with self._lock:
             while self._session is not None:
@@ -508,6 +561,7 @@ class RemoteWorkerHub:
                 self._lock.wait(_POLL_SECONDS)
             self._epoch += 1
             self._session = session
+            self._lock.notify_all()
             return self._epoch
 
     def unregister(self, session: "DistributedShardExecutor") -> None:
@@ -628,8 +682,8 @@ class RemoteWorkerHub:
                 with self._lock:
                     session = self._session
                     epoch = self._epoch
-                if session is None or not session.accepting():
-                    if not self._idle(link):
+                if session is None or not session.accepting() or epoch in link.rejected:
+                    if not self._idle(link, epoch):
                         return
                     continue
                 self._drive(link, session, epoch)
@@ -645,15 +699,21 @@ class RemoteWorkerHub:
             except OSError:
                 pass
 
-    def _idle(self, link: _WorkerLink) -> bool:
-        """No active session: drain frames, keep liveness fresh."""
+    def _idle(self, link: _WorkerLink, epoch: int) -> bool:
+        """Nothing to serve: drain frames, then wait for the next session.
+
+        :meth:`register` notifies the wait, so a new session starts at
+        once; the poll quantum only paces the ``drain`` frames whose send
+        notices a dead socket.  False once the link is lost.
+        """
         try:
             link.send({"t": "drain"})
-            message = link.reader.read(_POLL_SECONDS)
+            link.poll()
         except (ConnectionError, OSError):
             return False
-        if message is not None:
-            link.last_seen = time.monotonic()
+        with self._lock:
+            if self._epoch == epoch and not self._closed.is_set():
+                self._lock.wait(_POLL_SECONDS)
         return True
 
     def _drive(
@@ -661,17 +721,15 @@ class RemoteWorkerHub:
     ) -> None:
         """Run one worker against the active session until it ends.
 
-        Any socket error or heartbeat staleness abandons the claimed
-        shard back to the session's queue (charged one retry) and
-        propagates as ConnectionError to drop the link.
+        The link sends the worker its next run as soon as the first frame
+        of the current one arrives, so at most two runs are out at once,
+        and publishes each shard as its frame arrives.  A socket error or
+        heartbeat staleness abandons every shard not yet back (charged one
+        retry each) and propagates as ConnectionError to drop the link; a
+        convergence drain abandons them uncharged.
         """
         from ..validation.generator import config_to_dict
 
-        if epoch in link.rejected:
-            # This worker can't run the session's engine; idle instead.
-            if not self._idle(link):
-                raise ConnectionError("idle send failed")
-            return
         link.send(
             {
                 "t": "init",
@@ -682,8 +740,8 @@ class RemoteWorkerHub:
             }
         )
         # Staleness-based, like _await_result: a worker still finishing a
-        # long stale shard from a previous session heartbeats (and may
-        # push a stale result) before it gets to the init frame — any
+        # long stale run from a previous session heartbeats (and may
+        # push stale results) before it gets to the init frame — any
         # traffic proves it alive, so only true silence drops it.
         link.last_seen = time.monotonic()
         while True:
@@ -699,103 +757,93 @@ class RemoteWorkerHub:
             elif time.monotonic() - link.last_seen > self.heartbeat_timeout:
                 raise ConnectionError("worker did not answer init")
 
-        # The shard this worker is simulating: claimed, sent, not yet back.
-        task: Optional[ShardTask] = None
-        sent_at = 0.0
-        while True:
-            if task is None:
-                if not session.accepting():
-                    return
-                task = session.claim(link.name, timeout=_POLL_SECONDS)
-                if task is None:
-                    # Nothing claimable; keep the link warm and liveness fresh.
-                    message = link.reader.read(0.0)
-                    if message is not None:
-                        link.last_seen = time.monotonic()
-                    elif time.monotonic() - link.last_seen > self.heartbeat_timeout:
-                        raise ConnectionError("worker heartbeat timed out while idle")
-                    continue
-                sent_at = self._send_task(link, session, epoch, task)
-            try:
-                result = self._await_result(link, session, epoch, task.index)
-            except (ConnectionError, OSError) as exc:
-                session.abandon(task, f"{link.name}: {exc}")
-                raise ConnectionError(str(exc)) from exc
-            rtt = time.perf_counter() - sent_at
-            if result is None:
-                # Session stopped accepting while the shard was in
-                # flight (convergence drain): discard, don't commit.
-                session.abandon(task, "drained", charge=False)
-                return
-            if result.get("t") == "task_err":
-                # The shard raised deterministically on the worker —
-                # retrying it elsewhere would fail identically, so fail
-                # the run with the real error (the local pool's
-                # _harvest semantics) instead of burning retries.
-                session.fail(
-                    SimulationError(
-                        f"shard {task.index} raised on {link.name}: "
-                        f"{result.get('error')}"
-                    )
+        # Runs sent to the worker and not yet fully back, oldest first.
+        runs: Deque[_SentRun] = deque()
+        try:
+            while True:
+                if not runs:
+                    if not session.accepting():
+                        return
+                    run = session.claim(link.name, timeout=_POLL_SECONDS)
+                    if run is None:
+                        # Nothing claimable; keep liveness fresh.
+                        link.poll()
+                        if time.monotonic() - link.last_seen > self.heartbeat_timeout:
+                            raise ConnectionError("worker heartbeat timed out while idle")
+                        continue
+                    runs.append(_SentRun(run))
+                    self._send_run(link, epoch, runs[-1])
+                current = runs[0]
+                message = self._await_result(
+                    link, session, epoch, current.pending[0].index
                 )
-                return
-            # Send the next shard before decoding this one, so the worker
-            # simulates while this process decodes and commits.  Sent after
-            # publishing, it would wait for the interpreter lock that the
-            # woken consumer's commit holds, and the worker would start up
-            # in the middle of the consumer's own work.
-            following = session.claim(link.name)
-            lost: Optional[ConnectionError] = None
-            if following is not None:
-                try:
-                    sent_at = self._send_task(link, session, epoch, following)
-                except ConnectionError as exc:
-                    lost = exc
-            chronologies = [
-                chronology_from_dict(c) for c in result["chronologies"]
-            ]
-            link.shards_committed += 1
-            link.wall_seconds += float(result["wall_seconds"])
-            link.rtt_total += rtt
-            link.rtt_count += 1
-            session.complete(
-                task,
-                chronologies,
-                float(result["wall_seconds"]),
-                worker=link.name,
-                rtt_seconds=rtt,
-            )
-            if lost is not None:
-                raise lost
-            task = following
+                if message is None:
+                    # The session stopped accepting while shards were out
+                    # (convergence drain): discard them, uncharged.
+                    session.abandon(_unarrived(runs), "drained", charge=False)
+                    return
+                if message.get("t") == "task_err":
+                    # The run raised deterministically on the worker —
+                    # retrying it elsewhere would fail identically, so
+                    # fail the run with the real error (the local pool's
+                    # _harvest semantics) instead of burning retries.
+                    session.fail(
+                        SimulationError(
+                            f"{_describe(current.run)} raised on {link.name}: "
+                            f"{message.get('error')}"
+                        )
+                    )
+                    return
+                # A run's round trip, from sending it to its last frame, is
+                # split over its shards as their frames arrive.
+                arrived_at = time.perf_counter()
+                task = current.pending.popleft()
+                rtt = arrived_at - current.last_at
+                current.last_at = arrived_at
+                # Send the next run before decoding this frame, so the
+                # worker simulates while this process decodes and commits.
+                # Sent after publishing, it would wait for the interpreter
+                # lock that the woken consumer's commit holds, and the
+                # worker would start up in the middle of the consumer's
+                # own work.
+                following = session.claim(link.name) if len(runs) == 1 else None
+                if not current.pending:
+                    runs.popleft()
+                lost: Optional[OSError] = None
+                if following is not None:
+                    runs.append(_SentRun(following))
+                    try:
+                        self._send_run(link, epoch, runs[-1])
+                    except OSError as exc:
+                        lost = exc
+                chronologies = chronology_from_dict(message["columns"])
+                wall_seconds = float(message["wall_seconds"])
+                link.shards_committed += 1
+                link.wall_seconds += wall_seconds
+                link.rtt_total += rtt
+                link.rtt_count += 1
+                session.complete(
+                    task, chronologies, wall_seconds, worker=link.name, rtt_seconds=rtt
+                )
+                if lost is not None:
+                    raise lost
+        except OSError as exc:
+            session.abandon(_unarrived(runs), f"{link.name}: {exc}")
+            raise ConnectionError(str(exc)) from exc
 
     @staticmethod
-    def _send_task(
-        link: _WorkerLink,
-        session: "DistributedShardExecutor",
-        epoch: int,
-        task: ShardTask,
-    ) -> float:
-        """Send one claimed shard to the worker; return when it was sent.
-
-        A failed send abandons the shard (charged one retry) and raises
-        ConnectionError to drop the link.
-        """
-        sent_at = time.perf_counter()
-        try:
-            link.send(
-                {
-                    "t": "task",
-                    "epoch": epoch,
-                    "index": task.index,
-                    "group_offset": task.group_offset,
-                    "n_groups": task.n_groups,
-                }
-            )
-        except (ConnectionError, OSError) as exc:
-            session.abandon(task, f"{link.name}: {exc}")
-            raise ConnectionError(str(exc)) from exc
-        return sent_at
+    def _send_run(link: _WorkerLink, epoch: int, sent: _SentRun) -> None:
+        """Send one claimed run to the worker, stamping when it was sent."""
+        sent.last_at = time.perf_counter()
+        link.send(
+            {
+                "t": "task",
+                "epoch": epoch,
+                "shards": [
+                    [task.index, task.group_offset, task.n_groups] for task in sent.run
+                ],
+            }
+        )
 
     def _await_result(
         self,
@@ -806,8 +854,9 @@ class RemoteWorkerHub:
     ) -> Optional[dict]:
         """Wait for shard ``index``'s result, policing heartbeats.
 
-        Returns the ``result`` or ``task_err`` frame for the shard, or
-        None if the session stops accepting first (drain).
+        Returns the ``result`` frame for the shard (or the ``task_err``
+        of the run it starts), or None if the session stops accepting
+        first (drain).
         """
         while True:
             message = link.reader.read(_POLL_SECONDS)
@@ -836,8 +885,12 @@ class DistributedShardExecutor:
     (``outcomes(plan)`` yields in plan order; closing the generator drains
     in-flight work; lost shards are reseeded and charged retries), but the
     work queue is shared: local pool slots and connected remote workers
-    both claim the lowest unclaimed shard index.  All cross-thread state
-    lives behind one condition variable.
+    all claim *runs* — the lowest unclaimed shards, consecutive, as many
+    as ``shards_per_run()`` last said.  The consumer evaluates
+    ``shards_per_run()`` on its own thread, before the first claim and
+    after each shard it commits, so the callable may read the consumer's
+    state unlocked.  All cross-thread state lives behind one condition
+    variable.
     """
 
     def __init__(
@@ -848,6 +901,7 @@ class DistributedShardExecutor:
         n_jobs: int,
         *,
         hub: RemoteWorkerHub,
+        shards_per_run: Callable[[], int] = lambda: 1,
         max_retries: int = DEFAULT_MAX_SHARD_RETRIES,
         worker: Optional[ShardWorker] = None,
     ) -> None:
@@ -858,6 +912,7 @@ class DistributedShardExecutor:
         self.engine = engine
         self.n_jobs = n_jobs
         self.hub = hub
+        self.shards_per_run = shards_per_run
         self.max_retries = max_retries
         self.pool_breaks = 0
         self._worker = worker
@@ -868,6 +923,7 @@ class DistributedShardExecutor:
         self._results: Dict[int, Tuple[List[GroupChronology], float, str, float]] = {}
         self._retries: Dict[int, int] = {}
         self._done_at: Dict[int, float] = {}
+        self._run_length = 1
         self._error: Optional[BaseException] = None
         self._stopped = False
 
@@ -877,16 +933,29 @@ class DistributedShardExecutor:
         with self._cond:
             return not self._stopped and self._error is None and bool(self._by_index)
 
-    def claim(self, claimant: str, timeout: float = 0.0) -> Optional[ShardTask]:
-        """Pop the lowest unclaimed shard, or None if none within timeout."""
+    def claim(
+        self, claimant: str, timeout: float = 0.0
+    ) -> Optional[Tuple[ShardTask, ...]]:
+        """Pop the next run, or None if nothing is claimable within timeout.
+
+        A run is the lowest unclaimed shard and the consecutive unclaimed
+        shards after it, up to the current run length.
+        """
         with self._cond:
             if not self._queue and timeout > 0:
                 self._cond.wait(timeout)
             if self._stopped or self._error is not None or not self._queue:
                 return None
-            index = heapq.heappop(self._queue)
-            self._claimed[index] = claimant
-            return self._by_index[index]
+            run = [heapq.heappop(self._queue)]
+            while (
+                self._queue
+                and len(run) < self._run_length
+                and self._queue[0] == run[-1] + 1
+            ):
+                run.append(heapq.heappop(self._queue))
+            for index in run:
+                self._claimed[index] = claimant
+            return tuple(self._by_index[index] for index in run)
 
     def complete(
         self,
@@ -905,31 +974,33 @@ class DistributedShardExecutor:
             self._done_at.setdefault(task.index, time.perf_counter())
             self._cond.notify_all()
 
-    def abandon(self, task: ShardTask, reason: str, *, charge: bool = True) -> None:
-        """Return a claimed shard to the queue after its worker was lost.
+    def abandon(
+        self, tasks: Iterable[ShardTask], reason: str, *, charge: bool = True
+    ) -> None:
+        """Return claimed shards to the queue after their worker was lost.
 
-        Charged one retry (unless ``charge=False``, for convergence
-        drains) — exactly the local pool-break accounting.
+        Each is charged one retry (unless ``charge=False``, for
+        convergence drains) — exactly the local pool-break accounting.
         """
         with self._cond:
-            if task.index not in self._by_index or task.index in self._results:
-                return
-            self._claimed.pop(task.index, None)
-            self._done_at.pop(task.index, None)
-            if self._stopped:
-                return
-            if charge:
-                count = self._retries.get(task.index, 0) + 1
-                self._retries[task.index] = count
-                if count > self.max_retries:
-                    self._error = SimulationError(
-                        f"shard {task.index} was lost {count} times "
-                        f"(last: {reason}; max_retries={self.max_retries}); "
-                        "giving up on this run"
-                    )
-                    self._cond.notify_all()
-                    return
-            heapq.heappush(self._queue, task.index)
+            for task in tasks:
+                if task.index not in self._by_index or task.index in self._results:
+                    continue
+                self._claimed.pop(task.index, None)
+                self._done_at.pop(task.index, None)
+                if self._stopped or self._error is not None:
+                    continue
+                if charge:
+                    count = self._retries.get(task.index, 0) + 1
+                    self._retries[task.index] = count
+                    if count > self.max_retries:
+                        self._error = SimulationError(
+                            f"shard {task.index} was lost {count} times "
+                            f"(last: {reason}; max_retries={self.max_retries}); "
+                            "giving up on this run"
+                        )
+                        continue
+                heapq.heappush(self._queue, task.index)
             self._cond.notify_all()
 
     def fail(self, error: BaseException) -> None:
@@ -943,6 +1014,7 @@ class DistributedShardExecutor:
         tasks = list(plan)
         if not tasks:
             return
+        length = self.shards_per_run()
         with self._cond:
             self._stopped = False
             self._error = None
@@ -952,7 +1024,8 @@ class DistributedShardExecutor:
             self._results.clear()
             self._claimed.clear()
             self._retries.clear()
-        epoch = self.hub.register(self)
+            self._run_length = length
+        self.hub.register(self)
         local_thread: Optional[threading.Thread] = None
         if self.n_jobs > 0:
             local_thread = threading.Thread(
@@ -981,6 +1054,11 @@ class DistributedShardExecutor:
                     worker=worker,
                     rtt_seconds=rtt,
                 )
+                # The shard is committed: size the next runs from the
+                # state it left.
+                length = self.shards_per_run()
+                with self._cond:
+                    self._run_length = length
         finally:
             with self._cond:
                 self._stopped = True
@@ -990,7 +1068,6 @@ class DistributedShardExecutor:
             self.hub.unregister(self)
             if local_thread is not None:
                 local_thread.join(timeout=30.0)
-            del epoch
 
     # ------------------------------------------------------------------
     def _make_pool(self):
@@ -1007,95 +1084,75 @@ class DistributedShardExecutor:
         )
 
     def _local_loop(self) -> None:
-        """Feed the local process pool from the shared queue.
+        """Feed the local process pool runs from the shared queue.
 
-        Mirrors :class:`PipelinedShardExecutor`'s fault tolerance: a
-        ``BrokenProcessPool`` (at submit or result) abandons every
-        in-flight local shard back to the queue (each charged one retry)
-        and rebuilds the pool.
+        Each claimed run is one pool task (the pipelined pool's
+        ``_run_shard_run``).  A ``BrokenProcessPool``, at submit or at a
+        result, abandons every unfinished local run back to the queue,
+        charging each of its shards one retry, and rebuilds the pool.
+        Runs still out when the session stops accepting are discarded.
         """
-        from .executor import _run_shard_task
-
-        run_task = self._worker if self._worker is not None else _run_shard_task
         pool = None
-        futures: Dict[Future, ShardTask] = {}
+        futures: Dict[Future, Tuple[ShardTask, ...]] = {}
         try:
             pool = self._make_pool()
-            while True:
-                if not self.accepting():
-                    if not futures:
-                        return
-                else:
-                    while len(futures) < self.n_jobs:
-                        task = self.claim("local", timeout=0.0)
-                        if task is None:
-                            break
-                        try:
-                            future = pool.submit(run_task, task)
-                        except BrokenProcessPool:
-                            self.pool_breaks += 1
-                            self.abandon(task, "local pool broke at submit")
-                            for lost_future, lost in list(futures.items()):
-                                if _future_ok(lost_future):
-                                    self._harvest(lost_future, futures.pop(lost_future))
-                                else:
-                                    futures.pop(lost_future)
-                                    self.abandon(lost, "local pool broke")
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            pool = self._make_pool()
-                            break
-                        futures[future] = task
-                if not futures:
-                    with self._cond:
-                        if self._stopped or self._error is not None:
-                            return
-                        self._cond.wait(_POLL_SECONDS)
-                    continue
-                done, _ = wait(
-                    set(futures), timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
-                )
+            while self.accepting():
                 broke = False
-                for future in done:
-                    task = futures.pop(future)
+                while len(futures) < self.n_jobs:
+                    run = self.claim("local")
+                    if run is None:
+                        break
                     try:
-                        self._harvest(future, task)
+                        futures[pool.submit(_run_shard_run, run, self._worker)] = run
                     except BrokenProcessPool:
+                        self.abandon(run, "local pool broke at submit")
                         broke = True
-                        self.abandon(task, "local pool broke")
-                    except SimulationError as exc:
-                        self.fail(exc)
-                        return
+                        break
+                if not futures and not broke:
+                    with self._cond:
+                        if not self._queue:
+                            self._cond.wait(_POLL_SECONDS)
+                    continue
+                if not broke:
+                    done, _ = wait(
+                        set(futures), timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
+                    )
+                    for future in done:
+                        run = futures.pop(future)
+                        try:
+                            self._harvest(future, run)
+                        except BrokenProcessPool:
+                            broke = True
+                            self.abandon(run, "local pool broke")
                 if broke:
                     self.pool_breaks += 1
-                    for future, task in list(futures.items()):
+                    for future, run in list(futures.items()):
+                        del futures[future]
                         if _future_ok(future):
-                            try:
-                                self._harvest(future, futures.pop(future))
-                            except (BrokenProcessPool, SimulationError):
-                                self.abandon(task, "local pool broke")
+                            self._harvest(future, run)
                         else:
-                            futures.pop(future)
-                            self.abandon(task, "local pool broke")
+                            self.abandon(run, "local pool broke")
                     pool.shutdown(wait=False, cancel_futures=True)
                     pool = self._make_pool()
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             self.fail(exc)
         finally:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
 
-    def _harvest(self, future: Future, task: ShardTask) -> None:
+    def _harvest(self, future: Future, run: Tuple[ShardTask, ...]) -> None:
+        """Publish a finished local run's shards, each with its share of
+        the run's wall time."""
         try:
-            chronologies, wall_seconds = future.result()
-        except BrokenProcessPool:
-            raise
-        except SimulationError:
+            per_shard, wall_seconds = future.result()
+        except (BrokenProcessPool, SimulationError):
             raise
         except Exception as exc:
             raise SimulationError(
-                f"shard {task.index} raised in its worker: {exc!r}"
+                f"run of {_describe(run)} raised in its worker: {exc!r}"
             ) from exc
-        self.complete(task, chronologies, wall_seconds, worker="local")
+        for task, chronologies, seconds in split_run(run, per_shard, wall_seconds):
+            self.complete(task, chronologies, seconds, worker="local")
 
 
 __all__ = [

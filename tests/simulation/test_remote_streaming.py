@@ -23,11 +23,20 @@ import time
 import numpy as np
 import pytest
 
+import repro.simulation.executor as executor_module
+import repro.simulation.remote as remote_module
 from repro.exceptions import ParameterError, SimulationError
 from repro.simulation import Precision, RaidGroupConfig
-from repro.simulation.executor import ShardTask, shard_plan, simulate_shard
+from repro.simulation.executor import (
+    ShardTask,
+    shard_plan,
+    simulate_shard,
+    simulate_shards,
+    split_run,
+)
 from repro.simulation.monte_carlo import MonteCarloRunner, _seed_state
 from repro.simulation.remote import (
+    PROTOCOL_VERSION,
     DistributedShardExecutor,
     FrameReader,
     RemoteWorkerHub,
@@ -37,6 +46,9 @@ from repro.simulation.remote import (
     run_worker,
     send_frame,
 )
+
+from .goldens import chronology_fingerprint, golden_batch_cases
+from .test_parallel_streaming import CRASH_DIR_ENV, crash_once_worker
 
 SHARD = 32
 N_GROUPS = 160
@@ -84,17 +96,22 @@ class TestWireFormat:
             parse_endpoint("host:not-a-number")
 
     def test_chronology_codec_roundtrips_bit_identically(self):
-        """JSON floats round-trip exactly, so a chronology survives the
-        wire byte-identical — the property the whole backend rests on."""
-        config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
-        root_state = _seed_state(np.random.SeedSequence(3))
-        task = ShardTask(index=0, group_offset=0, n_groups=64)
-        originals = simulate_shard(config, root_state, "batch", task)
-        assert any(c.ddf_times for c in originals) or True  # codec must not assume DDFs
-        for original in originals:
-            wire = json.loads(json.dumps(chronology_to_dict(original)))
+        """JSON floats round-trip exactly, so a shard's chronologies
+        survive the wire byte-identical — the property the whole backend
+        rests on.  The golden configs cover DDFs of both pathways, RAID 6,
+        k-of-n repair policies and DDF-free groups."""
+        ddfs = 0
+        for name, (config, n_groups, seed) in golden_batch_cases().items():
+            root_state = _seed_state(np.random.SeedSequence(seed))
+            task = ShardTask(index=0, group_offset=0, n_groups=n_groups)
+            originals = simulate_shard(config, root_state, "batch", task)
+            wire = json.loads(json.dumps(chronology_to_dict(originals)))
             decoded = chronology_from_dict(wire)
-            assert decoded == original
+            assert decoded == originals, name
+            assert repr(decoded) == repr(originals), name
+            assert chronology_fingerprint(decoded) == chronology_fingerprint(originals)
+            ddfs += sum(len(c.ddf_times) for c in originals)
+        assert ddfs > 0
 
     def test_frame_reader_handles_partial_and_coalesced_frames(self):
         left, right = socket.socketpair()
@@ -158,8 +175,10 @@ class TestDistributedDeterminism:
         assert distributed.groups == serial.groups == N_GROUPS
         assert distributed.executor_stats["mode"] == "distributed"
         # Checkpoints agree on everything but wall clock.
-        a = json.load(open(serial_ckpt))
-        b = json.load(open(dist_ckpt))
+        with open(serial_ckpt) as handle:
+            a = json.load(handle)
+        with open(dist_ckpt) as handle:
+            b = json.load(handle)
         a.pop("elapsed_seconds"), b.pop("elapsed_seconds")
         assert a == b
         # Per-worker telemetry: every committed shard is attributed, and
@@ -185,9 +204,9 @@ class TestDistributedDeterminism:
         assert all(w["mean_rtt_seconds"] > 0.0 for w in workers.values())
 
     def test_next_shard_is_sent_before_a_result_is_published(self, hub, monkeypatch):
-        """A link sends its worker the next shard as soon as a result
-        arrives, before decoding and publishing it, so the worker does
-        not wait for the consumer's commit."""
+        """A link sends its worker the next run as soon as the first
+        frame of the current run arrives, before decoding and publishing
+        it, so the worker does not wait for the consumer's commit."""
         published = []
         complete = DistributedShardExecutor.complete
 
@@ -197,15 +216,23 @@ class TestDistributedDeterminism:
             return complete(self, task, *args, **kwargs)
 
         monkeypatch.setattr(DistributedShardExecutor, "complete", recording_complete)
-        serial = make_runner("batch").run_streaming(shard_size=SHARD)
+        # Ten 512-group shards over one worker: runs of 4, 4 and 2.
+        runner = dict(n_groups=10 * 512)
+        serial = make_runner("batch", **runner).run_streaming()
         stop = start_workers(hub, 1)
-        distributed = make_runner("batch", n_jobs=0).run_streaming(
-            shard_size=SHARD, workers=hub
+        distributed = make_runner("batch", n_jobs=0, **runner).run_streaming(
+            workers=hub
         )
         stop.set()
         assert canonical(distributed) == canonical(serial)
-        # Each shard but the last is published with its successor claimed.
-        assert published == [(i, [i, i + 1]) for i in range(4)] + [(4, [4])]
+        # Every shard is published with the rest of its run still claimed
+        # and, but in the last run, the whole next run claimed too.
+        runs = [range(0, 4), range(4, 8), range(8, 10)]
+        expected = []
+        for number, run in enumerate(runs):
+            following = list(runs[number + 1]) if number + 1 < len(runs) else []
+            expected += [(i, [j for j in run if j >= i] + following) for i in run]
+        assert published == expected
 
     def test_convergence_stop_drains_in_flight_remote_shards(self, hub):
         until = Precision(rel_ci_width=2.0, min_groups=64)
@@ -220,6 +247,86 @@ class TestDistributedDeterminism:
         assert serial.stop_reason == distributed.stop_reason == "converged"
         assert serial.groups == distributed.groups
         assert canonical(distributed) == canonical(serial)
+
+    def test_more_links_than_cores_under_a_short_switch_interval(self, hub):
+        """Shared-queue stress: more in-thread workers than CPUs, with the
+        interpreter switching threads every 10 µs, claim runs and publish
+        shards; every shard is committed exactly once and the result
+        equals serial."""
+        n_workers = min(8, (os.cpu_count() or 1) + 1)
+        serial = make_runner("batch", n_groups=20 * SHARD).run_streaming(
+            shard_size=SHARD
+        )
+        holder = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            stop = start_workers(hub, n_workers)
+            run = threading.Thread(
+                target=lambda: holder.setdefault(
+                    "result",
+                    make_runner("batch", n_groups=20 * SHARD, n_jobs=0).run_streaming(
+                        shard_size=SHARD, workers=hub
+                    ),
+                ),
+                daemon=True,
+            )
+            run.start()
+            run.join(timeout=120.0)
+            stop.set()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive(), "distributed run did not finish"
+        distributed = holder["result"]
+        assert canonical(distributed) == canonical(serial)
+        workers = distributed.executor_stats["workers"]
+        assert sum(w["shards_committed"] for w in workers.values()) == 20
+
+    def test_remote_run_is_one_kernel_call(self, hub, monkeypatch):
+        """A worker simulates a claimed run of consecutive shards in one
+        batch-kernel call: four 512-group shards over one worker are one
+        2,048-row run."""
+        serial = make_runner("batch", n_groups=4 * 512).run_streaming()
+        stop = start_workers(hub, 1)
+        calls = []
+        kernel = executor_module.simulate_groups_batch
+
+        def counting_kernel(*args, **kwargs):
+            calls.append(args[1])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "simulate_groups_batch", counting_kernel)
+        distributed = make_runner("batch", n_groups=4 * 512, n_jobs=0).run_streaming(
+            workers=hub
+        )
+        stop.set()
+        assert canonical(distributed) == canonical(serial)
+        assert calls == [[512] * 4]
+
+    def test_precision_target_met_inside_a_run(self, hub):
+        """The first run covers the groups missing to ``min_groups``
+        (shards 0-3) and the second, claimed before any commit, has the
+        same length (4-7).  The target is met at shard 4, inside the
+        second run: the distributed run stops there with the serial
+        bytes, and what it simulated past the stop — the rest of the run
+        and the run claimed behind it — is counted as discarded."""
+        until = Precision(rel_ci_width=2.0, min_groups=256)
+        runner = dict(n_groups=4096, seed=5)
+        serial = make_runner("batch", **runner).run_streaming(
+            until=until, shard_size=64
+        )
+        stop = start_workers(hub, 1)
+        events = []
+        distributed = make_runner("batch", n_jobs=0, **runner).run_streaming(
+            until=until, shard_size=64, workers=hub, observers=(events.append,)
+        )
+        stop.set()
+        assert serial.stop_reason == distributed.stop_reason == "converged"
+        assert serial.shards_run == distributed.shards_run == 5
+        assert canonical(distributed) == canonical(serial)
+        discarded = distributed.executor_stats["discarded_in_flight"]
+        assert discarded == events[-1].queue_depth
+        assert discarded >= 3 + 1
 
     def test_interrupt_resume_distributed_bit_identical(self, hub, tmp_path):
         reference = canonical(make_runner("batch").run_streaming(shard_size=SHARD))
@@ -281,26 +388,34 @@ class TestChaos:
         assert canonical(distributed) == reference
         assert distributed.executor_stats["shard_retries"] >= 1
 
-    def test_coordinator_side_socket_drop_mid_run(self, hub):
+    def test_coordinator_side_socket_drop_mid_run(self, hub, monkeypatch):
         """Chaos hook: the hub hard-closes a worker's socket mid-run; the
-        worker's claimed shard is retried and the worker itself
-        reconnects with backoff — completion stays bit-identical."""
+        worker's claimed shards are retried and the worker itself
+        reconnects with backoff — completion stays bit-identical.  The
+        workers start simulating only after the drop, so both hold a run
+        when it happens, whatever the machine's speed."""
         reference = canonical(
             make_runner("batch", n_groups=320).run_streaming(shard_size=SHARD)
         )
+        simulate = remote_module.simulate_shards
+        started = threading.Semaphore(0)
+        release = threading.Event()
+
+        def held(config, root_state, engine, run):
+            started.release()
+            release.wait(timeout=30.0)
+            return simulate(config, root_state, engine, run)
+
+        monkeypatch.setattr(remote_module, "simulate_shards", held)
         stop = start_workers(hub, 2)
         dropped = threading.Event()
 
         def _drop_one_mid_run():
-            # Wait until a session is live, then sever one worker.
-            deadline = time.monotonic() + 15.0
-            while time.monotonic() < deadline:
-                stats = hub.stats()
-                if stats["active_session"] and stats["workers"]:
-                    if hub.drop(stats["workers"][0]["worker"]):
-                        dropped.set()
-                        return
-                time.sleep(0.01)
+            # Wait until both workers hold a run, then sever one.
+            if started.acquire(timeout=15.0) and started.acquire(timeout=15.0):
+                if hub.drop(hub.stats()["workers"][0]["worker"]):
+                    dropped.set()
+            release.set()
 
         threading.Thread(target=_drop_one_mid_run, daemon=True).start()
         distributed = make_runner("batch", n_groups=320, n_jobs=0).run_streaming(
@@ -309,6 +424,30 @@ class TestChaos:
         stop.set()
         assert dropped.is_set()
         assert canonical(distributed) == reference
+        assert distributed.executor_stats["shard_retries"] >= 1
+
+    def test_local_pool_break_is_recovered(self, tmp_path, monkeypatch):
+        """The distributed executor's local pool recovers a dead worker
+        like the pipelined pool does.  With nobody dialed in, the two
+        local jobs take runs of 3 and 2 shards; the hook kills its worker
+        at shard 1, so the first run is lost, reseeded and re-run once,
+        and every shard of it shows one retry."""
+        crash_dir = tmp_path / "crashes"
+        crash_dir.mkdir()
+        monkeypatch.setenv(CRASH_DIR_ENV, str(crash_dir))
+        reference = canonical(make_runner("batch").run_streaming(shard_size=SHARD))
+        events = []
+        distributed = make_runner("batch", n_jobs=2).run_streaming(
+            shard_size=SHARD,
+            workers="127.0.0.1:0",
+            observers=(events.append,),
+            _shard_worker=crash_once_worker,
+        )
+        assert canonical(distributed) == reference
+        assert distributed.executor_stats["mode"] == "distributed"
+        assert distributed.executor_stats["pool_breaks"] == 1
+        assert [event.shard_retries for event in events[:3]] == [1, 1, 1]
+        assert len(os.listdir(crash_dir)) == 1  # crashed exactly once
 
     def test_retries_exhausted_fails_the_run(self, hub):
         """Losing the same shard past ``max_retries`` raises
@@ -382,7 +521,7 @@ class TestWorkerRobustness:
             conn, _ = listener.accept()
             lock = threading.Lock()
             reader = FrameReader(conn)
-            assert _read_tagged(reader, "hello")["v"] == 1
+            assert _read_tagged(reader, "hello")["v"] == PROTOCOL_VERSION
             config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
             constants = {
                 "config": config_to_dict(config),
@@ -403,12 +542,11 @@ class TestWorkerRobustness:
             )
             assert _read_tagged(reader, "init_ok")["epoch"] == 2
             send_frame(
-                conn, lock,
-                {"t": "task", "epoch": 2, "index": 0,
-                 "group_offset": 0, "n_groups": 8},
+                conn, lock, {"t": "task", "epoch": 2, "shards": [[0, 0, 8]]}
             )
             result = _read_tagged(reader, "result")
-            assert result["index"] == 0 and len(result["chronologies"]) == 8
+            assert result["index"] == 0
+            assert len(chronology_from_dict(result["columns"])) == 8
             conn.close()
         finally:
             stop.set()
@@ -418,17 +556,16 @@ class TestWorkerRobustness:
     def test_shard_error_on_worker_fails_run_with_real_error(
         self, hub, monkeypatch
     ):
-        """Regression: an exception from ``simulate_shard`` used to kill
-        the worker; the coordinator saw only heartbeat timeouts and
-        burned retries on a shard that fails identically everywhere.  It
-        now travels back as ``task_err`` and fails the run with the real
+        """Regression: an exception from the simulation used to kill the
+        worker; the coordinator saw only heartbeat timeouts and burned
+        retries on a run that fails identically everywhere.  It now
+        travels back as ``task_err`` and fails the run with the real
         cause — and the worker survives."""
-        import repro.simulation.remote as remote_module
 
-        def explode(config, root_state, engine, task):
+        def explode(config, root_state, engine, run):
             raise RuntimeError("boom: bad shard")
 
-        monkeypatch.setattr(remote_module, "simulate_shard", explode)
+        monkeypatch.setattr(remote_module, "simulate_shards", explode)
         stop = start_workers(hub, 1)
         with pytest.raises(SimulationError, match="boom: bad shard"):
             make_runner("batch", n_jobs=0).run_streaming(
@@ -471,6 +608,101 @@ class TestWorkerRobustness:
         assert canonical(distributed) == canonical(serial)
         assert distributed.executor_stats["shard_retries"] == 0
 
+    def test_idle_link_is_not_dropped_while_another_holds_the_last_shard(
+        self, monkeypatch
+    ):
+        """Regression: a link with nothing to claim read its socket with a
+        zero timeout, which returned before reading, so it never saw
+        heartbeats and dropped a live worker after ``heartbeat_timeout``
+        whenever another claimant held the last shards.  Shard 1 takes
+        3 s, three times the timeout; neither worker may be dropped (a
+        dropped one would not redial)."""
+        simulate = remote_module.simulate_shards
+
+        def hold_shard_1(config, root_state, engine, run):
+            if any(task.index == 1 for task in run):
+                time.sleep(3.0)
+            return simulate(config, root_state, engine, run)
+
+        monkeypatch.setattr(remote_module, "simulate_shards", hold_shard_1)
+        serial = make_runner("batch", n_groups=2 * SHARD).run_streaming(
+            shard_size=SHARD
+        )
+        hub = RemoteWorkerHub(heartbeat_timeout=1.0)
+        try:
+            stop = start_workers(hub, 2, max_reconnects=0)
+            distributed = make_runner(
+                "batch", n_groups=2 * SHARD, n_jobs=0
+            ).run_streaming(shard_size=SHARD, workers=hub)
+            assert hub.n_workers() == 2
+            stop.set()
+        finally:
+            hub.close()
+        assert canonical(distributed) == canonical(serial)
+
+    def test_idle_links_start_a_new_run_at_once(self, monkeypatch):
+        """Regression: an idle link waited in a socket read of one poll
+        quantum, so a run registered meanwhile started only when that
+        read timed out.  Idle links now wait on the hub's condition,
+        which ``register()`` notifies.  With the quantum stretched to
+        5 s and heartbeats rarer than that, two back-to-back runs must
+        finish well inside one quantum."""
+        hub = RemoteWorkerHub(heartbeat_timeout=60.0)
+        monkeypatch.setattr(remote_module, "_POLL_SECONDS", 5.0)
+        try:
+            stop = start_workers(hub, 1, heartbeat_interval=30.0)
+            time.sleep(0.2)  # let the link settle into its idle wait
+            start = time.monotonic()
+            for seed in (1, 2):
+                make_runner(
+                    "batch", n_groups=SHARD, seed=seed, n_jobs=0
+                ).run_streaming(shard_size=SHARD, workers=hub)
+            elapsed = time.monotonic() - start
+            stop.set()
+        finally:
+            hub.close()
+        assert elapsed < 2.5
+
+    def test_worker_counts_the_shards_of_a_session_the_coordinator_ended(self, hub):
+        """Regression: a session ends when the coordinator hangs up, which
+        raised out of the session loop and lost its count, so ``repro
+        worker`` reported ``done (0 shards simulated)``."""
+        holder = {}
+        worker = threading.Thread(
+            target=lambda: holder.setdefault(
+                "shards", run_worker(hub.address, max_reconnects=0)
+            ),
+            daemon=True,
+        )
+        worker.start()
+        assert hub.wait_for_workers(1, timeout=15.0)
+        distributed = make_runner("batch", n_jobs=0).run_streaming(
+            shard_size=SHARD, workers=hub
+        )
+        hub.close()
+        worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        assert distributed.shards_run == 5
+        assert holder["shards"] == 5
+
+    def test_hello_from_another_protocol_version_is_refused(self, hub):
+        """A worker speaking another protocol version — here protocol 1,
+        whose tasks were single shards — is disconnected at its
+        ``hello``: the hub sends it nothing, not even ``init``, and never
+        counts it as a worker."""
+        assert PROTOCOL_VERSION != 1
+        sock = socket.create_connection((hub.host, hub.port), timeout=10.0)
+        try:
+            reader = FrameReader(sock)
+            send_frame(
+                sock, threading.Lock(), {"t": "hello", "v": 1, "host": "old", "pid": 1}
+            )
+            with pytest.raises(ConnectionError, match="closed"):
+                reader.read(timeout=15.0)
+        finally:
+            sock.close()
+        assert hub.n_workers() == 0
+
 
 class TestNJobsZero:
     """``n_jobs=0`` means "no local shard pool" and is only meaningful
@@ -489,9 +721,29 @@ class TestLoopbackSubprocesses:
     """The CI acceptance shape: two real ``repro worker`` OS processes
     dialed into a loopback hub, run digest == serial golden digest."""
 
-    def test_distributed_digest_matches_serial_golden(self, hub):
+    def test_distributed_digest_matches_serial_golden(self, hub, monkeypatch):
         import repro
 
+        # Two connected workers split the five shards into runs of 3 and
+        # 2.  Each link holds its first claimed run at a two-party
+        # barrier, so both links hold a run before either worker can
+        # finish one and claim the other: both workers commit shards.
+        # Claims run in this process's hub threads.
+        barrier = threading.Barrier(2)
+        first_claims = set()
+        claim = DistributedShardExecutor.claim
+
+        def claim_in_step(self, claimant, *args, **kwargs):
+            run = claim(self, claimant, *args, **kwargs)
+            if run is not None and claimant not in first_claims:
+                first_claims.add(claimant)
+                try:
+                    barrier.wait(timeout=60.0)
+                except threading.BrokenBarrierError:
+                    pass  # the worker count below reports it
+            return run
+
+        monkeypatch.setattr(DistributedShardExecutor, "claim", claim_in_step)
         serial = make_runner("batch").run_streaming(shard_size=SHARD)
         golden = hashlib.sha256(canonical(serial).encode()).hexdigest()
 
@@ -559,7 +811,9 @@ def _slow_init_worker(address, delay, stop):
     epoch = -1
     try:
         send_frame(
-            sock, lock, {"t": "hello", "v": 1, "host": "slow", "pid": os.getpid()}
+            sock,
+            lock,
+            {"t": "hello", "v": PROTOCOL_VERSION, "host": "slow", "pid": os.getpid()},
         )
         while not stop.is_set():
             try:
@@ -580,23 +834,20 @@ def _slow_init_worker(address, delay, stop):
                 root_state = message["root_state"]
                 send_frame(sock, lock, {"t": "init_ok", "epoch": epoch})
             elif kind == "task":
-                task = ShardTask(
-                    index=message["index"],
-                    group_offset=message["group_offset"],
-                    n_groups=message["n_groups"],
-                )
-                chronologies = simulate_shard(config, root_state, engine, task)
-                send_frame(
-                    sock,
-                    lock,
-                    {
-                        "t": "result",
-                        "epoch": epoch,
-                        "index": task.index,
-                        "wall_seconds": 0.0,
-                        "chronologies": [chronology_to_dict(c) for c in chronologies],
-                    },
-                )
+                run = [ShardTask(*shard) for shard in message["shards"]]
+                per_shard = simulate_shards(config, root_state, engine, run)
+                for task, chronologies, seconds in split_run(run, per_shard, 0.0):
+                    send_frame(
+                        sock,
+                        lock,
+                        {
+                            "t": "result",
+                            "epoch": epoch,
+                            "index": task.index,
+                            "wall_seconds": seconds,
+                            "columns": chronology_to_dict(chronologies),
+                        },
+                    )
     except OSError:
         pass
     finally:
@@ -610,7 +861,9 @@ def _die_after_first_task(address, died):
     lock = threading.Lock()
     reader = FrameReader(sock)
     try:
-        send_frame(sock, lock, {"t": "hello", "v": 1, "host": "chaos", "pid": 1})
+        send_frame(
+            sock, lock, {"t": "hello", "v": PROTOCOL_VERSION, "host": "chaos", "pid": 1}
+        )
         deadline = time.monotonic() + 15.0
         epoch = None
         while time.monotonic() < deadline:
@@ -624,7 +877,7 @@ def _die_after_first_task(address, died):
                 epoch = message["epoch"]
                 send_frame(sock, lock, {"t": "init_ok", "epoch": epoch})
             elif message.get("t") == "task":
-                return  # die with the shard claimed
+                return  # die with the run claimed
     finally:
         sock.close()
         died.set()
