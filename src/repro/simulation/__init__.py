@@ -21,9 +21,9 @@ time-to-scrub distributions — none of which needs to be exponential.
   statistics, convergence targets (:class:`Precision`), and progress
   observers for shard-by-shard runs (``MonteCarloRunner.run_streaming``);
 * :mod:`~repro.simulation.executor` — pipelined parallel shard
-  execution: a persistent spawn-context pool speculates shards ahead
-  while results commit strictly in shard order (bit-identical to
-  serial);
+  execution: a spawn-context pool, kept warm from run to run,
+  speculates shards ahead while results commit strictly in shard order
+  (bit-identical to serial);
 * :mod:`~repro.simulation.checkpoint` — JSON checkpoint/resume of
   streaming runs (bit-identical continuation);
 * :mod:`~repro.simulation.results` — cumulative DDF curves (the

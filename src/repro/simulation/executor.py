@@ -18,11 +18,21 @@ byte-identical as long as they are *committed* in order.
   is a single :func:`~repro.simulation.batch.simulate_groups_batch` call
   of up to :data:`~repro.simulation.monte_carlo.KERNEL_ROWS` rows (the
   in-process path groups shards the same way),
-* a persistent ``spawn``-context :class:`~concurrent.futures.ProcessPoolExecutor`
+* a ``spawn``-context :class:`~concurrent.futures.ProcessPoolExecutor`
   keeps up to ``n_jobs`` runs in flight ahead of the commit cursor, and
   submits the next run as soon as it takes a run's result — *before*
   that run is committed, so no worker idles while the consumer commits,
   checkpoints and notifies observers,
+* the pool outlives the run: this module keeps the process's idle pools
+  on a free list, a run leases one (or spawns one if none is idle) and
+  hands it back when it ends, so the runs after the first in a process
+  (a sweep, or ``repro serve --jobs N`` refining one fleet after
+  another) start on warm workers.  Each task carries its run's
+  constants (config, root seed state, engine), so nothing of one run
+  reaches the next; a pool serves one run at a time and comes back only
+  once every task its run left in it has finished; a broken pool never
+  comes back.  Workers see the environment of the moment their pool was
+  spawned,
 * the main process consumes results **in shard order**, one shard at a
   time, and folds them into the accumulator, so convergence stopping,
   checkpoints, and observers behave exactly as in a serial run,
@@ -48,6 +58,7 @@ worker loads only numpy and the simulator.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -151,19 +162,12 @@ def shard_plan(
 
 
 # ----------------------------------------------------------------------
-# Worker side.  The pool initializer pins the per-run constants once per
-# worker process; task submissions then carry only the (tiny) ShardTasks.
-_worker_config: Optional[RaidGroupConfig] = None
-_worker_root_state: Optional[dict] = None
-_worker_engine: str = "event"
+# Worker side.  Every pool task carries its run's constants, so a warm
+# worker serves one run after another and nothing of one reaches the next.
 
-
-def _init_shard_worker(config: RaidGroupConfig, root_state: dict, engine: str) -> None:
-    """Pool initializer: stash the run constants in the worker process."""
-    global _worker_config, _worker_root_state, _worker_engine
-    _worker_config = config
-    _worker_root_state = root_state
-    _worker_engine = engine
+#: The running pool task's (config, root seed state, engine), for
+#: :func:`_run_shard_task`; None between tasks.
+_task_constants: Optional[Tuple[RaidGroupConfig, dict, str]] = None
 
 
 def _child_seed(root_state: dict, index: int) -> np.random.SeedSequence:
@@ -255,10 +259,9 @@ def _run_shard_task(task: ShardTask) -> "Tuple[List[GroupChronology], float]":
     The body of a ``_shard_worker`` hook that only adds a failure to it;
     pool tasks otherwise run whole runs (:func:`_run_shard_run`).
     """
+    config, root_state, engine = _task_constants
     start = time.perf_counter()
-    chronologies = simulate_shard(
-        _worker_config, _worker_root_state, _worker_engine, task
-    )
+    chronologies = simulate_shard(config, root_state, engine, task)
     return chronologies, time.perf_counter() - start
 
 
@@ -267,7 +270,11 @@ ShardWorker = Callable[[ShardTask], "Tuple[List[GroupChronology], float]"]
 
 
 def _run_shard_run(
-    run: Sequence[ShardTask], worker: Optional[ShardWorker]
+    config: RaidGroupConfig,
+    root_state: dict,
+    engine: str,
+    run: Sequence[ShardTask],
+    worker: Optional[ShardWorker],
 ) -> "Tuple[List[List[GroupChronology]], float]":
     """Pool task: simulate a run of shards, timing the whole run.
 
@@ -275,14 +282,110 @@ def _run_shard_run(
     is injected: that is called once per shard, so a hook that kills its
     process loses the whole run.
     """
+    global _task_constants
     start = time.perf_counter()
     if worker is None:
-        per_shard = simulate_shards(
-            _worker_config, _worker_root_state, _worker_engine, run
-        )
+        per_shard = simulate_shards(config, root_state, engine, run)
     else:
-        per_shard = [worker(task)[0] for task in run]
+        _task_constants = (config, root_state, engine)
+        try:
+            per_shard = [worker(task)[0] for task in run]
+        finally:
+            _task_constants = None
     return per_shard, time.perf_counter() - start
+
+
+# ----------------------------------------------------------------------
+# Pool lifetime.
+class _WorkerPool(ProcessPoolExecutor):
+    """A spawn pool that knows its size and whether a worker died."""
+
+    def __init__(self, size: int) -> None:
+        super().__init__(max_workers=size, mp_context=get_context("spawn"))
+        self.size = size
+
+    @property
+    def broken(self) -> bool:
+        # Set by the pool's manager thread when a worker dies; there is
+        # no public accessor.
+        return bool(self._broken)
+
+
+class _WorkerPools:
+    """The process's spawn pools, each leased to one run at a time.
+
+    :meth:`take` leases an idle pool with at least the workers a run
+    needs, or spawns one; :meth:`give_back` ends the lease.  A pool
+    returns to the free list only once every task its run left in it has
+    finished, so it never serves two runs at once: a discarded task can
+    neither delay the next run's results nor charge it a retry by
+    killing its worker.  A broken pool never returns.  Spawning replaces
+    an idle smaller pool, so idle pools never outnumber the most pools
+    leased at once.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: List[_WorkerPool] = []  # most recently returned last
+
+    def take(self, n_jobs: int) -> Tuple[_WorkerPool, int]:
+        """A pool of at least ``n_jobs`` workers, and the processes its
+        lease spawned: ``n_jobs`` for a new pool, 0 for an idle one."""
+        with self._lock:
+            dropped = [pool for pool in self._idle if pool.broken]
+            live = [pool for pool in self._idle if not pool.broken]
+            fits = [pool for pool in live if pool.size >= n_jobs]
+            if fits:
+                taken: Optional[_WorkerPool] = fits[-1]
+            else:
+                # Every live idle pool is too small: the new pool
+                # replaces one of them.
+                taken = None
+                dropped += live[:1]
+            self._idle = [
+                pool for pool in live if pool is not taken and pool not in dropped
+            ]
+        for pool in dropped:
+            pool.shutdown(wait=False, cancel_futures=True)
+        if taken is not None:
+            return taken, 0
+        return _WorkerPool(n_jobs), n_jobs
+
+    def give_back(self, pool: _WorkerPool, in_flight: Iterable[Future]) -> None:
+        """End a run's lease: cancel its tasks that have not started, and
+        return the pool to the free list once the others have finished."""
+        if pool.broken:
+            pool.shutdown(wait=False, cancel_futures=True)
+            return
+        running = [f for f in in_flight if not f.cancel() and not f.done()]
+        left = len(running)
+
+        def finished(_future: Future) -> None:
+            # Runs on the pool's manager thread.  A pool broken by then is
+            # being torn down by that thread, so it is dropped, not shut
+            # down from inside it.
+            nonlocal left
+            with self._lock:
+                left -= 1
+                if left == 0 and not pool.broken:
+                    self._idle.append(pool)
+
+        if not running:
+            with self._lock:
+                self._idle.append(pool)
+        for future in running:
+            future.add_done_callback(finished)
+
+    def close(self) -> None:
+        """Shut down every idle pool and wait for its workers to exit."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for pool in idle:
+            pool.shutdown(wait=True)
+
+
+#: The free list every pooled run of this process leases from.
+_POOLS = _WorkerPools()
 
 
 # ----------------------------------------------------------------------
@@ -291,14 +394,17 @@ class PipelinedShardExecutor:
 
     :meth:`outcomes` yields one :class:`ShardOutcome` per planned shard,
     in plan order.  The plan is cut lazily into runs of consecutive
-    shards, one pool task each, and a persistent worker pool keeps up to
-    ``n_jobs`` runs in flight ahead of the consumer.  ``shards_per_run()``
-    gives each run's length when that run is submitted.  The next run is
-    submitted as soon as a run's result is taken, before its shards are
-    delivered, so past the shard the consumer stops at at most the rest
-    of its run and ``n_jobs`` more runs are simulated.  Closing the
-    generator (e.g. breaking out of the loop once a precision target
-    converges) cancels and discards everything still in flight.
+    shards, one pool task each, and a pool leased from the process's
+    free list keeps up to ``n_jobs`` runs in flight ahead of the
+    consumer.  ``shards_per_run()`` gives each run's length when that
+    run is submitted.  The next run is submitted as soon as a run's
+    result is taken, before its shards are delivered, so past the shard
+    the consumer stops at at most the rest of its run and ``n_jobs``
+    more runs are simulated.  Closing the generator (e.g. breaking out
+    of the loop once a precision target converges) cancels and discards
+    everything still in flight.  ``workers_started`` counts the worker
+    processes the run spawned: ``n_jobs`` for each pool it could not
+    lease idle (on a cold start, and after each break).
     """
 
     def __init__(
@@ -323,39 +429,38 @@ class PipelinedShardExecutor:
         self.shards_per_run = shards_per_run
         self.max_retries = max_retries
         self.pool_breaks = 0
+        self.workers_started = 0
         self._worker = worker
         self._pool: Optional[ProcessPoolExecutor] = None
         self._done_at: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.n_jobs,
-            mp_context=get_context("spawn"),
-            initializer=_init_shard_worker,
-            initargs=(self.config, self.root_state, self.engine),
-        )
+    def _take_pool(self) -> ProcessPoolExecutor:
+        """Lease a pool for this run from the process's free list."""
+        pool, started = _POOLS.take(self.n_jobs)
+        self.workers_started += started
+        return pool
+
+    def _give_back_pool(self, in_flight: Iterable[Future]) -> None:
+        """End this run's lease, discarding the runs still in flight."""
+        _POOLS.give_back(self._pool, in_flight)
 
     def _submit_run(self, number: int, run: Tuple[ShardTask, ...]) -> Future:
         """Hand run ``number`` of the plan to the pool."""
         assert self._pool is not None
-        future = self._pool.submit(_run_shard_run, run, self._worker)
+        future = self._pool.submit(
+            _run_shard_run, self.config, self.root_state, self.engine, run, self._worker
+        )
         future.add_done_callback(
             lambda _f: self._done_at.setdefault(number, time.perf_counter())
         )
         return future
 
-    def close(self) -> None:
-        """Tear down the pool, discarding anything still in flight."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
     # ------------------------------------------------------------------
     def outcomes(self, plan: Iterable[ShardTask]) -> Iterator[ShardOutcome]:
         """Yield every planned shard's outcome, in order.
 
-        The pool is created on first use and torn down when the plan is
+        The pool is leased on first use and given back when the plan is
         exhausted, the consumer closes the generator, or an error
         escapes.
         """
@@ -365,7 +470,7 @@ class PipelinedShardExecutor:
         runs: List[Tuple[ShardTask, ...]] = []  # every run cut so far, in order
         pending: Dict[int, Future] = {}
         retries: Dict[int, int] = {}
-        self._pool = self._make_pool()
+        self._pool = self._take_pool()
         try:
             cut = self._top_up(tasks, runs, pending, retries, 0)
             number = 0
@@ -402,7 +507,8 @@ class PipelinedShardExecutor:
                     )
                 number += 1
         finally:
-            self.close()
+            self._give_back_pool(pending.values())
+            self._pool = None
 
     def _top_up(
         self,
@@ -442,14 +548,15 @@ class PipelinedShardExecutor:
         pending: Dict[int, Future],
         retries: Dict[int, int],
     ) -> None:
-        """Rebuild the pool after a worker death and resubmit lost runs.
+        """Replace the pool after a worker death and resubmit lost runs.
 
         A pool break kills every worker process, so any in-flight run
         without a completed result is lost and must be reseeded from its
         shard indices; results that finished before the break are kept
         as-is.  Each lost run — every shard in it — is charged one retry;
         a run that keeps killing its workers exhausts ``max_retries`` and
-        fails the run.
+        fails the run.  The broken pool is shut down, never handed back,
+        and the replacement is leased like the first pool.
 
         The resubmission itself can hit a *second* break (the freshly
         rebuilt pool dying before the first resubmit lands), so the
@@ -474,7 +581,7 @@ class PipelinedShardExecutor:
                 self._done_at.pop(number, None)
             assert self._pool is not None
             self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = self._make_pool()
+            self._pool = self._take_pool()
             try:
                 for number in sorted(lost):
                     pending[number] = self._submit_run(number, runs[number])

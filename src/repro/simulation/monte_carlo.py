@@ -123,6 +123,7 @@ class _ExecutorStats:
     queue_depth_max: int = 0
     retries_total: int = 0
     pool_breaks: int = 0
+    workers_started: int = 0
     last_queue_depth: int = 0
     workers: Dict[str, Dict[str, float]] = dataclasses.field(default_factory=dict)
 
@@ -175,6 +176,9 @@ class _ExecutorStats:
             "discarded_in_flight": self.last_queue_depth,
             "shard_retries": self.retries_total,
             "pool_breaks": self.pool_breaks,
+            # Worker processes this run spawned: 0 when it leased an idle
+            # pool, n_jobs for each pool it had to start.
+            "workers_started": self.workers_started,
             # Per-worker breakdown (one "local" row for in-process work;
             # one host:pid row per remote worker that committed shards).
             "workers": {
@@ -324,7 +328,8 @@ class MonteCarloRunner:
 
         With ``n_jobs > 1`` the shards are executed by a
         :class:`~repro.simulation.executor.PipelinedShardExecutor`: a
-        persistent ``spawn``-context worker pool speculatively simulates
+        ``spawn``-context worker pool, leased from the process's idle
+        pools (a later run reuses its workers), speculatively simulates
         up to ``n_jobs`` runs of consecutive shards ahead (each shard's
         streams are a pure function of its index) while this process
         commits results strictly in shard order — so parallel runs are
@@ -591,6 +596,7 @@ class MonteCarloRunner:
                 hub.close()
         if executor is not None:
             stats.pool_breaks = executor.pool_breaks
+            stats.workers_started = executor.workers_started
 
         streaming = StreamingResult(
             accumulator=accumulator,

@@ -86,7 +86,7 @@ import struct
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from operator import attrgetter
 from typing import (
@@ -105,6 +105,7 @@ from typing import (
 from ..exceptions import SimulationError
 from .config import RaidGroupConfig
 from .executor import (
+    _POOLS,
     DEFAULT_MAX_SHARD_RETRIES,
     ShardOutcome,
     ShardTask,
@@ -613,6 +614,13 @@ class RemoteWorkerHub:
 
     def close(self) -> None:
         self._closed.set()
+        # Closing a listening socket does not wake a thread blocked in its
+        # accept(); shutting it down does, so close() need not wait out
+        # the accept loop's poll timeout.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
@@ -915,6 +923,7 @@ class DistributedShardExecutor:
         self.shards_per_run = shards_per_run
         self.max_retries = max_retries
         self.pool_breaks = 0
+        self.workers_started = 0
         self._worker = worker
         self._cond = threading.Condition()
         self._queue: List[int] = []  # heap of unclaimed shard indices
@@ -1070,32 +1079,20 @@ class DistributedShardExecutor:
                 local_thread.join(timeout=30.0)
 
     # ------------------------------------------------------------------
-    def _make_pool(self):
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        from .executor import _init_shard_worker
-
-        return ProcessPoolExecutor(
-            max_workers=self.n_jobs,
-            mp_context=get_context("spawn"),
-            initializer=_init_shard_worker,
-            initargs=(self.config, self.root_state, self.engine),
-        )
-
     def _local_loop(self) -> None:
-        """Feed the local process pool runs from the shared queue.
+        """Feed a local pool, leased like the pipelined pool's, runs from
+        the shared queue.
 
         Each claimed run is one pool task (the pipelined pool's
         ``_run_shard_run``).  A ``BrokenProcessPool``, at submit or at a
         result, abandons every unfinished local run back to the queue,
-        charging each of its shards one retry, and rebuilds the pool.
+        charging each of its shards one retry, and replaces the pool.
         Runs still out when the session stops accepting are discarded.
         """
         pool = None
         futures: Dict[Future, Tuple[ShardTask, ...]] = {}
         try:
-            pool = self._make_pool()
+            pool = self._take_pool()
             while self.accepting():
                 broke = False
                 while len(futures) < self.n_jobs:
@@ -1103,11 +1100,19 @@ class DistributedShardExecutor:
                     if run is None:
                         break
                     try:
-                        futures[pool.submit(_run_shard_run, run, self._worker)] = run
+                        future = pool.submit(
+                            _run_shard_run,
+                            self.config,
+                            self.root_state,
+                            self.engine,
+                            run,
+                            self._worker,
+                        )
                     except BrokenProcessPool:
                         self.abandon(run, "local pool broke at submit")
                         broke = True
                         break
+                    futures[future] = run
                 if not futures and not broke:
                     with self._cond:
                         if not self._queue:
@@ -1133,12 +1138,18 @@ class DistributedShardExecutor:
                         else:
                             self.abandon(run, "local pool broke")
                     pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._make_pool()
+                    pool = self._take_pool()
         except Exception as exc:
             self.fail(exc)
         finally:
             if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                _POOLS.give_back(pool, futures)
+
+    def _take_pool(self) -> ProcessPoolExecutor:
+        """Lease the local pool from the process's free list."""
+        pool, started = _POOLS.take(self.n_jobs)
+        self.workers_started += started
+        return pool
 
     def _harvest(self, future: Future, run: Tuple[ShardTask, ...]) -> None:
         """Publish a finished local run's shards, each with its share of

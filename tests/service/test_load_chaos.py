@@ -13,6 +13,7 @@ Three fault axes, all deterministic under the fixed service seed:
   driven the way ``benchmarks/bench_serve.py`` drives it nightly.
 """
 
+import functools
 import json
 import os
 import random
@@ -32,17 +33,15 @@ from repro.validation import config_to_dict
 SHARD = 32
 SEED = 20_260_808
 
-#: Crash bookkeeping shared with spawned worker processes via the
-#: environment (the pattern tests/simulation/test_parallel_streaming.py
-#: established): a directory counts attempts, an index picks the victim.
-CRASH_DIR_ENV = "REPRO_SERVE_CRASH_DIR"
-CRASH_INDEX_ENV = "REPRO_SERVE_CRASH_INDEX"
 
+def crash_once_worker(crash_dir, victim, task):
+    """Kill the worker process on shard ``victim``'s first attempt.
 
-def crash_once_worker(task):
-    """Kill the worker process on the victim shard's first attempt."""
-    if task.index == int(os.environ.get(CRASH_INDEX_ENV, "1")):
-        crash_dir = os.environ[CRASH_DIR_ENV]
+    ``crash_dir`` counts attempts across worker processes.  Bind both
+    with :func:`functools.partial`: a warm pool's workers were spawned
+    before the test, so they never see environment variables it sets.
+    """
+    if task.index == victim:
         attempts = len(os.listdir(crash_dir))
         if attempts < 1:
             open(os.path.join(crash_dir, f"attempt{attempts}"), "w").close()
@@ -101,15 +100,16 @@ class TestWorkerKills:
         with ServiceThread(make_service(n_jobs=2)) as h:
             return requests.post(h.url("/query"), json=query).json()
 
-    def test_kill_during_cold_refinement(self, tmp_path, monkeypatch):
+    def test_kill_during_cold_refinement(self, tmp_path):
         crash_dir = tmp_path / "crashes"
         crash_dir.mkdir()
-        monkeypatch.setenv(CRASH_DIR_ENV, str(crash_dir))
-        monkeypatch.setenv(CRASH_INDEX_ENV, "1")
         query = mc_query(mc_config(), max_groups=4 * SHARD)
         reference = self.reference_answer(query)
 
-        service = make_service(n_jobs=2, shard_worker=crash_once_worker)
+        service = make_service(
+            n_jobs=2,
+            shard_worker=functools.partial(crash_once_worker, str(crash_dir), 1),
+        )
         with ServiceThread(service) as h:
             survived = requests.post(h.url("/query"), json=query).json()
             stats = requests.get(h.url("/stats")).json()
@@ -121,19 +121,21 @@ class TestWorkerKills:
         assert stats["jobs"]["simulations_failed"] == 0
         assert len(os.listdir(crash_dir)) == 1  # crashed exactly once
 
-    def test_kill_mid_extension(self, tmp_path, monkeypatch):
+    def test_kill_mid_extension(self, tmp_path):
         """The worker dies on a shard only the cache *extension* runs;
         the extension still lands bit-identical to an unkilled cold run
         of the full fleet."""
         crash_dir = tmp_path / "crashes"
         crash_dir.mkdir()
-        monkeypatch.setenv(CRASH_DIR_ENV, str(crash_dir))
-        monkeypatch.setenv(CRASH_INDEX_ENV, "3")  # shard 3 of 0..5: extension-only
         cold = mc_query(mc_config(), max_groups=2 * SHARD)  # shards 0..1
         upgrade = mc_query(mc_config(), max_groups=6 * SHARD)  # extends 2..5
         reference = self.reference_answer(upgrade)
 
-        service = make_service(n_jobs=2, shard_worker=crash_once_worker)
+        # Shard 3 of 0..5: only the extension runs it.
+        service = make_service(
+            n_jobs=2,
+            shard_worker=functools.partial(crash_once_worker, str(crash_dir), 3),
+        )
         with ServiceThread(service) as h:
             first = requests.post(h.url("/query"), json=cold).json()
             assert first["source"] == "simulated"
@@ -213,15 +215,17 @@ class TestBurstyStorm:
         assert by_source["cache"]["count"] >= 20
 
     @pytest.mark.slow
-    def test_sustained_storm_with_worker_kills(self, tmp_path, monkeypatch):
+    def test_sustained_storm_with_worker_kills(self, tmp_path):
         """The nightly shape: hundreds of mixed queries across several
         waves with a worker kill injected mid-run; no errors, ledgers
         balance, all Monte Carlo work coalesces."""
         crash_dir = tmp_path / "crashes"
         crash_dir.mkdir()
-        monkeypatch.setenv(CRASH_DIR_ENV, str(crash_dir))
-        monkeypatch.setenv(CRASH_INDEX_ENV, "2")
-        service = make_service(n_jobs=2, shard_worker=crash_once_worker, max_workers=3)
+        service = make_service(
+            n_jobs=2,
+            shard_worker=functools.partial(crash_once_worker, str(crash_dir), 2),
+            max_workers=3,
+        )
         solver_payloads = [
             {
                 "config": config_to_dict(

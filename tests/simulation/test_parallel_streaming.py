@@ -8,8 +8,12 @@ crashes (a lost run of shards is reseeded from its indices and retried) —
 however the plan is cut into runs of shards.
 """
 
+import functools
 import json
 import os
+import subprocess
+import sys
+import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -17,9 +21,11 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import SimulationError
 from repro.simulation import Precision, RaidGroupConfig
 from repro.simulation.executor import (
+    _POOLS,
     PipelinedShardExecutor,
     ShardTask,
     _child_seed,
@@ -40,16 +46,17 @@ from .test_batch_kernel import without_clock
 SHARD = 32
 N_GROUPS = 160
 
-#: Directory used by the crash-injection workers to count attempts across
-#: worker processes (spawn children inherit the parent's environment).
-CRASH_DIR_ENV = "REPRO_TEST_CRASH_DIR"
 CRASH_SHARD = 1
 
 
-def crash_once_worker(task):
-    """Kill the worker on shard CRASH_SHARD's first attempt, then succeed."""
+def crash_once_worker(crash_dir, task):
+    """Kill the worker on shard CRASH_SHARD's first attempt, then succeed.
+
+    ``crash_dir`` counts attempts across worker processes.  Bind it with
+    :func:`functools.partial`: a warm pool's workers were spawned before
+    the test, so they never see environment variables it sets.
+    """
     if task.index == CRASH_SHARD:
-        crash_dir = os.environ[CRASH_DIR_ENV]
         attempts = len(os.listdir(crash_dir))
         if attempts < 1:
             open(os.path.join(crash_dir, f"attempt{attempts}"), "w").close()
@@ -255,20 +262,19 @@ class TestParallelDeterminism:
 
 
 class TestWorkerFaultTolerance:
-    def test_crashed_shard_is_reseeded_and_retried(self, tmp_path, monkeypatch):
+    def test_crashed_shard_is_reseeded_and_retried(self, tmp_path):
         """The hook kills the worker at shard 1, the middle of the first
         pool run (shards 0-2): the whole run is lost, reseeded and
         re-run once, so every shard of it shows one retry."""
         crash_dir = tmp_path / "crashes"
         crash_dir.mkdir()
-        monkeypatch.setenv(CRASH_DIR_ENV, str(crash_dir))
         assert _shards_per_run("batch", SHARD, N_GROUPS // SHARD, 2) == 3
         reference = canonical(make_runner("batch").run_streaming(shard_size=SHARD))
         events = []
         streaming = make_runner("batch", n_jobs=2).run_streaming(
             shard_size=SHARD,
             observers=(events.append,),
-            _shard_worker=crash_once_worker,
+            _shard_worker=functools.partial(crash_once_worker, str(crash_dir)),
         )
         assert canonical(streaming) == reference
         assert streaming.executor_stats["pool_breaks"] == 1
@@ -463,8 +469,11 @@ class _ScriptedBreakExecutor(PipelinedShardExecutor):
         self._run_seconds = run_seconds
         self._attempts = {}
 
-    def _make_pool(self):
+    def _take_pool(self):
         return _FakePool()
+
+    def _give_back_pool(self, in_flight):
+        pass
 
     def _submit_run(self, number, run):
         attempt = self._attempts.get(number, 0)
@@ -483,3 +492,143 @@ class _ScriptedBreakExecutor(PipelinedShardExecutor):
                 seconds = time.perf_counter() - start
             future.set_result((per_shard, seconds))
         return future
+
+
+def sleepy_worker(after, seconds, task):
+    """Take ``seconds`` longer over every shard past shard ``after``."""
+    if task.index > after:
+        time.sleep(seconds)
+    return _run_shard_task(task)
+
+
+@pytest.fixture
+def cold_pools():
+    """No idle pool to lease: earlier tests leave theirs on the free list."""
+    _POOLS.close()
+    yield
+    _POOLS.close()
+
+
+class TestWarmPool:
+    """A run leases an idle pool from the process's free list, and gives
+    it back when it ends, without any run seeing another's workers fail
+    or another's results."""
+
+    def test_second_run_starts_no_worker(self, cold_pools):
+        reference = canonical(make_runner("batch").run_streaming(shard_size=SHARD))
+        runs = [
+            make_runner("batch", n_jobs=2).run_streaming(shard_size=SHARD)
+            for _ in range(2)
+        ]
+        assert [run.executor_stats["workers_started"] for run in runs] == [2, 0]
+        manifests = [run.to_manifest()["executor"] for run in runs]
+        assert [manifest["workers_started"] for manifest in manifests] == [2, 0]
+        assert [canonical(run) for run in runs] == [reference, reference]
+
+    def test_worker_death_charges_only_the_run_that_leased_the_pool(self, tmp_path):
+        """Two runs at once hold two pools: the one whose hook kills a
+        worker recovers, and the other never sees the break."""
+        crash_dir = tmp_path / "crashes"
+        crash_dir.mkdir()
+        reference = canonical(make_runner("batch").run_streaming(shard_size=SHARD))
+        both_running = threading.Barrier(2, timeout=120)
+        results = {}
+
+        def meet(event):
+            # Each run waits at its first commit for the other's, so both
+            # hold a pool at once.
+            if event.shards_completed == 1:
+                both_running.wait()
+
+        def run(name, worker):
+            results[name] = make_runner("batch", n_jobs=2).run_streaming(
+                shard_size=SHARD, observers=(meet,), _shard_worker=worker
+            )
+
+        threads = [
+            threading.Thread(target=run, args=("clean", None)),
+            threading.Thread(
+                target=run,
+                args=("crashed", functools.partial(crash_once_worker, str(crash_dir))),
+            ),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert not any(thread.is_alive() for thread in threads)
+        clean, crashed = results["clean"], results["crashed"]
+        assert clean.executor_stats["shard_retries"] == 0
+        assert clean.executor_stats["pool_breaks"] == 0
+        assert crashed.executor_stats["pool_breaks"] == 1
+        assert crashed.executor_stats["shard_retries"] >= 3
+        assert canonical(clean) == canonical(crashed) == reference
+        assert len(os.listdir(crash_dir)) == 1
+
+    def test_worker_killed_while_its_pool_is_idle(self, cold_pools):
+        """The next run leases a fresh pool instead of the broken one,
+        and is charged neither a retry nor a break."""
+        reference = canonical(make_runner("batch").run_streaming(shard_size=SHARD))
+        make_runner("batch", n_jobs=2).run_streaming(shard_size=SHARD)
+        [pool] = _POOLS._idle
+        next(iter(pool._processes.values())).kill()
+        deadline = time.monotonic() + 60
+        while not pool.broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool.broken
+        after = make_runner("batch", n_jobs=2).run_streaming(shard_size=SHARD)
+        assert canonical(after) == reference
+        assert after.executor_stats["shard_retries"] == 0
+        assert after.executor_stats["pool_breaks"] == 0
+        assert after.executor_stats["workers_started"] == 2
+        assert all(idle is not pool for idle in _POOLS._idle)
+
+    def test_fixed_run_after_a_precision_run_that_stopped_early(self, cold_pools):
+        """The precision run stops with slow runs still in its pool; the
+        pool comes back only when they end, so the next run meanwhile
+        starts its own, and each run gets its own results."""
+        until = Precision(rel_ci_width=2.0, min_groups=64)
+        serial = make_runner("batch", n_groups=512, seed=5).run_streaming(
+            until=until, shard_size=64
+        )
+        stopped = make_runner("batch", n_groups=512, seed=5, n_jobs=2).run_streaming(
+            until=until,
+            shard_size=64,
+            _shard_worker=functools.partial(sleepy_worker, serial.shards_run - 1, 1.0),
+        )
+        assert stopped.executor_stats["discarded_in_flight"] > 0
+        assert canonical(stopped) == canonical(serial)
+        fixed = make_runner("batch", n_jobs=2).run_streaming(shard_size=SHARD)
+        assert fixed.executor_stats["workers_started"] == 2
+        assert canonical(fixed) == canonical(make_runner("batch").run_streaming(shard_size=SHARD))
+
+    def test_fresh_interpreter_exits_cleanly_after_a_pooled_run(self):
+        """The idle pool left at exit shuts down with the interpreter,
+        promptly and without a warning under development mode."""
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import time\n"
+            "from repro.simulation import RaidGroupConfig\n"
+            "from repro.simulation.monte_carlo import MonteCarloRunner\n"
+            "config = RaidGroupConfig.paper_base_case(mission_hours=8760.0)\n"
+            "runner = MonteCarloRunner(config, n_groups=160, seed=11, n_jobs=2, "
+            "engine='batch')\n"
+            "stats = runner.run_streaming(shard_size=32).executor_stats\n"
+            "assert stats['workers_started'] == 2, stats\n"
+            "print(time.time())\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        exited_at = time.time()
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert exited_at - float(result.stdout) < 5.0

@@ -10,6 +10,7 @@ retried, charged against ``max_retries`` exactly like a local pool
 break).
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -48,7 +49,7 @@ from repro.simulation.remote import (
 )
 
 from .goldens import chronology_fingerprint, golden_batch_cases
-from .test_parallel_streaming import CRASH_DIR_ENV, crash_once_worker
+from .test_parallel_streaming import crash_once_worker
 
 SHARD = 32
 N_GROUPS = 160
@@ -426,7 +427,7 @@ class TestChaos:
         assert canonical(distributed) == reference
         assert distributed.executor_stats["shard_retries"] >= 1
 
-    def test_local_pool_break_is_recovered(self, tmp_path, monkeypatch):
+    def test_local_pool_break_is_recovered(self, tmp_path):
         """The distributed executor's local pool recovers a dead worker
         like the pipelined pool does.  With nobody dialed in, the two
         local jobs take runs of 3 and 2 shards; the hook kills its worker
@@ -434,14 +435,13 @@ class TestChaos:
         and every shard of it shows one retry."""
         crash_dir = tmp_path / "crashes"
         crash_dir.mkdir()
-        monkeypatch.setenv(CRASH_DIR_ENV, str(crash_dir))
         reference = canonical(make_runner("batch").run_streaming(shard_size=SHARD))
         events = []
         distributed = make_runner("batch", n_jobs=2).run_streaming(
             shard_size=SHARD,
             workers="127.0.0.1:0",
             observers=(events.append,),
-            _shard_worker=crash_once_worker,
+            _shard_worker=functools.partial(crash_once_worker, str(crash_dir)),
         )
         assert canonical(distributed) == reference
         assert distributed.executor_stats["mode"] == "distributed"
@@ -662,6 +662,19 @@ class TestWorkerRobustness:
         finally:
             hub.close()
         assert elapsed < 2.5
+
+    def test_close_does_not_wait_out_the_accept_poll(self, monkeypatch):
+        """Regression: closing the listening socket did not wake the
+        accept thread, so ``close()`` waited for its accept() to time
+        out, one poll quantum.  With the quantum stretched to 5 s, it
+        must return at once."""
+        monkeypatch.setattr(remote_module, "_POLL_SECONDS", 5.0)
+        hub = RemoteWorkerHub()
+        time.sleep(0.2)  # let the accept thread block in accept()
+        start = time.monotonic()
+        hub.close()
+        assert time.monotonic() - start < 1.0
+        assert not hub._accept_thread.is_alive()
 
     def test_worker_counts_the_shards_of_a_session_the_coordinator_ended(self, hub):
         """Regression: a session ends when the coordinator hangs up, which
