@@ -28,7 +28,9 @@ Lookup semantics for a query at precision ``P``:
     Nothing cached — simulate cold.
 
 Entries are keyed by the **canonical config fingerprint**
-(:func:`repro.validation.fingerprint`) and the query horizon; the
+(:func:`repro.validation.fingerprint`), the query horizon and the run's
+resume coordinates (resolved engine, seed, shard size), so a lookup
+never offers a checkpoint its run would refuse to resume; the
 precision axis of the conceptual ``(fingerprint, horizon, precision)``
 key is resolved by the achieved-width comparison above, which is what
 makes entries mergeable rather than duplicated per precision level.
@@ -67,22 +69,31 @@ DEFAULT_MAX_ENTRIES = 1024
 
 @dataclasses.dataclass(frozen=True)
 class CacheKey:
-    """Identity of one cacheable query: which design, over which window.
+    """Identity of one cacheable query: which design, over which window,
+    resumable under which coordinates.
 
     ``fingerprint`` is the canonical config fingerprint
     (:func:`repro.validation.fingerprint`); ``horizon_hours`` is part of
     the key because the accumulator's data-loss time grid is a pure
     function of the horizon and accumulators over different grids do not
-    merge.
+    merge.  ``engine`` (resolved, never ``"auto"``), ``seed`` and
+    ``shard_size`` are the coordinates
+    :meth:`~repro.simulation.checkpoint.RunCheckpoint.validate_against`
+    checks before a run resumes a checkpoint, so a service restarted
+    with another engine, seed or shard size keeps entries of its own.
     """
 
     fingerprint: str
     horizon_hours: float
+    engine: str
+    seed: Optional[int]
+    shard_size: int
 
     def filename(self) -> str:
         """Stable on-disk name for this key's persisted checkpoint."""
         digest = hashlib.sha256(
-            f"{self.fingerprint}:{self.horizon_hours!r}".encode("utf-8")
+            f"{self.fingerprint}:{self.horizon_hours!r}:{self.engine}:"
+            f"{self.seed!r}:{self.shard_size}".encode("utf-8")
         ).hexdigest()
         return f"cache-{digest[:32]}.json"
 
@@ -341,6 +352,17 @@ class ResultCache:
                 path,
                 str(envelope.get("key_fingerprint"))[:12],
                 key.fingerprint[:12],
+            )
+            return None
+        coordinates = (checkpoint.engine, checkpoint.seed, checkpoint.shard_size)
+        if coordinates != (key.engine, key.seed, key.shard_size):
+            with self._lock:
+                self.integrity_rejections += 1
+            logger.warning(
+                "rejecting cache entry %s: its (engine, seed, shard_size) %r "
+                "are not its cache key's (file moved or hand-edited)",
+                path,
+                coordinates,
             )
             return None
         entry = CacheEntry(

@@ -94,10 +94,6 @@ class QuerySpec:
     precision: Precision
 
     @property
-    def cache_key(self) -> CacheKey:
-        return CacheKey(fingerprint=self.fingerprint, horizon_hours=self.horizon_hours)
-
-    @property
     def job_key(self) -> Tuple[str, float, float, float, Optional[int], int]:
         """Identity of the simulation this query needs; equal keys coalesce."""
         p = self.precision
@@ -266,6 +262,27 @@ class JobManager:
         return job, False
 
     # ------------------------------------------------------------------
+    def _runner(self, spec: QuerySpec) -> MonteCarloRunner:
+        """The runner this manager refines ``spec`` with."""
+        return MonteCarloRunner(
+            spec.config,
+            n_groups=spec.precision.max_groups or self.max_groups,
+            seed=derive_seed(self.seed, spec.fingerprint),
+            n_jobs=self.n_jobs,
+            engine=self.engine,
+        )
+
+    def cache_key(self, spec: QuerySpec) -> CacheKey:
+        """``spec``'s cache key under this manager's resume coordinates."""
+        runner = self._runner(spec)
+        return CacheKey(
+            spec.fingerprint,
+            spec.horizon_hours,
+            runner.resolve_engine(),
+            runner.seed,
+            self.shard_size,
+        )
+
     def run_simulation(
         self,
         spec: QuerySpec,
@@ -280,14 +297,7 @@ class JobManager:
         running to ``m`` total shards is bit-identical to a cold
         ``m``-shard run.
         """
-        runner = MonteCarloRunner(
-            spec.config,
-            n_groups=spec.precision.max_groups or self.max_groups,
-            seed=derive_seed(self.seed, spec.fingerprint),
-            n_jobs=self.n_jobs,
-            engine=self.engine,
-        )
-        return runner.run_streaming(
+        return self._runner(spec).run_streaming(
             until=spec.precision,
             resume_from=resume_checkpoint,
             observers=tuple(observers) + self._extra_observers,
@@ -314,7 +324,7 @@ class JobManager:
             elapsed_seconds=streaming.elapsed_seconds,
         )
         return CacheEntry(
-            key=spec.cache_key,
+            key=self.cache_key(spec),
             checkpoint=checkpoint,
             confidence=spec.precision.confidence,
             achieved_rel_ci_width=streaming.accumulator.relative_ci_width(

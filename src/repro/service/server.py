@@ -229,7 +229,9 @@ class ReliabilityService:
         )
 
         disposition, entry = self.cache.lookup(
-            spec.cache_key, precision, expected_run_fingerprint=config_fingerprint(config)
+            self.jobs.cache_key(spec),
+            precision,
+            expected_run_fingerprint=config_fingerprint(config),
         )
         if disposition in ("hit", "hit_rescaled"):
             assert entry is not None

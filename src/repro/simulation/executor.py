@@ -1,4 +1,4 @@
-"""Pipelined parallel shard execution for streaming fleet runs.
+"""Pipelined shard execution for streaming fleet runs, local and remote.
 
 ``MonteCarloRunner.run_streaming`` advances a fleet in seeded shards and
 commits each shard's chronologies into a
@@ -13,16 +13,22 @@ byte-identical as long as they are *committed* in order.
 
 :class:`PipelinedShardExecutor` exploits exactly that split:
 
-* the plan is cut into *runs* of consecutive shards, each sized when it
-  is submitted; each pool task advances one run, and a batch-engine run
-  is a single :func:`~repro.simulation.batch.simulate_groups_batch` call
-  of up to :data:`~repro.simulation.monte_carlo.KERNEL_ROWS` rows (the
-  in-process path groups shards the same way),
-* a ``spawn``-context :class:`~concurrent.futures.ProcessPoolExecutor`
-  keeps up to ``n_jobs`` runs in flight ahead of the commit cursor, and
-  submits the next run as soon as it takes a run's result — *before*
-  that run is committed, so no worker idles while the consumer commits,
-  checkpoints and notifies observers,
+* the plan's shards wait in one queue, from which every *claimant* takes
+  runs of consecutive shards, each sized when it is claimed; a
+  batch-engine run is a single
+  :func:`~repro.simulation.batch.simulate_groups_batch` call of up to
+  :data:`~repro.simulation.monte_carlo.KERNEL_ROWS` rows (the in-process
+  path groups shards the same way),
+* the claimants are a ``spawn``-context
+  :class:`~concurrent.futures.ProcessPoolExecutor` of ``n_jobs`` workers
+  and, for a distributed run, the links of a
+  :class:`~repro.simulation.remote.RemoteWorkerHub`.  The consumer drives
+  the pool from its own thread: it keeps up to ``n_jobs`` runs ahead of
+  the commit cursor and claims the next run as soon as it reaches one —
+  *before* delivering it, so no worker idles while the consumer commits,
+  checkpoints and notifies observers.  Finished runs that wait on a
+  link's shard do not count, so a slow link never idles the pool.  A
+  finished run's done-callback publishes its shards,
 * the pool outlives the run: this module keeps the process's idle pools
   on a free list, a run leases one (or spawns one if none is idle) and
   hands it back when it ends, so the runs after the first in a process
@@ -33,18 +39,19 @@ byte-identical as long as they are *committed* in order.
   once every task its run left in it has finished; a broken pool never
   comes back.  Workers see the environment of the moment their pool was
   spawned,
-* the main process consumes results **in shard order**, one shard at a
-  time, and folds them into the accumulator, so convergence stopping,
+* the consumer takes results **in shard order**, one shard at a time,
+  and folds them into the accumulator, so convergence stopping,
   checkpoints, and observers behave exactly as in a serial run,
 * shards simulated or in flight past the one a precision target stops
   at are simply never committed — discarded as if they had never been
   simulated: the rest of the stopping shard's run plus at most
-  ``n_jobs`` runs,
-* a crashed or killed worker breaks the pool; the executor rebuilds it,
-  **reseeds every lost run from its shard indices**, and retries each
-  run up to ``max_retries`` times before raising
-  :class:`~repro.exceptions.SimulationError` (completed-but-uncommitted
-  results survive a pool break untouched), and
+  ``n_jobs`` local runs, and what remote links hold or the pool finished
+  while the commit waited on them,
+* a crashed worker breaks the pool, and a dropped link loses its runs;
+  either way every lost run goes back to the queue, **is reseeded from
+  its shard indices**, and each shard is retried up to ``max_retries``
+  times before the run raises :class:`~repro.exceptions.SimulationError`
+  (published results survive untouched), and
 * every committed shard carries observability — worker-side wall time,
   speculation queue depth, and commit lag (how long a finished shard
   waited for its turn at the accumulator) — surfaced on
@@ -58,6 +65,7 @@ worker loads only numpy and the simulator.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -74,6 +82,11 @@ from .raid_simulator import GroupChronology, RaidGroupSimulator
 
 #: Times a shard whose worker died is re-run before the run gives up.
 DEFAULT_MAX_SHARD_RETRIES = 2
+
+#: Poll quantum for condition waits (and the hub's socket reads).  Every
+#: change a waiter waits for also notifies it; the quantum only bounds
+#: the cost of a missed wake-up.
+_POLL_SECONDS = 0.25
 
 
 @dataclasses.dataclass(frozen=True)
@@ -390,18 +403,22 @@ _POOLS = _WorkerPools()
 
 # ----------------------------------------------------------------------
 class PipelinedShardExecutor:
-    """Out-of-order speculative shard execution with in-order delivery.
+    """Out-of-order shard execution with in-order delivery.
 
     :meth:`outcomes` yields one :class:`ShardOutcome` per planned shard,
-    in plan order.  The plan is cut lazily into runs of consecutive
-    shards, one pool task each, and a pool leased from the process's
-    free list keeps up to ``n_jobs`` runs in flight ahead of the
-    consumer.  ``shards_per_run()`` gives each run's length when that
-    run is submitted.  The next run is submitted as soon as a run's
-    result is taken, before its shards are delivered, so past the shard
-    the consumer stops at at most the rest of its run and ``n_jobs``
-    more runs are simulated.  Closing the generator (e.g. breaking out
-    of the loop once a precision target converges) cancels and discards
+    in plan order.  Claimants take runs from the plan's queue
+    (:meth:`claim`: the lowest unclaimed shard and the consecutive ones
+    after it, as many as ``shards_per_run()`` last said), publish each
+    shard (:meth:`complete`), and give a lost run's shards back, each
+    charged one retry (:meth:`abandon`).  The local pool of ``n_jobs``
+    workers is one claimant, driven from the consumer's thread: it holds
+    at most ``n_jobs`` runs the consumer has not reached (see
+    :meth:`_may_claim`).  With a ``hub``, every connected remote worker
+    is another, and ``n_jobs`` may be 0.
+
+    ``shards_per_run()`` is evaluated on the consumer's thread, before
+    the first claim and after each committed shard, so the callable may
+    read the consumer's state unlocked.  Closing the generator discards
     everything still in flight.  ``workers_started`` counts the worker
     processes the run spawned: ``n_jobs`` for each pool it could not
     lease idle (on a cold start, and after each break).
@@ -414,27 +431,325 @@ class PipelinedShardExecutor:
         engine: str,
         n_jobs: int,
         *,
+        hub: "Optional[RemoteWorkerHub]" = None,
         shards_per_run: Callable[[], int] = lambda: 1,
         max_retries: int = DEFAULT_MAX_SHARD_RETRIES,
         worker: Optional[ShardWorker] = None,
     ) -> None:
-        if n_jobs < 1:
-            raise SimulationError(f"n_jobs must be >= 1, got {n_jobs!r}")
+        least = 1 if hub is None else 0
+        if n_jobs < least:
+            raise SimulationError(f"n_jobs must be >= {least}, got {n_jobs!r}")
         if max_retries < 0:
             raise SimulationError(f"max_retries must be >= 0, got {max_retries!r}")
         self.config = config
         self.root_state = root_state
         self.engine = engine
         self.n_jobs = n_jobs
+        self.hub = hub
         self.shards_per_run = shards_per_run
         self.max_retries = max_retries
         self.pool_breaks = 0
         self.workers_started = 0
         self._worker = worker
-        self._pool: Optional[ProcessPoolExecutor] = None
+        # The consumer, the hub's link threads and the pool's callbacks
+        # share the state below behind one condition variable.  Only the
+        # consumer's thread replaces the pool.
+        self._cond = threading.Condition()
+        self._queue: List[int] = []  # heap of unclaimed shard indices
+        self._by_index: Dict[int, ShardTask] = {}
+        self._claimed: Dict[int, str] = {}
+        self._results: Dict[int, Tuple[List[GroupChronology], float, str, float]] = {}
+        self._retries: Dict[int, int] = {}
         self._done_at: Dict[int, float] = {}
+        self._run_length = 1
+        self._error: Optional[BaseException] = None
+        self._stopped = False
+        self._pool: Optional[ProcessPoolExecutor] = None
+        # The pool's runs the consumer has not reached, by future.
+        self._local: Dict[Future, Tuple[ShardTask, ...]] = {}
+        self._broken = False
 
     # ------------------------------------------------------------------
+    # Shared-queue API (called from hub link threads, pool callbacks and
+    # the consumer).
+    def accepting(self) -> bool:
+        with self._cond:
+            return not self._stopped and self._error is None and bool(self._by_index)
+
+    def claim(
+        self, claimant: str, timeout: float = 0.0
+    ) -> Optional[Tuple[ShardTask, ...]]:
+        """Pop the next run, or None if nothing is claimable within timeout.
+
+        A run is the lowest unclaimed shard and the consecutive unclaimed
+        shards after it, up to the current run length.
+        """
+        with self._cond:
+            if not self._queue and timeout > 0:
+                self._cond.wait(timeout)
+            if self._stopped or self._error is not None or not self._queue:
+                return None
+            run = [heapq.heappop(self._queue)]
+            while (
+                self._queue
+                and len(run) < self._run_length
+                and self._queue[0] == run[-1] + 1
+            ):
+                run.append(heapq.heappop(self._queue))
+            for index in run:
+                self._claimed[index] = claimant
+            return tuple(self._by_index[index] for index in run)
+
+    def complete(
+        self,
+        task: ShardTask,
+        chronologies: List[GroupChronology],
+        wall_seconds: float,
+        *,
+        worker: str,
+        rtt_seconds: float = 0.0,
+    ) -> None:
+        with self._cond:
+            if task.index not in self._by_index or task.index in self._results:
+                return  # stale duplicate (e.g. completed after a reassignment)
+            self._claimed.pop(task.index, None)
+            self._results[task.index] = (chronologies, wall_seconds, worker, rtt_seconds)
+            self._done_at.setdefault(task.index, time.perf_counter())
+            self._cond.notify_all()
+
+    def abandon(
+        self, tasks: Iterable[ShardTask], reason: str, *, charge: bool = True
+    ) -> None:
+        """Return claimed shards to the queue after their worker was lost.
+
+        Each is charged one retry (unless ``charge=False``, for
+        convergence drains); a shard lost more than ``max_retries`` times
+        fails the run.
+        """
+        with self._cond:
+            for task in tasks:
+                if task.index not in self._by_index or task.index in self._results:
+                    continue
+                self._claimed.pop(task.index, None)
+                self._done_at.pop(task.index, None)
+                if self._stopped or self._error is not None:
+                    continue
+                if charge:
+                    count = self._retries.get(task.index, 0) + 1
+                    self._retries[task.index] = count
+                    if count > self.max_retries:
+                        self._error = SimulationError(
+                            f"shard {task.index} was lost {count} times "
+                            f"(last: {reason}; max_retries={self.max_retries}); "
+                            "giving up on this run"
+                        )
+                        continue
+                heapq.heappush(self._queue, task.index)
+            self._cond.notify_all()
+
+    def fail(self, error: BaseException) -> None:
+        with self._cond:
+            if self._error is None:
+                self._error = error
+            self._cond.notify_all()
+
+    # ------------------------------------------------------------------
+    def outcomes(self, plan: Iterable[ShardTask]) -> Iterator[ShardOutcome]:
+        """Yield every planned shard's outcome, in order.
+
+        The queue is loaded before the hub sees the run, so idle links
+        start at once.  The pool is leased on first use and given back
+        when the plan is exhausted, the consumer closes the generator, or
+        an error escapes.
+        """
+        tasks = list(plan)
+        if not tasks:
+            return
+        length = self.shards_per_run()
+        with self._cond:
+            self._stopped = False
+            self._error = None
+            self._broken = False
+            self._by_index = {task.index: task for task in tasks}
+            self._queue = sorted(self._by_index)  # sorted is a heap
+            self._results.clear()
+            self._claimed.clear()
+            self._retries.clear()
+            self._done_at.clear()
+            self._run_length = length
+        if self.hub is not None:
+            self.hub.register(self)
+        try:
+            if self.n_jobs > 0:
+                self._pool = self._take_pool()
+            for task in tasks:
+                yield self._next(task)
+                # The shard is committed: size the next runs from the
+                # state it left.
+                length = self.shards_per_run()
+                with self._cond:
+                    self._run_length = length
+        finally:
+            with self._cond:
+                self._stopped = True
+                self._by_index.clear()
+                self._queue.clear()
+                in_flight, self._local = list(self._local), {}
+                self._cond.notify_all()
+            if self._pool is not None:
+                self._give_back_pool(in_flight)
+                self._pool = None
+            if self.hub is not None:
+                self.hub.unregister(self)
+
+    def _next(self, task: ShardTask) -> ShardOutcome:
+        """Take ``task``'s shard once published, driving the pool meanwhile."""
+        index = task.index
+        while True:
+            with self._cond:
+                if self._error is not None:
+                    raise self._error
+                ready = index in self._results
+                if ready:
+                    # The consumer has reached the run holding this shard,
+                    # so that run no longer counts against the pool's bound.
+                    self._local = {
+                        future: run
+                        for future, run in self._local.items()
+                        if run[0].index > index
+                    }
+                elif not self._broken and not self._may_claim():
+                    self._cond.wait(_POLL_SECONDS)
+                    continue
+            # Refill before delivering: the workers simulate the next runs
+            # while the consumer commits this one.
+            self._drive_pool()
+            if ready:
+                break
+        with self._cond:
+            chronologies, wall_seconds, worker, rtt_seconds = self._results.pop(index)
+            del self._by_index[index]
+            finished_at = self._done_at.pop(index, time.perf_counter())
+            retries = self._retries.get(index, 0)
+            in_flight = len(self._claimed) + len(self._results)
+        return ShardOutcome(
+            task=task,
+            chronologies=chronologies,
+            wall_seconds=wall_seconds,
+            queue_depth=in_flight,
+            commit_lag_seconds=max(0.0, time.perf_counter() - finished_at),
+            retries=retries,
+            worker=worker,
+            rtt_seconds=rtt_seconds,
+        )
+
+    # ------------------------------------------------------------------
+    # The local pool, driven from the consumer's thread.  No pool call is
+    # made while the lock is held, and callbacks never touch a pool.
+    def _may_claim(self) -> bool:
+        """Whether the pool may claim a run now (lock held).
+
+        It holds at most ``n_jobs`` runs the consumer has not reached,
+        finished or not, however slowly the consumer commits.  Finished
+        runs past a shard a link holds, or one back in the queue, do not
+        count: they wait on that shard, not on the commit.  So a slow
+        link never idles the pool, and one lost while holding the shard
+        the consumer waits for leaves the pool free to claim it.
+        """
+        if self._pool is None or not self._queue:
+            return False
+        waiting = min(
+            [self._queue[0]]
+            + [index for index, who in self._claimed.items() if who != "local"]
+        )
+        held = sum(
+            1
+            for future, run in self._local.items()
+            if not future.done() or run[0].index < waiting
+        )
+        return held < self.n_jobs
+
+    def _drive_pool(self) -> None:
+        """Replace a broken pool, then claim and submit runs while allowed."""
+        while True:
+            with self._cond:
+                if self._error is not None:
+                    return  # the consumer raises it
+                broken = self._broken
+                run = None if broken or not self._may_claim() else self.claim("local")
+            if broken:
+                self._replace_pool(())
+                continue
+            if run is None:
+                return
+            try:
+                future = self._submit_run(run)
+            except BrokenProcessPool:
+                # A worker died after the last callback ran, so the break
+                # surfaces here instead.
+                self._replace_pool(run)
+                continue
+            with self._cond:
+                self._local[future] = run
+            future.add_done_callback(self._finished)
+
+    def _finished(self, future: Future) -> None:
+        """A local run's done-callback, usually on the pool's manager thread.
+
+        Publishes the run's shards, each with its share of the run's wall
+        time; flags a pool break for the consumer to recover from; or
+        fails the run with the worker's error.  A run given up meanwhile
+        is ignored.
+        """
+        if future.cancelled():
+            return
+        error = future.exception()
+        with self._cond:
+            # One step with the flag: a run the consumer already gave up
+            # in a recovery must not flag the replacement pool as broken.
+            run = self._local.get(future)
+            if run is None:
+                return
+            if isinstance(error, BrokenProcessPool):
+                self._broken = True
+                self._cond.notify_all()
+                return
+        if error is None:
+            per_shard, wall_seconds = future.result()
+            for task, chronologies, seconds in split_run(run, per_shard, wall_seconds):
+                self.complete(task, chronologies, seconds, worker="local")
+        elif isinstance(error, SimulationError):
+            self.fail(error)
+        else:
+            failure = SimulationError(
+                f"run of {_describe(run)} raised in its worker: {error!r}"
+            )
+            failure.__cause__ = error
+            self.fail(failure)
+
+    def _replace_pool(self, failed: Sequence[ShardTask]) -> None:
+        """Recover from a pool break.
+
+        A break kills every worker of the pool, so each local run without
+        a finished result, and ``failed`` (the run whose submit broke),
+        goes back to the queue with one retry charged to every shard.
+        Finished runs keep their results.  The broken pool is shut down,
+        never handed back, and the replacement is leased like the first,
+        unless the run has failed.
+        """
+        with self._cond:
+            self.pool_breaks += 1
+            self._broken = False
+            lost = list(failed)
+            for future, run in list(self._local.items()):
+                if not _future_ok(future):
+                    del self._local[future]
+                    lost.extend(run)
+        self.abandon(lost, "a dying worker process broke the local pool")
+        assert self._pool is not None
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._pool = None if self._error is not None else self._take_pool()
+
     def _take_pool(self) -> ProcessPoolExecutor:
         """Lease a pool for this run from the process's free list."""
         pool, started = _POOLS.take(self.n_jobs)
@@ -445,149 +760,12 @@ class PipelinedShardExecutor:
         """End this run's lease, discarding the runs still in flight."""
         _POOLS.give_back(self._pool, in_flight)
 
-    def _submit_run(self, number: int, run: Tuple[ShardTask, ...]) -> Future:
-        """Hand run ``number`` of the plan to the pool."""
+    def _submit_run(self, run: Tuple[ShardTask, ...]) -> Future:
+        """Hand one claimed run to the pool."""
         assert self._pool is not None
-        future = self._pool.submit(
+        return self._pool.submit(
             _run_shard_run, self.config, self.root_state, self.engine, run, self._worker
         )
-        future.add_done_callback(
-            lambda _f: self._done_at.setdefault(number, time.perf_counter())
-        )
-        return future
-
-    # ------------------------------------------------------------------
-    def outcomes(self, plan: Iterable[ShardTask]) -> Iterator[ShardOutcome]:
-        """Yield every planned shard's outcome, in order.
-
-        The pool is leased on first use and given back when the plan is
-        exhausted, the consumer closes the generator, or an error
-        escapes.
-        """
-        tasks = list(plan)
-        if not tasks:
-            return
-        runs: List[Tuple[ShardTask, ...]] = []  # every run cut so far, in order
-        pending: Dict[int, Future] = {}
-        retries: Dict[int, int] = {}
-        self._pool = self._take_pool()
-        try:
-            cut = self._top_up(tasks, runs, pending, retries, 0)
-            number = 0
-            while number < len(runs):
-                run = runs[number]
-                while True:
-                    try:
-                        per_shard, wall_seconds = pending[number].result()
-                        break
-                    except BrokenProcessPool:
-                        self._recover(runs, pending, retries)
-                    except SimulationError:
-                        raise
-                    except Exception as exc:
-                        raise SimulationError(
-                            f"run of {_describe(run)} raised in its worker: {exc!r}"
-                        ) from exc
-                finished_at = self._done_at.pop(number, time.perf_counter())
-                del pending[number]
-                # Refill before delivering: the workers simulate the next
-                # runs while the consumer commits this one.
-                cut = self._top_up(tasks, runs, pending, retries, cut)
-                in_flight = sum(len(runs[queued]) for queued in pending)
-                for delivered, (task, chronologies, seconds) in enumerate(
-                    split_run(run, per_shard, wall_seconds), 1
-                ):
-                    yield ShardOutcome(
-                        task=task,
-                        chronologies=chronologies,
-                        wall_seconds=seconds,
-                        queue_depth=in_flight + len(run) - delivered,
-                        commit_lag_seconds=max(0.0, time.perf_counter() - finished_at),
-                        retries=retries.get(number, 0),
-                    )
-                number += 1
-        finally:
-            self._give_back_pool(pending.values())
-            self._pool = None
-
-    def _top_up(
-        self,
-        tasks: List[ShardTask],
-        runs: List[Tuple[ShardTask, ...]],
-        pending: Dict[int, Future],
-        retries: Dict[int, int],
-        cut: int,
-    ) -> int:
-        """Cut and submit runs until ``n_jobs`` are in flight.
-
-        Each run takes the next ``shards_per_run()`` shards of ``tasks``
-        from index ``cut``, sized as it is cut; returns the new cut.
-        """
-        while cut < len(tasks) and len(pending) < self.n_jobs:
-            length = self.shards_per_run()
-            if length < 1:
-                raise SimulationError(f"shards_per_run() must be >= 1, got {length!r}")
-            run = tuple(tasks[cut : cut + length])
-            number = len(runs)
-            runs.append(run)
-            cut += len(run)
-            while True:
-                try:
-                    pending[number] = self._submit_run(number, run)
-                    break
-                except BrokenProcessPool:
-                    # A worker died after the last result was taken, so
-                    # the break surfaces here instead of in result();
-                    # recover and retry on the new pool.
-                    self._recover(runs, pending, retries)
-        return cut
-
-    def _recover(
-        self,
-        runs: List[Tuple[ShardTask, ...]],
-        pending: Dict[int, Future],
-        retries: Dict[int, int],
-    ) -> None:
-        """Replace the pool after a worker death and resubmit lost runs.
-
-        A pool break kills every worker process, so any in-flight run
-        without a completed result is lost and must be reseeded from its
-        shard indices; results that finished before the break are kept
-        as-is.  Each lost run — every shard in it — is charged one retry;
-        a run that keeps killing its workers exhausts ``max_retries`` and
-        fails the run.  The broken pool is shut down, never handed back,
-        and the replacement is leased like the first pool.
-
-        The resubmission itself can hit a *second* break (the freshly
-        rebuilt pool dying before the first resubmit lands), so the
-        rebuild-and-resubmit step loops: every break charges the still-
-        lost runs another retry, and a run that keeps breaking pools
-        exhausts ``max_retries`` here like anywhere else.
-        """
-        while True:
-            self.pool_breaks += 1
-            lost = [
-                number for number, future in pending.items() if not _future_ok(future)
-            ]
-            for number in lost:
-                count = retries.get(number, 0) + 1
-                retries[number] = count
-                if count > self.max_retries:
-                    raise SimulationError(
-                        f"run of {_describe(runs[number])} was lost to a dying worker "
-                        f"process {count} times (max_retries={self.max_retries}); "
-                        "giving up"
-                    )
-                self._done_at.pop(number, None)
-            assert self._pool is not None
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = self._take_pool()
-            try:
-                for number in sorted(lost):
-                    pending[number] = self._submit_run(number, runs[number])
-            except BrokenProcessPool:
-                continue
-            return
 
 
 def _future_ok(future: Future) -> bool:

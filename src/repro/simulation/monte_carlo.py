@@ -351,10 +351,12 @@ class MonteCarloRunner:
         workers.  When every claimant keeps pace with the commits it
         drops the rest of the stopping shard's run, plus one run per
         remote link (the one queued behind the run arriving), plus
-        ``n_jobs`` local runs.  The shared queue holds no claimant back,
-        though: a link still receiving a run past the stop has two out,
-        and a claimant that finished later runs while the commit waited
-        on a slower one's shard drops those too.
+        ``n_jobs`` local runs.  However slowly the commit itself goes,
+        the pool holds at most ``n_jobs`` runs past it.  Nothing holds
+        back a claimant whose runs wait on a slower link's shard: a link
+        still receiving a run past the stop has two out, and a link or
+        the pool that finished later runs while the commit waited on a
+        slower link drops those too.
 
         Parameters
         ----------

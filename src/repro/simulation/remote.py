@@ -18,24 +18,23 @@ one machine with *unchanged semantics*:
 
 * :class:`RemoteWorkerHub` — the coordinator side.  A listening socket
   plus one thread per connected worker.  Each worker thread drives the
-  handshake, claims runs from the active session's shared queue, and
-  publishes each shard as its frame arrives.  It sends the worker its next
-  run as soon as the first frame of the current one arrives, so a link
-  holds at most two runs.  Heartbeat staleness or a socket error abandons
-  every shard not yet back to the queue, each *charged* one retry against
-  ``max_retries`` exactly like a local
-  :class:`~concurrent.futures.process.BrokenProcessPool`.  An idle link
-  waits on the hub's condition, which :meth:`RemoteWorkerHub.register`
-  notifies, so a new run reaches idle workers at once.
-
-* :class:`DistributedShardExecutor` — a drop-in for
+  handshake, claims runs from the active session's queue (the
   :class:`~repro.simulation.executor.PipelinedShardExecutor` whose
-  ``outcomes()`` generator merges the local process pool and every
-  connected remote worker behind the same in-order-commit contract.
-  Because commits stay strictly in shard order and each shard is reseeded
-  from its index, a distributed run is bit-identical to a serial one —
-  through checkpoint/resume, convergence stopping (in-flight remote shards
-  are drained and discarded), and mid-run worker loss.
+  ``hub`` this is, beside its local pool), and publishes each shard as
+  its frame arrives.  It sends the worker its next run as soon as the
+  first frame of the current one arrives, so a link holds at most two
+  runs.  Heartbeat staleness or a socket error abandons every shard not
+  yet back to the queue, each *charged* one retry against
+  ``max_retries``, the same path a local pool break takes.  An idle link
+  waits on the hub's condition, which :meth:`RemoteWorkerHub.register`
+  notifies, so a new run reaches idle workers at once.  Because commits
+  stay strictly in shard order and each shard is reseeded from its
+  index, a distributed run is bit-identical to a serial one — through
+  checkpoint/resume, convergence stopping (in-flight remote shards are
+  drained and discarded), and mid-run worker loss.
+
+* :class:`DistributedShardExecutor` — the executor with its ``hub``
+  required.
 
 Wire format (version 2): every frame is a 4-byte big-endian unsigned
 length followed by that many bytes of UTF-8 JSON.  JSON round-trips
@@ -78,7 +77,6 @@ reassigned) is recognizably stale and discarded.  A hub refuses a
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import json
 import os
 import socket
@@ -86,33 +84,16 @@ import struct
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from operator import attrgetter
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import SimulationError
 from .config import RaidGroupConfig
 from .executor import (
-    _POOLS,
-    DEFAULT_MAX_SHARD_RETRIES,
-    ShardOutcome,
+    _POLL_SECONDS,
+    PipelinedShardExecutor,
     ShardTask,
-    ShardWorker,
     _describe,
-    _future_ok,
-    _run_shard_run,
     simulate_shards,
     split_run,
 )
@@ -131,9 +112,6 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 #: Coordinator-side staleness bound: a worker silent this long is
 #: presumed dead and its unfinished shards are abandoned back to the queue.
 DEFAULT_HEARTBEAT_TIMEOUT = 15.0
-
-#: Internal poll quantum for socket reads and condition waits.
-_POLL_SECONDS = 0.25
 
 _LEN = struct.Struct("!I")
 
@@ -511,11 +489,10 @@ class RemoteWorkerHub:
     """Accept `repro worker` connections and feed them the active run.
 
     The hub outlives individual runs: `repro serve` creates one hub and
-    every cold job registers its :class:`DistributedShardExecutor` as the
-    active *session*; between sessions connected workers idle on
-    ``drain`` frames.  One hub thread accepts connections; one thread per
-    worker alternates between idling and driving the active session's
-    claim/await-result loop.
+    every cold job registers its executor as the active *session*;
+    between sessions connected workers idle on ``drain`` frames.  One hub
+    thread accepts connections; one thread per worker alternates between
+    idling and driving the active session's claim/await-result loop.
     """
 
     def __init__(
@@ -531,7 +508,7 @@ class RemoteWorkerHub:
         self.host, self.port = self._listener.getsockname()[:2]
         self._lock = threading.Condition()
         self._links: Dict[str, _WorkerLink] = {}
-        self._session: Optional["DistributedShardExecutor"] = None
+        self._session: Optional[PipelinedShardExecutor] = None
         self._epoch = 0
         self._closed = threading.Event()
         self._threads: List[threading.Thread] = []
@@ -547,7 +524,7 @@ class RemoteWorkerHub:
         return f"{self.host}:{self.port}"
 
     # ------------------------------------------------------------------
-    def register(self, session: "DistributedShardExecutor") -> int:
+    def register(self, session: PipelinedShardExecutor) -> int:
         """Make ``session`` the active run; returns its epoch stamp.
 
         One distributed run owns the worker fleet at a time; concurrent
@@ -565,7 +542,7 @@ class RemoteWorkerHub:
             self._lock.notify_all()
             return self._epoch
 
-    def unregister(self, session: "DistributedShardExecutor") -> None:
+    def unregister(self, session: PipelinedShardExecutor) -> None:
         with self._lock:
             if self._session is session:
                 self._session = None
@@ -725,7 +702,7 @@ class RemoteWorkerHub:
         return True
 
     def _drive(
-        self, link: _WorkerLink, session: "DistributedShardExecutor", epoch: int
+        self, link: _WorkerLink, session: PipelinedShardExecutor, epoch: int
     ) -> None:
         """Run one worker against the active session until it ends.
 
@@ -793,8 +770,8 @@ class RemoteWorkerHub:
                 if message.get("t") == "task_err":
                     # The run raised deterministically on the worker —
                     # retrying it elsewhere would fail identically, so
-                    # fail the run with the real error (the local pool's
-                    # _harvest semantics) instead of burning retries.
+                    # fail the run with the real error, as a local run
+                    # that raises does, instead of burning retries.
                     session.fail(
                         SimulationError(
                             f"{_describe(current.run)} raised on {link.name}: "
@@ -856,7 +833,7 @@ class RemoteWorkerHub:
     def _await_result(
         self,
         link: _WorkerLink,
-        session: "DistributedShardExecutor",
+        session: PipelinedShardExecutor,
         epoch: int,
         index: int,
     ) -> Optional[dict]:
@@ -886,284 +863,13 @@ class RemoteWorkerHub:
 
 
 # ----------------------------------------------------------------------
-class DistributedShardExecutor:
-    """In-order shard delivery fed by the local pool *and* remote workers.
+class DistributedShardExecutor(PipelinedShardExecutor):
+    """A :class:`~repro.simulation.executor.PipelinedShardExecutor` whose
+    ``hub`` is required: the local pool (``n_jobs`` may be 0) and every
+    worker connected to the hub claim runs from one queue."""
 
-    Same contract as :class:`~repro.simulation.executor.PipelinedShardExecutor`
-    (``outcomes(plan)`` yields in plan order; closing the generator drains
-    in-flight work; lost shards are reseeded and charged retries), but the
-    work queue is shared: local pool slots and connected remote workers
-    all claim *runs* — the lowest unclaimed shards, consecutive, as many
-    as ``shards_per_run()`` last said.  The consumer evaluates
-    ``shards_per_run()`` on its own thread, before the first claim and
-    after each shard it commits, so the callable may read the consumer's
-    state unlocked.  All cross-thread state lives behind one condition
-    variable.
-    """
-
-    def __init__(
-        self,
-        config: RaidGroupConfig,
-        root_state: dict,
-        engine: str,
-        n_jobs: int,
-        *,
-        hub: RemoteWorkerHub,
-        shards_per_run: Callable[[], int] = lambda: 1,
-        max_retries: int = DEFAULT_MAX_SHARD_RETRIES,
-        worker: Optional[ShardWorker] = None,
-    ) -> None:
-        if n_jobs < 0:
-            raise SimulationError(f"n_jobs must be >= 0, got {n_jobs!r}")
-        self.config = config
-        self.root_state = root_state
-        self.engine = engine
-        self.n_jobs = n_jobs
-        self.hub = hub
-        self.shards_per_run = shards_per_run
-        self.max_retries = max_retries
-        self.pool_breaks = 0
-        self.workers_started = 0
-        self._worker = worker
-        self._cond = threading.Condition()
-        self._queue: List[int] = []  # heap of unclaimed shard indices
-        self._by_index: Dict[int, ShardTask] = {}
-        self._claimed: Dict[int, str] = {}
-        self._results: Dict[int, Tuple[List[GroupChronology], float, str, float]] = {}
-        self._retries: Dict[int, int] = {}
-        self._done_at: Dict[int, float] = {}
-        self._run_length = 1
-        self._error: Optional[BaseException] = None
-        self._stopped = False
-
-    # ------------------------------------------------------------------
-    # Shared-queue API (called from hub link threads and the local loop).
-    def accepting(self) -> bool:
-        with self._cond:
-            return not self._stopped and self._error is None and bool(self._by_index)
-
-    def claim(
-        self, claimant: str, timeout: float = 0.0
-    ) -> Optional[Tuple[ShardTask, ...]]:
-        """Pop the next run, or None if nothing is claimable within timeout.
-
-        A run is the lowest unclaimed shard and the consecutive unclaimed
-        shards after it, up to the current run length.
-        """
-        with self._cond:
-            if not self._queue and timeout > 0:
-                self._cond.wait(timeout)
-            if self._stopped or self._error is not None or not self._queue:
-                return None
-            run = [heapq.heappop(self._queue)]
-            while (
-                self._queue
-                and len(run) < self._run_length
-                and self._queue[0] == run[-1] + 1
-            ):
-                run.append(heapq.heappop(self._queue))
-            for index in run:
-                self._claimed[index] = claimant
-            return tuple(self._by_index[index] for index in run)
-
-    def complete(
-        self,
-        task: ShardTask,
-        chronologies: List[GroupChronology],
-        wall_seconds: float,
-        *,
-        worker: str,
-        rtt_seconds: float = 0.0,
-    ) -> None:
-        with self._cond:
-            if task.index not in self._by_index or task.index in self._results:
-                return  # stale duplicate (e.g. completed after a reassignment)
-            self._claimed.pop(task.index, None)
-            self._results[task.index] = (chronologies, wall_seconds, worker, rtt_seconds)
-            self._done_at.setdefault(task.index, time.perf_counter())
-            self._cond.notify_all()
-
-    def abandon(
-        self, tasks: Iterable[ShardTask], reason: str, *, charge: bool = True
-    ) -> None:
-        """Return claimed shards to the queue after their worker was lost.
-
-        Each is charged one retry (unless ``charge=False``, for
-        convergence drains) — exactly the local pool-break accounting.
-        """
-        with self._cond:
-            for task in tasks:
-                if task.index not in self._by_index or task.index in self._results:
-                    continue
-                self._claimed.pop(task.index, None)
-                self._done_at.pop(task.index, None)
-                if self._stopped or self._error is not None:
-                    continue
-                if charge:
-                    count = self._retries.get(task.index, 0) + 1
-                    self._retries[task.index] = count
-                    if count > self.max_retries:
-                        self._error = SimulationError(
-                            f"shard {task.index} was lost {count} times "
-                            f"(last: {reason}; max_retries={self.max_retries}); "
-                            "giving up on this run"
-                        )
-                        continue
-                heapq.heappush(self._queue, task.index)
-            self._cond.notify_all()
-
-    def fail(self, error: BaseException) -> None:
-        with self._cond:
-            if self._error is None:
-                self._error = error
-            self._cond.notify_all()
-
-    # ------------------------------------------------------------------
-    def outcomes(self, plan: Iterable[ShardTask]) -> Iterator[ShardOutcome]:
-        tasks = list(plan)
-        if not tasks:
-            return
-        length = self.shards_per_run()
-        with self._cond:
-            self._stopped = False
-            self._error = None
-            self._by_index = {task.index: task for task in tasks}
-            self._queue = sorted(self._by_index)
-            heapq.heapify(self._queue)
-            self._results.clear()
-            self._claimed.clear()
-            self._retries.clear()
-            self._run_length = length
-        self.hub.register(self)
-        local_thread: Optional[threading.Thread] = None
-        if self.n_jobs > 0:
-            local_thread = threading.Thread(
-                target=self._local_loop, name="repro-dist-local", daemon=True
-            )
-            local_thread.start()
-        try:
-            for task in tasks:
-                with self._cond:
-                    while task.index not in self._results:
-                        if self._error is not None:
-                            raise self._error
-                        self._cond.wait(_POLL_SECONDS)
-                    chronologies, wall, worker, rtt = self._results.pop(task.index)
-                    del self._by_index[task.index]
-                    in_flight = len(self._claimed) + len(self._results)
-                committed_at = time.perf_counter()
-                finished_at = self._done_at.pop(task.index, committed_at)
-                yield ShardOutcome(
-                    task=task,
-                    chronologies=chronologies,
-                    wall_seconds=wall,
-                    queue_depth=in_flight,
-                    commit_lag_seconds=max(0.0, committed_at - finished_at),
-                    retries=self._retries.get(task.index, 0),
-                    worker=worker,
-                    rtt_seconds=rtt,
-                )
-                # The shard is committed: size the next runs from the
-                # state it left.
-                length = self.shards_per_run()
-                with self._cond:
-                    self._run_length = length
-        finally:
-            with self._cond:
-                self._stopped = True
-                self._by_index.clear()
-                self._queue.clear()
-                self._cond.notify_all()
-            self.hub.unregister(self)
-            if local_thread is not None:
-                local_thread.join(timeout=30.0)
-
-    # ------------------------------------------------------------------
-    def _local_loop(self) -> None:
-        """Feed a local pool, leased like the pipelined pool's, runs from
-        the shared queue.
-
-        Each claimed run is one pool task (the pipelined pool's
-        ``_run_shard_run``).  A ``BrokenProcessPool``, at submit or at a
-        result, abandons every unfinished local run back to the queue,
-        charging each of its shards one retry, and replaces the pool.
-        Runs still out when the session stops accepting are discarded.
-        """
-        pool = None
-        futures: Dict[Future, Tuple[ShardTask, ...]] = {}
-        try:
-            pool = self._take_pool()
-            while self.accepting():
-                broke = False
-                while len(futures) < self.n_jobs:
-                    run = self.claim("local")
-                    if run is None:
-                        break
-                    try:
-                        future = pool.submit(
-                            _run_shard_run,
-                            self.config,
-                            self.root_state,
-                            self.engine,
-                            run,
-                            self._worker,
-                        )
-                    except BrokenProcessPool:
-                        self.abandon(run, "local pool broke at submit")
-                        broke = True
-                        break
-                    futures[future] = run
-                if not futures and not broke:
-                    with self._cond:
-                        if not self._queue:
-                            self._cond.wait(_POLL_SECONDS)
-                    continue
-                if not broke:
-                    done, _ = wait(
-                        set(futures), timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        run = futures.pop(future)
-                        try:
-                            self._harvest(future, run)
-                        except BrokenProcessPool:
-                            broke = True
-                            self.abandon(run, "local pool broke")
-                if broke:
-                    self.pool_breaks += 1
-                    for future, run in list(futures.items()):
-                        del futures[future]
-                        if _future_ok(future):
-                            self._harvest(future, run)
-                        else:
-                            self.abandon(run, "local pool broke")
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._take_pool()
-        except Exception as exc:
-            self.fail(exc)
-        finally:
-            if pool is not None:
-                _POOLS.give_back(pool, futures)
-
-    def _take_pool(self) -> ProcessPoolExecutor:
-        """Lease the local pool from the process's free list."""
-        pool, started = _POOLS.take(self.n_jobs)
-        self.workers_started += started
-        return pool
-
-    def _harvest(self, future: Future, run: Tuple[ShardTask, ...]) -> None:
-        """Publish a finished local run's shards, each with its share of
-        the run's wall time."""
-        try:
-            per_shard, wall_seconds = future.result()
-        except (BrokenProcessPool, SimulationError):
-            raise
-        except Exception as exc:
-            raise SimulationError(
-                f"run of {_describe(run)} raised in its worker: {exc!r}"
-            ) from exc
-        for task, chronologies, seconds in split_run(run, per_shard, wall_seconds):
-            self.complete(task, chronologies, seconds, worker="local")
+    def __init__(self, *args: Any, hub: RemoteWorkerHub, **kwargs: Any) -> None:
+        super().__init__(*args, hub=hub, **kwargs)
 
 
 __all__ = [

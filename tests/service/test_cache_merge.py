@@ -11,6 +11,7 @@ moved, renamed, or hand-edited must be rejected with an actionable error
 and treated as a miss, never merged into the wrong design's statistics.
 """
 
+import dataclasses
 import json
 import os
 import threading
@@ -21,7 +22,14 @@ from hypothesis import strategies as st
 
 from repro.distributions import Weibull
 from repro.exceptions import SimulationError
-from repro.service import CacheEntry, CacheKey, JobManager, QuerySpec, ResultCache
+from repro.service import (
+    CacheEntry,
+    CacheKey,
+    JobManager,
+    QuerySpec,
+    ReliabilityService,
+    ResultCache,
+)
 from repro.service.jobs import derive_seed, service_time_grid
 from repro.simulation.checkpoint import (
     config_fingerprint,
@@ -30,7 +38,7 @@ from repro.simulation.checkpoint import (
 )
 from repro.simulation.config import RaidGroupConfig
 from repro.simulation.streaming import Precision, normal_two_sided_z
-from repro.validation import fingerprint
+from repro.validation import config_to_dict, fingerprint
 
 SHARD = 16
 
@@ -50,6 +58,16 @@ def mc_config(mission_hours: float = 8_760.0) -> RaidGroupConfig:
 
 
 CONFIG = mc_config()
+
+#: The key a JobManager with seed 0, the auto engine and SHARD-group
+#: shards stores CONFIG's runs under.
+KEY = CacheKey(
+    fingerprint(CONFIG),
+    CONFIG.mission_hours,
+    "batch",
+    derive_seed(0, fingerprint(CONFIG)),
+    SHARD,
+)
 
 
 def make_spec(total_groups: int, jobs: JobManager) -> QuerySpec:
@@ -128,7 +146,7 @@ class TestLookupSemantics:
 
     def test_hit_extend_miss(self):
         cache = ResultCache()
-        key = CacheKey(fingerprint(CONFIG), CONFIG.mission_hours)
+        key = KEY
         loose = Precision(rel_ci_width=0.5, max_groups=10_000)
         tight = Precision(rel_ci_width=0.05, max_groups=10_000)
 
@@ -141,7 +159,7 @@ class TestLookupSemantics:
 
     def test_capped_entry_hits_instead_of_noop_extending(self):
         cache = ResultCache()
-        key = CacheKey(fingerprint(CONFIG), CONFIG.mission_hours)
+        key = KEY
         cache.put(self.entry(2 * SHARD, width=float("inf")))
         capped = Precision(rel_ci_width=0.05, max_groups=2 * SHARD)
         status, _ = cache.lookup(key, capped)
@@ -169,7 +187,7 @@ class TestLookupSemantics:
         """A 99%-confidence entry answers a looser 95% query without
         resimulation: its width shrinks under the smaller z."""
         cache = ResultCache()
-        key = CacheKey(fingerprint(CONFIG), CONFIG.mission_hours)
+        key = KEY
         cache.put(self.entry(SHARD, width=0.3, confidence=0.99))
 
         fits = Precision(rel_ci_width=0.25, confidence=0.95, max_groups=10_000)
@@ -186,7 +204,7 @@ class TestLookupSemantics:
         """The rescale cuts both ways: a 90% entry queried at 99% grows
         wider and must extend, not serve a loosened interval."""
         cache = ResultCache()
-        key = CacheKey(fingerprint(CONFIG), CONFIG.mission_hours)
+        key = KEY
         cache.put(self.entry(SHARD, width=0.3, confidence=0.90))
         query = Precision(rel_ci_width=0.3, confidence=0.99, max_groups=10_000)
         status, _ = cache.lookup(key, query)
@@ -194,7 +212,7 @@ class TestLookupSemantics:
 
     def test_same_confidence_stays_a_plain_hit(self):
         cache = ResultCache()
-        key = CacheKey(fingerprint(CONFIG), CONFIG.mission_hours)
+        key = KEY
         cache.put(self.entry(SHARD, width=0.3, confidence=0.95))
         loose = Precision(rel_ci_width=0.5, confidence=0.95, max_groups=10_000)
         status, _ = cache.lookup(key, loose)
@@ -206,7 +224,7 @@ class TestLookupSemantics:
         as a plain ``hit`` — the stored interval carries the wrong ``z``
         and would hand the caller a 99% interval labelled 95%."""
         cache = ResultCache()
-        key = CacheKey(fingerprint(CONFIG), CONFIG.mission_hours)
+        key = KEY
         cache.put(self.entry(2 * SHARD, width=float("inf"), confidence=0.99))
         capped = Precision(
             rel_ci_width=0.05, confidence=0.95, max_groups=2 * SHARD
@@ -225,7 +243,7 @@ class TestLookupSemantics:
         cache = ResultCache(max_entries=2)
         for horizon in (1_000.0, 2_000.0, 3_000.0):
             entry = self.entry(SHARD, width=0.5)
-            entry.key = CacheKey(entry.key.fingerprint, horizon)
+            entry.key = dataclasses.replace(entry.key, horizon_hours=horizon)
             cache.put(entry)
         assert len(cache) == 2
         assert cache.stats()["evictions"] == 1
@@ -241,13 +259,13 @@ class TestLookupSemantics:
         outlive the LRU entry."""
         cache = ResultCache(max_entries=1, cache_dir=str(tmp_path))
         first = self.entry(SHARD, width=0.5)
-        first.key = CacheKey(first.key.fingerprint, 1_000.0)
+        first.key = dataclasses.replace(first.key, horizon_hours=1_000.0)
         cache.put(first)
         lock = cache._persist_locks[first.key]
         high_water = cache._persisted_groups[first.key]
 
         second = self.entry(SHARD, width=0.5)
-        second.key = CacheKey(second.key.fingerprint, 2_000.0)
+        second.key = dataclasses.replace(second.key, horizon_hours=2_000.0)
         cache.put(second)  # evicts `first` from the LRU map
 
         assert len(cache) == 1
@@ -307,10 +325,29 @@ class TestDiskIntegrity:
     def test_cache_rejects_renamed_entry_file(self, tmp_path):
         entry = self.make_entry(tmp_path)
         src = os.path.join(str(tmp_path), entry.key.filename())
-        foreign_key = CacheKey(fingerprint(CONFIG.as_raid6()), CONFIG.mission_hours)
+        foreign_key = dataclasses.replace(
+            entry.key, fingerprint=fingerprint(CONFIG.as_raid6())
+        )
         os.rename(src, os.path.join(str(tmp_path), foreign_key.filename()))
         reopened = ResultCache(cache_dir=str(tmp_path))
         status, found = reopened.lookup(foreign_key, Precision(rel_ci_width=0.5))
+        assert (status, found) == ("miss", None)
+        assert reopened.stats()["integrity_rejections"] == 1
+
+    def test_cache_rejects_entry_filed_under_other_coordinates(self, tmp_path):
+        """A file moved to the name of the same design under another shard
+        size holds a checkpoint that key's runs would refuse to resume:
+        it is rejected, never offered for ``extend``."""
+        entry = self.make_entry(tmp_path)
+        src = os.path.join(str(tmp_path), entry.key.filename())
+        other = dataclasses.replace(entry.key, shard_size=2 * SHARD)
+        os.rename(src, os.path.join(str(tmp_path), other.filename()))
+        reopened = ResultCache(cache_dir=str(tmp_path))
+        status, found = reopened.lookup(
+            other,
+            Precision(rel_ci_width=0.5),
+            expected_run_fingerprint=config_fingerprint(CONFIG),
+        )
         assert (status, found) == ("miss", None)
         assert reopened.stats()["integrity_rejections"] == 1
 
@@ -411,7 +448,7 @@ class TestDiskIntegrity:
             keys = []
             for horizon in (1_000.0, 2_000.0, 3_000.0):
                 entry = jobs.entry_from_result(spec, streaming)
-                entry.key = CacheKey(entry.key.fingerprint, horizon)
+                entry.key = dataclasses.replace(entry.key, horizon_hours=horizon)
                 writer.put(entry)
                 keys.append(entry.key)
         finally:
@@ -440,3 +477,66 @@ class TestDiskIntegrity:
             entry.checkpoint.to_dict(), sort_keys=True
         )
         assert reopened.stats()["disk_loads"] == 1
+
+
+def answer(service: ReliabilityService, query: dict) -> dict:
+    """One query answered end to end, waiting for its refinement."""
+    response, job, ctx = service.begin(query)
+    if job is not None:
+        response = service.finish(ctx, job.future.result(timeout=120))
+    return response
+
+
+class TestResumeCoordinates:
+    """Regression: entries were keyed by design and horizon alone, so a
+    service restarted over the same ``cache_dir`` with another engine,
+    seed or shard size was offered the old entry to extend, and its run
+    refused the checkpoint (``SimulationError``) on every retry."""
+
+    @pytest.mark.parametrize(
+        "restart", [{"engine": "batch"}, {"seed": 1}, {"shard_size": 128}]
+    )
+    def test_restart_under_other_coordinates_refines(self, tmp_path, restart):
+        def service(**coordinates) -> ReliabilityService:
+            return ReliabilityService(
+                cache=ResultCache(cache_dir=str(tmp_path)),
+                max_workers=1,
+                max_groups=4_096,
+                **coordinates,
+            )
+
+        def query(max_groups: int) -> dict:
+            return {
+                "config": config_to_dict(CONFIG),
+                "precision": {
+                    "rel_ci_width": 1e-9,  # unattainable: fills max_groups
+                    "min_groups": 128,
+                    "max_groups": max_groups,
+                },
+            }
+
+        first = {"engine": "event", "seed": 0, "shard_size": 256}
+        writer = service(**first)
+        try:
+            assert answer(writer, query(256))["source"] == "simulated"
+        finally:
+            writer.close()
+
+        coordinates = {**first, **restart}
+        restarted = service(**coordinates)
+        try:
+            response = answer(restarted, query(512))
+        finally:
+            restarted.close()
+        assert response["source"] == "simulated"
+        assert response["answer"]["groups"] == 512
+
+        # The entry it left is served to a later service that runs under
+        # the same coordinates.
+        later = service(**coordinates)
+        try:
+            response = answer(later, query(512))
+        finally:
+            later.close()
+        assert response["source"] == "cache"
+        assert response["answer"]["groups"] == 512

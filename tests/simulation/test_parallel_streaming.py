@@ -320,15 +320,15 @@ class TestWorkerFaultTolerance:
         assert [outcome.chronologies for outcome in outcomes] == reference
 
     def test_double_break_inside_recover_is_recovered(self):
-        """A second ``BrokenProcessPool`` raised from ``_submit`` *inside*
-        ``_recover`` — the freshly rebuilt pool dying before the first
-        resubmission lands — must feed back into the retry accounting
-        (another pool break, another charged retry per lost shard), not
-        escape the run as a raw BrokenProcessPool.  Scripted per-attempt
-        so pool timing cannot change which shard is in flight: shard 1's
-        first attempt dies at ``result()``, its resubmission dies at
-        ``_submit_run`` inside ``_recover``, its third attempt completes.
-        Shard 1 shares its run with shard 0, so both are lost and charged
+        """A second ``BrokenProcessPool`` raised at the lost run's
+        resubmission — the freshly rebuilt pool dying before the run
+        lands — must feed back into the retry accounting (another pool
+        break, another charged retry per lost shard), not escape the run
+        as a raw BrokenProcessPool.  Scripted per-attempt so pool timing
+        cannot change which shard is in flight: shard 1's first attempt
+        dies in its result, its resubmission dies at ``_submit_run`` on
+        the replacement pool, its third attempt completes.  Shard 1
+        shares its run with shard 0, so both are lost and charged
         together."""
         config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
         root_state = _seed_state(np.random.SeedSequence(11))
@@ -371,6 +371,33 @@ class TestWorkerFaultTolerance:
         )
         with pytest.raises(SimulationError, match="dying worker"):
             list(broken.outcomes(plan))
+
+    def test_stale_break_callback_after_recovery_is_ignored(self):
+        """A pool break fails every pending run of the pool, one callback
+        at a time, on the pool's manager thread.  The consumer may recover
+        (replace the pool, requeue the lost runs) between two of those
+        callbacks; the later one belongs to a run already given up and
+        must not flag the replacement pool as broken.  Scripted: both
+        first-pool runs fail on a stand-in manager thread, and the second
+        failure's callback is held until the recovery has run."""
+        config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
+        root_state = _seed_state(np.random.SeedSequence(11))
+        plan = shard_plan(0, 0, 4 * SHARD, SHARD)
+        clean = _ScriptedBreakExecutor(
+            config, root_state, "batch", n_jobs=2, shards_per_run=lambda: 2
+        )
+        reference = [outcome.chronologies for outcome in clean.outcomes(plan)]
+
+        executor = _StaleCallbackExecutor(
+            config, root_state, "batch", n_jobs=2, shards_per_run=lambda: 2
+        )
+        outcomes = list(executor.outcomes(plan))
+        executor.manager.join(timeout=10.0)
+        assert not executor.manager.is_alive()
+        assert executor.recovered.is_set()
+        assert executor.pool_breaks == 1
+        assert [outcome.chronologies for outcome in outcomes] == reference
+        assert [outcome.retries for outcome in outcomes] == [1, 1, 1, 1]
 
     def test_next_run_is_submitted_before_a_run_is_delivered(self):
         """The refill happens as soon as a run's result is taken, so the
@@ -439,11 +466,11 @@ class _SubmitBreakExecutor(PipelinedShardExecutor):
         self._submit_calls = 0
         self._break_at = break_at_submit
 
-    def _submit_run(self, number, run):
+    def _submit_run(self, run):
         self._submit_calls += 1
         if self._submit_calls == self._break_at:
             raise BrokenProcessPool("worker died before this submit")
-        return super()._submit_run(number, run)
+        return super()._submit_run(run)
 
 
 class _FakePool:
@@ -457,11 +484,12 @@ class _ScriptedBreakExecutor(PipelinedShardExecutor):
     """No real pool: run submissions simulate synchronously in-process and
     a ``script`` mapping ``(shard index, attempt) -> "break-submit" |
     "break-result"`` dictates exactly where ``BrokenProcessPool``
-    surfaces for the run holding that shard (attempts count per run).
-    Worker timing cannot influence the schedule, so recovery paths —
-    including a rebuilt pool breaking again during ``_recover``'s
-    resubmission — are pinned deterministically.  ``run_seconds``, when
-    given, is reported as every run's worker time."""
+    surfaces for the run holding that shard (attempts count per run,
+    keyed by the run's first shard).  Worker timing cannot influence the
+    schedule, so recovery paths — including a rebuilt pool breaking
+    again at the lost run's resubmission — are pinned deterministically.
+    ``run_seconds``, when given, is reported as every run's worker
+    time."""
 
     def __init__(self, *args, script=None, run_seconds=None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -475,9 +503,10 @@ class _ScriptedBreakExecutor(PipelinedShardExecutor):
     def _give_back_pool(self, in_flight):
         pass
 
-    def _submit_run(self, number, run):
-        attempt = self._attempts.get(number, 0)
-        self._attempts[number] = attempt + 1
+    def _submit_run(self, run):
+        first = run[0].index
+        attempt = self._attempts.get(first, 0)
+        self._attempts[first] = attempt + 1
         actions = [self._script.get((task.index, attempt)) for task in run]
         if "break-submit" in actions:
             raise BrokenProcessPool("worker died before this submit")
@@ -492,6 +521,72 @@ class _ScriptedBreakExecutor(PipelinedShardExecutor):
                 seconds = time.perf_counter() - start
             future.set_result((per_shard, seconds))
         return future
+
+
+class _HeldFuture(Future):
+    """A future whose done-callback, on the thread that completes it, is
+    held inside ``exception()`` until ``release`` is set (when given);
+    ``entered`` tells when it got there.  Other threads read the outcome
+    at once."""
+
+    def __init__(self, release=None):
+        super().__init__()
+        self.release = release
+        self.completer = None
+        self.armed = threading.Event()
+        self.entered = threading.Event()
+
+    def add_done_callback(self, fn):
+        super().add_done_callback(fn)
+        self.armed.set()
+
+    def exception(self, timeout=None):
+        if self.release is not None and threading.current_thread() is self.completer:
+            self.entered.set()
+            self.release.wait(10.0)
+        return super().exception(timeout)
+
+
+class _StaleCallbackExecutor(_ScriptedBreakExecutor):
+    """Both runs of the first pool stay pending until a stand-in manager
+    thread fails them with ``BrokenProcessPool``, one after the other.
+    The consumer's first recovery starts once the second failure's
+    callback is under way and ends once it has returned, while that
+    callback is held until the recovery is done; later submissions
+    simulate synchronously."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.recovered = threading.Event()
+        self._callback_returned = threading.Event()
+        self._first_pool = []
+        self.manager = threading.Thread(target=self._break_first_pool, daemon=True)
+
+    def _submit_run(self, run):
+        if len(self._first_pool) < 2:
+            held = _HeldFuture(self.recovered) if self._first_pool else _HeldFuture()
+            held.completer = self.manager
+            self._first_pool.append(held)
+            if len(self._first_pool) == 2:
+                self.manager.start()
+            return held
+        return super()._submit_run(run)
+
+    def _break_first_pool(self):
+        for future in self._first_pool:
+            future.armed.wait(10.0)
+        for future in self._first_pool:
+            future.set_exception(BrokenProcessPool("worker died mid-run"))
+        self._callback_returned.set()
+
+    def _replace_pool(self, failed):
+        first = not self.recovered.is_set()
+        if first:
+            self._first_pool[1].entered.wait(10.0)
+        super()._replace_pool(failed)
+        if first:
+            self.recovered.set()
+            self._callback_returned.wait(10.0)
 
 
 def sleepy_worker(after, seconds, task):

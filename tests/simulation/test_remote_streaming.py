@@ -30,6 +30,7 @@ from repro.exceptions import ParameterError, SimulationError
 from repro.simulation import Precision, RaidGroupConfig
 from repro.simulation.executor import (
     ShardTask,
+    _run_shard_task,
     shard_plan,
     simulate_shard,
     simulate_shards,
@@ -357,6 +358,29 @@ class TestDistributedDeterminism:
         assert distributed.executor_stats["mode"] == "distributed"
         assert list(distributed.executor_stats["workers"]) == ["local"]
 
+    def test_local_pool_keeps_its_speculation_bound(self):
+        """A distributed run's local pool holds at most ``n_jobs`` runs
+        the consumer has not reached, as the pipelined pool does, however
+        slowly the consumer commits.  With nobody dialed in and one event
+        shard per run, no shard is delivered with more than ``n_jobs``
+        shards simulated or in flight behind it."""
+        n_groups = 12 * SHARD
+        serial = make_runner("event", n_groups=n_groups).run_streaming(
+            shard_size=SHARD
+        )
+        events = []
+
+        def slow_commit(event):
+            events.append(event)
+            time.sleep(0.05)
+
+        distributed = make_runner("event", n_groups=n_groups, n_jobs=2).run_streaming(
+            shard_size=SHARD, workers="127.0.0.1:0", observers=(slow_commit,)
+        )
+        assert canonical(distributed) == canonical(serial)
+        assert len(events) == 12
+        assert max(event.queue_depth for event in events) <= 2
+
 
 class TestChaos:
     def test_worker_killed_mid_shard_is_reseeded(self, hub):
@@ -494,6 +518,225 @@ class TestChaos:
         outcomes.close()  # convergence: drain, discard in-flight
         stop.set()
         assert not executor.accepting()
+
+
+def crash_first_task_once(crash_dir, task):
+    """Kill the worker on the first shard any pool task runs, once."""
+    if not os.listdir(crash_dir):
+        open(os.path.join(crash_dir, "crashed"), "w").close()
+        os._exit(1)
+    return _run_shard_task(task)
+
+
+class _MixedRun:
+    """Orders a run shared by one remote link and the local pool.
+
+    The link claims the first run, and its worker's simulation waits for
+    :attr:`release`; the pool leases its workers only once the link holds
+    that run.  Records every claim and every shard the pool publishes.
+    """
+
+    def __init__(self, monkeypatch):
+        self.claims = []
+        self.local_published = []
+        self.release = threading.Event()
+        self.link_holds_a_run = threading.Semaphore(0)
+        link_claimed = threading.Event()
+        simulate = remote_module.simulate_shards
+        claim = DistributedShardExecutor.claim
+        complete = DistributedShardExecutor.complete
+        take_pool = DistributedShardExecutor._take_pool
+
+        def held(config, root_state, engine, run):
+            self.link_holds_a_run.release()
+            self.release.wait(timeout=60.0)
+            return simulate(config, root_state, engine, run)
+
+        def recording_claim(executor, claimant, *args, **kwargs):
+            run = claim(executor, claimant, *args, **kwargs)
+            if run is not None:
+                self.claims.append((claimant, [task.index for task in run]))
+                if claimant != "local":
+                    link_claimed.set()
+            return run
+
+        def recording_complete(executor, task, *args, worker, **kwargs):
+            if worker == "local":
+                self.local_published.append(task.index)
+            return complete(executor, task, *args, worker=worker, **kwargs)
+
+        def take_pool_after_the_link(executor):
+            assert link_claimed.wait(timeout=30.0)
+            return take_pool(executor)
+
+        monkeypatch.setattr(remote_module, "simulate_shards", held)
+        monkeypatch.setattr(DistributedShardExecutor, "claim", recording_claim)
+        monkeypatch.setattr(DistributedShardExecutor, "complete", recording_complete)
+        monkeypatch.setattr(
+            DistributedShardExecutor, "_take_pool", take_pool_after_the_link
+        )
+
+    def wait_for_local(self, indices, timeout=60.0):
+        """Wait until the pool has published every shard in ``indices``."""
+        deadline = time.monotonic() + timeout
+        while not set(indices) <= set(self.local_published):
+            assert time.monotonic() < deadline, self.local_published
+            time.sleep(0.01)
+
+    @staticmethod
+    def run(runner, **kwargs):
+        """``run_streaming`` on a thread, so a stalled run fails the test."""
+        holder = {}
+        events = []
+        thread = threading.Thread(
+            target=lambda: holder.setdefault(
+                "result", runner.run_streaming(observers=(events.append,), **kwargs)
+            ),
+            daemon=True,
+        )
+        thread.start()
+        return thread, holder, events
+
+
+class TestMixedClaimants:
+    """The local pool and a remote link hold runs at once, and one of
+    them is lost."""
+
+    def test_link_lost_at_the_cursor_is_picked_up_by_the_pool(
+        self, hub, monkeypatch
+    ):
+        """The link holds the run at the commit cursor (shards 0-3) while
+        the pool's two runs past it (4-7, 8-9) finish, so every pool slot
+        holds a run the consumer has not reached.  The link is dropped:
+        its shards go back to the queue, one retry each, and the pool
+        must still claim them."""
+        n_groups = 10 * SHARD
+        reference = canonical(
+            make_runner("batch", n_groups=n_groups).run_streaming(shard_size=SHARD)
+        )
+        order = _MixedRun(monkeypatch)
+        stop = start_workers(hub, 1, max_reconnects=0)
+        thread, holder, events = order.run(
+            make_runner("batch", n_groups=n_groups, n_jobs=2),
+            shard_size=SHARD,
+            workers=hub,
+        )
+        try:
+            assert order.link_holds_a_run.acquire(timeout=30.0)
+            order.wait_for_local(range(4, 10))
+            assert hub.drop(hub.stats()["workers"][0]["worker"])
+        finally:
+            order.release.set()
+        thread.join(timeout=120.0)
+        stop.set()
+        assert not thread.is_alive(), "the pool never claimed the lost run"
+        distributed = holder["result"]
+        assert canonical(distributed) == reference
+        assert order.claims[:3] == [
+            (order.claims[0][0], [0, 1, 2, 3]),
+            ("local", [4, 5, 6, 7]),
+            ("local", [8, 9]),
+        ]
+        assert order.claims[3:] == [("local", [0, 1, 2, 3])]
+        assert [event.shard_retries for event in events] == [1] * 4 + [0] * 6
+        assert [event.shard_worker for event in events] == ["local"] * 10
+
+    def test_slow_link_does_not_idle_the_pool(self, hub, monkeypatch):
+        """The link holds the run at the commit cursor (shard 0) until the
+        pool has published every other shard.  Finished local runs that
+        wait on a link's shard do not count against the pool's ``n_jobs``
+        runs, so the pool keeps claiming past them instead of idling."""
+        n_groups = 8 * SHARD
+        reference = canonical(
+            make_runner("event", n_groups=n_groups).run_streaming(shard_size=SHARD)
+        )
+        order = _MixedRun(monkeypatch)
+        stop = start_workers(hub, 1)
+        thread, holder, events = order.run(
+            make_runner("event", n_groups=n_groups, n_jobs=2),
+            shard_size=SHARD,
+            workers=hub,
+        )
+        try:
+            assert order.link_holds_a_run.acquire(timeout=30.0)
+            order.wait_for_local(range(1, 8), timeout=30.0)
+        finally:
+            order.release.set()
+        thread.join(timeout=120.0)
+        stop.set()
+        assert not thread.is_alive()
+        assert canonical(holder["result"]) == reference
+        assert events[0].shard_worker != "local"
+        assert [event.shard_worker for event in events][1:] == ["local"] * 7
+        assert [event.shard_retries for event in events] == [0] * 8
+
+    def test_claimants_share_the_queue_under_a_short_switch_interval(self, hub):
+        """Stress: a pool of two and three in-thread links, more claimants
+        than cores, share one queue of one-shard runs while the
+        interpreter switches threads every microsecond.  Every shard is
+        committed once, in order and unretried, and the run equals
+        serial."""
+        n_shards, shard = 48, 8
+        reference = canonical(
+            make_runner("event", n_groups=n_shards * shard).run_streaming(
+                shard_size=shard
+            )
+        )
+        stop = start_workers(hub, 3)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread, holder, events = _MixedRun.run(
+                make_runner("event", n_groups=n_shards * shard, n_jobs=2),
+                shard_size=shard,
+                workers=hub,
+            )
+            thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(previous)
+            stop.set()
+        assert not thread.is_alive()
+        assert canonical(holder["result"]) == reference
+        assert [event.shards_completed for event in events] == list(
+            range(1, n_shards + 1)
+        )
+        assert [event.shard_retries for event in events] == [0] * n_shards
+
+    def test_pool_break_while_a_link_holds_a_run(self, hub, monkeypatch, tmp_path):
+        """The pool's first task kills its worker while the link holds
+        shards 0-4.  The pool is replaced and its lost run (5-9) re-run:
+        only those shards are charged, and the run equals serial with one
+        pool break."""
+        crash_dir = tmp_path / "crashes"
+        crash_dir.mkdir()
+        n_groups = 10 * SHARD
+        reference = canonical(
+            make_runner("batch", n_groups=n_groups).run_streaming(shard_size=SHARD)
+        )
+        order = _MixedRun(monkeypatch)
+        stop = start_workers(hub, 1)
+        thread, holder, events = order.run(
+            make_runner("batch", n_groups=n_groups, n_jobs=1),
+            shard_size=SHARD,
+            workers=hub,
+            _shard_worker=functools.partial(crash_first_task_once, str(crash_dir)),
+        )
+        try:
+            assert order.link_holds_a_run.acquire(timeout=30.0)
+            order.wait_for_local(range(5, 10))
+        finally:
+            order.release.set()
+        thread.join(timeout=120.0)
+        stop.set()
+        assert not thread.is_alive()
+        distributed = holder["result"]
+        assert canonical(distributed) == reference
+        assert distributed.executor_stats["pool_breaks"] == 1
+        assert len(os.listdir(crash_dir)) == 1
+        assert [claimant for claimant, _ in order.claims[1:]] == ["local", "local"]
+        assert [event.shard_retries for event in events] == [0] * 5 + [1] * 5
+        assert [event.shard_worker for event in events][5:] == ["local"] * 5
+        assert "local" not in [event.shard_worker for event in events][:5]
 
 
 class TestWorkerRobustness:
