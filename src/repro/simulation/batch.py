@@ -24,9 +24,8 @@ the number of *still-active* groups rather than the shard size (see
   have finished their missions (and the kernel is still at least
   :data:`COMPACT_MIN_ROWS` rows), every state array is gathered down to
   the unfinished groups.  A row-to-original-group index map keeps the
-  per-group tallies and :class:`GroupChronology` outputs addressed by
-  their original fleet positions, so compaction is invisible outside the
-  kernel.
+  per-group tallies and DDF records addressed by their original fleet
+  positions, so compaction is invisible outside the kernel.
 
 The two engines realise the same stochastic process — the Fig. 4/5 DDF
 semantics (overlapping restores, latent-then-op ordering, no DDF while a
@@ -83,6 +82,7 @@ event engine under ``engine="auto"``.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -91,6 +91,7 @@ from ..exceptions import SimulationError
 from .config import RaidGroupConfig
 from .predicate import loss_predicate_for
 from .raid_simulator import DDFType, GroupChronology
+from .streaming import FleetAccumulator
 
 #: Groups per seed shard: each shard draws from one spawned child of the
 #: root seed.  Fixed (rather than derived from ``n_jobs``) so batch-engine
@@ -229,11 +230,99 @@ class _ShardSamplers:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class GroupArrays:
+    """A kernel call's groups as per-group arrays, in fleet order.
+
+    The counters hold one entry per group.  The three DDF columns list
+    every DDF of the call, grouped by group in fleet order and each
+    group's in time order: ``ddf_group`` (the group's fleet position),
+    ``ddf_times`` and ``ddf_double`` (``True`` for
+    :attr:`~repro.simulation.raid_simulator.DDFType.DOUBLE_OP`, else
+    ``LATENT_THEN_OP``).
+    """
+
+    mission_hours: float
+    n_op_failures: np.ndarray
+    n_latent_defects: np.ndarray
+    n_scrub_repairs: np.ndarray
+    n_restores: np.ndarray
+    n_checks: np.ndarray
+    n_policy_repairs: np.ndarray
+    ddf_group: np.ndarray
+    ddf_times: np.ndarray
+    ddf_double: np.ndarray
+
+    def chronologies(self) -> List[GroupChronology]:
+        """One :class:`GroupChronology` per group, in fleet order."""
+        n_groups = self.n_op_failures.size
+        ddf_times: List[List[float]] = [[] for _ in range(n_groups)]
+        ddf_types: List[List[DDFType]] = [[] for _ in range(n_groups)]
+        for group, time, double in zip(
+            self.ddf_group.tolist(), self.ddf_times.tolist(), self.ddf_double.tolist()
+        ):
+            ddf_times[group].append(time)
+            ddf_types[group].append(
+                DDFType.DOUBLE_OP if double else DDFType.LATENT_THEN_OP
+            )
+        return [
+            GroupChronology(
+                ddf_times=times,
+                ddf_types=types,
+                n_op_failures=ops,
+                n_latent_defects=lds,
+                n_scrub_repairs=scrubs,
+                n_restores=restores,
+                mission_hours=self.mission_hours,
+                n_checks=checks,
+                n_policy_repairs=repairs,
+            )
+            for times, types, ops, lds, scrubs, restores, checks, repairs in zip(
+                ddf_times,
+                ddf_types,
+                self.n_op_failures.tolist(),
+                self.n_latent_defects.tolist(),
+                self.n_scrub_repairs.tolist(),
+                self.n_restores.tolist(),
+                self.n_checks.tolist(),
+                self.n_policy_repairs.tolist(),
+            )
+        ]
+
+    def summaries(
+        self, sizes: Sequence[int], time_grid: Optional[Sequence[float]] = None
+    ) -> List[FleetAccumulator]:
+        """One summary per consecutive shard of ``sizes`` groups.
+
+        Each equals, byte for byte, a :class:`FleetAccumulator` fed the
+        shard's chronologies, but no chronology is built.
+        """
+        bounds = np.cumsum([0, *sizes]).tolist()
+        cuts = self.ddf_group.searchsorted(bounds).tolist()
+        return [
+            FleetAccumulator.from_ddfs(
+                self.mission_hours,
+                hi - lo,
+                self.ddf_group[first:last] - lo,
+                self.ddf_times[first:last],
+                self.ddf_double[first:last],
+                n_op_failures=int(self.n_op_failures[lo:hi].sum()),
+                n_latent_defects=int(self.n_latent_defects[lo:hi].sum()),
+                n_scrub_repairs=int(self.n_scrub_repairs[lo:hi].sum()),
+                n_restores=int(self.n_restores[lo:hi].sum()),
+                time_grid=time_grid,
+            )
+            for lo, hi, first, last in zip(bounds, bounds[1:], cuts, cuts[1:])
+        ]
+
+
 def simulate_groups_batch(
     config: RaidGroupConfig,
     n_groups: Union[int, Sequence[int]],
     rng: Union[np.random.Generator, Sequence[np.random.Generator]],
-) -> List[GroupChronology]:
+    *,
+    as_arrays: bool = False,
+) -> Union[List[GroupChronology], GroupArrays]:
     """Simulate missions in lockstep; one chronology per group.
 
     Parameters
@@ -247,6 +336,9 @@ def simulate_groups_batch(
     rng:
         The shard's generator, feeding every block draw of the shard, or
         one generator per shard (as many as ``n_groups`` has sizes).
+    as_arrays:
+        Return the groups as one :class:`GroupArrays` instead of
+        chronologies, for runs that keep only per-shard summaries.
 
     With several shards the chronologies come back in fleet order and
     equal the per-shard calls concatenated, byte for byte: each shard
@@ -368,8 +460,11 @@ def simulate_groups_batch(
     n_restores = np.zeros(n_groups, dtype=np.int64)
     n_checks = np.zeros(n_groups, dtype=np.int64)
     n_policy_repairs = np.zeros(n_groups, dtype=np.int64)
-    ddf_times: List[List[float]] = [[] for _ in range(n_groups)]
-    ddf_types: List[List[DDFType]] = [[] for _ in range(n_groups)]
+    # Every DDF as it fires: fleet position, time, pathway.  A group has
+    # at most one event per iteration, so each group's fire in time order.
+    ddf_group: List[np.ndarray] = []
+    ddf_times: List[np.ndarray] = []
+    ddf_double: List[np.ndarray] = []
 
     rows = n_groups
     # Preallocated scratch reused every iteration (prefix-sliced to the
@@ -473,11 +568,9 @@ def simulate_groups_batch(
                 rws, cols = (exposed_others & is_latent[:, None]).nonzero()
                 t_clear[g[rws], cols] = window_end[rws]
                 t_scrub[g[rws], cols] = _INF
-                for r in is_ddf.nonzero()[0]:
-                    ddf_times[go[r]].append(float(t[r]))
-                    ddf_types[go[r]].append(
-                        DDFType.DOUBLE_OP if is_double[r] else DDFType.LATENT_THEN_OP
-                    )
+                ddf_group.append(go[is_ddf])
+                ddf_times.append(t[is_ddf])
+                ddf_double.append(is_double[is_ddf])
 
             # The failed drive leaves with its corruption; all its pending
             # processes are invalidated until the replacement comes up.
@@ -558,29 +651,28 @@ def simulate_groups_batch(
                     t_restore[g_rep[rws], cols] = repair_completion[rws]
                 t_check[g, 0] = t + policy.check_interval_hours
 
-    return [
-        GroupChronology(
-            ddf_times=times,
-            ddf_types=types,
-            n_op_failures=ops,
-            n_latent_defects=lds,
-            n_scrub_repairs=scrubs,
-            n_restores=restores,
-            mission_hours=mission,
-            n_checks=checks,
-            n_policy_repairs=repairs,
+    if ddf_group:
+        group = np.concatenate(ddf_group)
+        # A stable sort by group keeps each group's DDFs in time order.
+        order = np.argsort(group, kind="stable")
+        columns = (
+            group[order],
+            np.concatenate(ddf_times)[order],
+            np.concatenate(ddf_double)[order],
         )
-        for times, types, ops, lds, scrubs, restores, checks, repairs in zip(
-            ddf_times,
-            ddf_types,
-            n_op_failures.tolist(),
-            n_latent_defects.tolist(),
-            n_scrub_repairs.tolist(),
-            n_restores.tolist(),
-            n_checks.tolist(),
-            n_policy_repairs.tolist(),
-        )
-    ]
+    else:
+        columns = (np.empty(0, dtype=np.int64), _EMPTY, np.empty(0, dtype=bool))
+    groups = GroupArrays(
+        mission,
+        n_op_failures,
+        n_latent_defects,
+        n_scrub_repairs,
+        n_restores,
+        n_checks,
+        n_policy_repairs,
+        *columns,
+    )
+    return groups if as_arrays else groups.chronologies()
 
 
 def next_shard_size(groups_done: int, target_groups: int, shard_size: int) -> int:

@@ -9,15 +9,20 @@ continue an interrupted fleet simulation bit-identically:
 * the **shard cursor** — how many shards (and groups) completed, which
   positions the :class:`~numpy.random.SeedSequence` spawn stream for the
   next shard, and
-* the full :class:`~repro.simulation.streaming.FleetAccumulator` state,
-  including the first-DDF reservoir's RNG cursor.
+* the full :class:`~repro.simulation.streaming.FleetAccumulator` state:
+  integer tallies, exact moment sums and the bottom-k first-DDF sample.
 
 Because shards are seeded independently of how many will eventually run
 (one spawned child per shard for the batch engine, one per group for the
 event engine), "resume" is simply: restore the accumulator, skip the
-already-consumed spawn positions, and keep going.  The resumed run
-performs the same floating-point operation sequence as an uninterrupted
-one, so final results are byte-identical.
+already-consumed spawn positions, and keep going.  The accumulator is
+exactly mergeable, so the resumed run ends in the same state as an
+uninterrupted one, byte for byte.
+
+Format ``repro-checkpoint/2`` holds that exact state.  Files of format
+``/1`` (Welford moments and a reservoir RNG cursor) are refused, and the
+service's result cache treats them as integrity misses and refines the
+key afresh.
 
 Checkpoints are written atomically and durably (unique temp file +
 ``fsync`` + ``os.replace``) so an interruption — or a whole-machine crash
@@ -40,7 +45,7 @@ from .config import RaidGroupConfig
 from .streaming import FleetAccumulator
 
 #: Format tag written into (and required from) every checkpoint file.
-CHECKPOINT_FORMAT = "repro-checkpoint/1"
+CHECKPOINT_FORMAT = "repro-checkpoint/2"
 
 
 def config_fingerprint(config: RaidGroupConfig) -> str:

@@ -1,15 +1,18 @@
 """Pipelined shard execution for streaming fleet runs, local and remote.
 
 ``MonteCarloRunner.run_streaming`` advances a fleet in seeded shards and
-commits each shard's chronologies into a
+commits each shard into a
 :class:`~repro.simulation.streaming.FleetAccumulator` **strictly in shard
-order** — that ordering is what makes checkpoint/resume bit-identical and
-a converged run replayable.  Nothing about the *simulation* of a shard is
-order-dependent, though: every shard's random streams are a pure function
-of its index (one spawned :class:`~numpy.random.SeedSequence` child per
-shard for the batch engine, one per group for the event engine), so
-shards may be computed out of order, on any process, and the results are
-byte-identical as long as they are *committed* in order.
+order**, so convergence stopping, checkpoints and observers see exactly
+the shards a serial run would.  Nothing about the *simulation* of a shard
+is order-dependent, though: every shard's random streams are a pure
+function of its index (one spawned :class:`~numpy.random.SeedSequence`
+child per shard for the batch engine, one per group for the event
+engine), so shards may be computed out of order, on any process, and the
+results are byte-identical.  A claimant sends back each shard as one
+small summary (a ``FleetAccumulator`` over the shard, built where it was
+simulated; :func:`summarize_shards`), plus its chronologies only when
+the run keeps them, and the commit is one exact merge.
 
 :class:`PipelinedShardExecutor` exploits exactly that split:
 
@@ -40,7 +43,7 @@ byte-identical as long as they are *committed* in order.
   comes back.  Workers see the environment of the moment their pool was
   spawned,
 * the consumer takes results **in shard order**, one shard at a time,
-  and folds them into the accumulator, so convergence stopping,
+  and merges each summary into the accumulator, so convergence stopping,
   checkpoints, and observers behave exactly as in a serial run,
 * shards simulated or in flight past the one a precision target stops
   at are simply never committed — discarded as if they had never been
@@ -79,6 +82,7 @@ from ..exceptions import SimulationError
 from .batch import next_shard_size, simulate_groups_batch
 from .config import RaidGroupConfig
 from .raid_simulator import GroupChronology, RaidGroupSimulator
+from .streaming import FleetAccumulator
 
 #: Times a shard whose worker died is re-run before the run gives up.
 DEFAULT_MAX_SHARD_RETRIES = 2
@@ -112,8 +116,11 @@ class ShardOutcome:
     ----------
     task:
         The shard that was simulated.
-    chronologies:
-        Its per-group chronologies, in group order.
+    summary:
+        The shard's statistics: a
+        :class:`~repro.simulation.streaming.FleetAccumulator` over its
+        groups, built where the shard was simulated.  The commit merges
+        it into the run's accumulator.
     wall_seconds:
         Worker-side simulation wall time (queue wait excluded).  Shards
         simulated together in one run (one kernel call, in process or
@@ -140,16 +147,21 @@ class ShardOutcome:
         arrive: each is charged the time since the previous frame of its
         run, the first since the task was sent, so a run's shards add up
         to its round trip.
+    chronologies:
+        Its per-group chronologies, in group order, when the run keeps
+        them (``keep_chronologies``); otherwise None, and none was built
+        for a batch shard.
     """
 
     task: ShardTask
-    chronologies: List[GroupChronology]
+    summary: FleetAccumulator
     wall_seconds: float
     queue_depth: int = 0
     commit_lag_seconds: float = 0.0
     retries: int = 0
     worker: str = "local"
     rtt_seconds: float = 0.0
+    chronologies: Optional[List[GroupChronology]] = None
 
 
 def shard_plan(
@@ -197,6 +209,11 @@ def _child_seed(root_state: dict, index: int) -> np.random.SeedSequence:
     )
 
 
+def _generator(root_state: dict, index: int) -> np.random.Generator:
+    """The generator of the root's ``index``-th child."""
+    return np.random.Generator(np.random.PCG64(_child_seed(root_state, index)))
+
+
 def simulate_shard(
     config: RaidGroupConfig,
     root_state: dict,
@@ -211,59 +228,96 @@ def simulate_shard(
     1``).  Both match the root's sequential ``spawn`` order exactly.
     """
     if engine == "batch":
-        rng = np.random.Generator(np.random.PCG64(_child_seed(root_state, task.index)))
-        return simulate_groups_batch(config, task.n_groups, rng)
+        return _kernel(config, root_state, [task])
     simulator = RaidGroupSimulator(config)
     return [
-        simulator.run(
-            np.random.Generator(
-                np.random.PCG64(_child_seed(root_state, task.group_offset + i))
-            )
-        )
+        simulator.run(_generator(root_state, task.group_offset + i))
         for i in range(task.n_groups)
     ]
 
 
-def simulate_shards(
+def _kernel(
+    config: RaidGroupConfig, root_state: dict, run: Sequence[ShardTask], **kwargs
+):
+    """One batch-kernel call over a run, each shard on its own generator;
+    a one-shard run is the plain one-shard call."""
+    sizes = [task.n_groups for task in run]
+    rngs = [_generator(root_state, task.index) for task in run]
+    if len(run) == 1:
+        return simulate_groups_batch(config, sizes[0], rngs[0], **kwargs)
+    return simulate_groups_batch(config, sizes, rngs, **kwargs)
+
+
+#: One shard's result: its summary, and its chronologies if the run keeps them.
+ShardResult = Tuple[FleetAccumulator, Optional[List[GroupChronology]]]
+
+
+def shard_result(
+    config: RaidGroupConfig,
+    chronologies: List[GroupChronology],
+    time_grid: Optional[Sequence[float]] = None,
+    keep_chronologies: bool = False,
+) -> ShardResult:
+    """One shard's result from its chronologies: their summary (by
+    :meth:`~repro.simulation.streaming.FleetAccumulator.add_shard`), and
+    the chronologies themselves if kept."""
+    summary = FleetAccumulator(config.mission_hours, time_grid=time_grid)
+    summary.add_shard(chronologies)
+    return summary, chronologies if keep_chronologies else None
+
+
+def summarize_shards(
     config: RaidGroupConfig,
     root_state: dict,
     engine: str,
     run: Sequence[ShardTask],
-) -> List[List[GroupChronology]]:
-    """Simulate a run of consecutive shards; one chronology list per shard.
+    time_grid: Optional[Sequence[float]] = None,
+    keep_chronologies: bool = False,
+) -> List[ShardResult]:
+    """Simulate a run of consecutive shards; one :data:`ShardResult` each.
 
-    Batch shards share one kernel call, each drawing from its own shard's
-    generator, so the result equals :func:`simulate_shard` per shard;
-    event shards run one after another.
+    A batch run is one kernel call that returns its groups as arrays
+    (:class:`~repro.simulation.batch.GroupArrays`); each shard's summary
+    is built from them without any chronology, and chronologies are
+    built only when kept.  Event shards are summarized from their
+    chronologies by :func:`shard_result`.  Both give the same bytes.
     """
-    if engine != "batch" or len(run) == 1:
-        return [simulate_shard(config, root_state, engine, task) for task in run]
-    sizes = [task.n_groups for task in run]
-    fleet = simulate_groups_batch(
-        config,
-        sizes,
-        [
-            np.random.Generator(np.random.PCG64(_child_seed(root_state, task.index)))
+    if engine != "batch":
+        return [
+            shard_result(
+                config,
+                simulate_shard(config, root_state, engine, task),
+                time_grid,
+                keep_chronologies,
+            )
             for task in run
-        ],
-    )
+        ]
+    sizes = [task.n_groups for task in run]
+    groups = _kernel(config, root_state, run, as_arrays=True)
+    summaries = groups.summaries(sizes, time_grid)
+    if not keep_chronologies:
+        return [(summary, None) for summary in summaries]
+    chronologies = groups.chronologies()
     ends = np.cumsum(sizes).tolist()
-    return [fleet[end - n : end] for n, end in zip(sizes, ends)]
+    return [
+        (summary, chronologies[end - n : end])
+        for summary, n, end in zip(summaries, sizes, ends)
+    ]
 
 
 def split_run(
     run: Sequence[ShardTask],
-    per_shard: Sequence[List[GroupChronology]],
+    per_shard: Sequence[object],
     wall_seconds: float,
-) -> Iterator[Tuple[ShardTask, List[GroupChronology], float]]:
-    """A run's shards with their chronologies and shares of its wall time.
+) -> Iterator[Tuple[ShardTask, object, float]]:
+    """A run's shards with their results and shares of its wall time.
 
     Each shard is charged the run's wall time times its share of the
     run's groups, so per-shard times add up to the run's.
     """
     groups = sum(task.n_groups for task in run)
-    for task, chronologies in zip(run, per_shard):
-        yield task, chronologies, wall_seconds * (task.n_groups / groups)
+    for task, result in zip(run, per_shard):
+        yield task, result, wall_seconds * (task.n_groups / groups)
 
 
 def _run_shard_task(task: ShardTask) -> "Tuple[List[GroupChronology], float]":
@@ -288,21 +342,29 @@ def _run_shard_run(
     engine: str,
     run: Sequence[ShardTask],
     worker: Optional[ShardWorker],
-) -> "Tuple[List[List[GroupChronology]], float]":
+    time_grid: Optional[Sequence[float]],
+    keep_chronologies: bool,
+) -> "Tuple[List[ShardResult], float]":
     """Pool task: simulate a run of shards, timing the whole run.
 
-    The run is one :func:`simulate_shards` call, unless a ``worker`` hook
-    is injected: that is called once per shard, so a hook that kills its
-    process loses the whole run.
+    The run is one :func:`summarize_shards` call, unless a ``worker``
+    hook is injected: that is called once per shard, so a hook that
+    kills its process loses the whole run, and its chronologies are
+    summarized by :func:`shard_result`.
     """
     global _task_constants
     start = time.perf_counter()
     if worker is None:
-        per_shard = simulate_shards(config, root_state, engine, run)
+        per_shard = summarize_shards(
+            config, root_state, engine, run, time_grid, keep_chronologies
+        )
     else:
         _task_constants = (config, root_state, engine)
         try:
-            per_shard = [worker(task)[0] for task in run]
+            per_shard = [
+                shard_result(config, worker(task)[0], time_grid, keep_chronologies)
+                for task in run
+            ]
         finally:
             _task_constants = None
     return per_shard, time.perf_counter() - start
@@ -414,7 +476,9 @@ class PipelinedShardExecutor:
     workers is one claimant, driven from the consumer's thread: it holds
     at most ``n_jobs`` runs the consumer has not reached (see
     :meth:`_may_claim`).  With a ``hub``, every connected remote worker
-    is another, and ``n_jobs`` may be 0.
+    is another, and ``n_jobs`` may be 0.  Every claimant sends back each
+    shard's summary over ``time_grid``, and its chronologies only when
+    ``keep_chronologies``.
 
     ``shards_per_run()`` is evaluated on the consumer's thread, before
     the first claim and after each committed shard, so the callable may
@@ -435,6 +499,8 @@ class PipelinedShardExecutor:
         shards_per_run: Callable[[], int] = lambda: 1,
         max_retries: int = DEFAULT_MAX_SHARD_RETRIES,
         worker: Optional[ShardWorker] = None,
+        time_grid: Optional[Sequence[float]] = None,
+        keep_chronologies: bool = False,
     ) -> None:
         least = 1 if hub is None else 0
         if n_jobs < least:
@@ -448,6 +514,8 @@ class PipelinedShardExecutor:
         self.hub = hub
         self.shards_per_run = shards_per_run
         self.max_retries = max_retries
+        self.time_grid = None if time_grid is None else [float(t) for t in time_grid]
+        self.keep_chronologies = keep_chronologies
         self.pool_breaks = 0
         self.workers_started = 0
         self._worker = worker
@@ -458,7 +526,7 @@ class PipelinedShardExecutor:
         self._queue: List[int] = []  # heap of unclaimed shard indices
         self._by_index: Dict[int, ShardTask] = {}
         self._claimed: Dict[int, str] = {}
-        self._results: Dict[int, Tuple[List[GroupChronology], float, str, float]] = {}
+        self._results: Dict[int, Tuple[ShardResult, float, str, float]] = {}
         self._retries: Dict[int, int] = {}
         self._done_at: Dict[int, float] = {}
         self._run_length = 1
@@ -503,17 +571,37 @@ class PipelinedShardExecutor:
     def complete(
         self,
         task: ShardTask,
-        chronologies: List[GroupChronology],
+        summary: FleetAccumulator,
         wall_seconds: float,
         *,
         worker: str,
         rtt_seconds: float = 0.0,
+        chronologies: Optional[List[GroupChronology]] = None,
     ) -> None:
+        """Publish a claimed shard's result.
+
+        Raises :class:`~repro.exceptions.SimulationError`, publishing
+        nothing, if the summary (or the chronologies) do not cover
+        exactly the shard's groups.
+        """
+        sizes = [summary.n_groups]
+        if chronologies is not None:
+            sizes.append(len(chronologies))
+        if any(size != task.n_groups for size in sizes):
+            raise SimulationError(
+                f"shard {task.index} of {task.n_groups} groups came back from "
+                f"{worker} with {' and '.join(map(str, sizes))}"
+            )
         with self._cond:
             if task.index not in self._by_index or task.index in self._results:
                 return  # stale duplicate (e.g. completed after a reassignment)
             self._claimed.pop(task.index, None)
-            self._results[task.index] = (chronologies, wall_seconds, worker, rtt_seconds)
+            self._results[task.index] = (
+                (summary, chronologies),
+                wall_seconds,
+                worker,
+                rtt_seconds,
+            )
             self._done_at.setdefault(task.index, time.perf_counter())
             self._cond.notify_all()
 
@@ -627,13 +715,15 @@ class PipelinedShardExecutor:
             if ready:
                 break
         with self._cond:
-            chronologies, wall_seconds, worker, rtt_seconds = self._results.pop(index)
+            result, wall_seconds, worker, rtt_seconds = self._results.pop(index)
             del self._by_index[index]
             finished_at = self._done_at.pop(index, time.perf_counter())
             retries = self._retries.get(index, 0)
             in_flight = len(self._claimed) + len(self._results)
+        summary, chronologies = result
         return ShardOutcome(
             task=task,
+            summary=summary,
             chronologies=chronologies,
             wall_seconds=wall_seconds,
             queue_depth=in_flight,
@@ -716,8 +806,19 @@ class PipelinedShardExecutor:
                 return
         if error is None:
             per_shard, wall_seconds = future.result()
-            for task, chronologies, seconds in split_run(run, per_shard, wall_seconds):
-                self.complete(task, chronologies, seconds, worker="local")
+            try:
+                for task, (summary, chronologies), seconds in split_run(
+                    run, per_shard, wall_seconds
+                ):
+                    self.complete(
+                        task,
+                        summary,
+                        seconds,
+                        worker="local",
+                        chronologies=chronologies,
+                    )
+            except SimulationError as exc:
+                self.fail(exc)
         elif isinstance(error, SimulationError):
             self.fail(error)
         else:
@@ -764,7 +865,14 @@ class PipelinedShardExecutor:
         """Hand one claimed run to the pool."""
         assert self._pool is not None
         return self._pool.submit(
-            _run_shard_run, self.config, self.root_state, self.engine, run, self._worker
+            _run_shard_run,
+            self.config,
+            self.root_state,
+            self.engine,
+            run,
+            self._worker,
+            self.time_grid,
+            self.keep_chronologies,
         )
 
 

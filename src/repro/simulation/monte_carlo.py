@@ -55,8 +55,9 @@ from .executor import (
     ShardTask,
     ShardWorker,
     shard_plan,
-    simulate_shards,
+    shard_result,
     split_run,
+    summarize_shards,
 )
 from .raid_simulator import GroupChronology
 from .results import SimulationResult
@@ -287,6 +288,7 @@ class MonteCarloRunner:
             engine,
             _seed_state(make_seed_sequence(self.seed)),
             lambda jobs: _shards_per_run(engine, BATCH_SHARD_SIZE, len(plan), jobs),
+            keep_chronologies=True,
         )
         chronologies = [chrono for outcome in source for chrono in outcome.chronologies]
         return SimulationResult(
@@ -316,10 +318,16 @@ class MonteCarloRunner:
         """Simulate shard-by-shard through streaming accumulators.
 
         The fleet is advanced in seeded shards of ``shard_size`` groups
-        (the last shard truncated to the target), each shard's
-        chronologies folded into a
-        :class:`~repro.simulation.streaming.FleetAccumulator` and then
-        discarded (unless ``keep_chronologies``).  Shard seeding matches
+        (the last shard truncated to the target).  Wherever a shard is
+        simulated (here, in a pool worker or on a remote worker), it is
+        summarized there into a small
+        :class:`~repro.simulation.streaming.FleetAccumulator`, and this
+        process merges the summaries into the run's accumulator in shard
+        order.  Merging is exact, so the result is the same bytes
+        however the shards were simulated.  A batch shard's summary is
+        built from the kernel's per-group arrays without any
+        :class:`~repro.simulation.raid_simulator.GroupChronology`; only
+        ``keep_chronologies`` builds and returns them.  Shard seeding matches
         the materialized :meth:`run` path exactly — one spawned
         :class:`~numpy.random.SeedSequence` child per group (event
         engine) or per shard (batch engine) — so a fixed-size streaming
@@ -495,6 +503,9 @@ class MonteCarloRunner:
             shards = min(needed / shard_size, len(plan))
             return _shards_per_run(engine, shard_size, math.ceil(shards), claimants)
 
+        # Every shard is summarized over the accumulator's grid, which a
+        # resumed run takes from its checkpoint.
+        grid = None if accumulator.time_grid is None else accumulator.time_grid.tolist()
         if hub is not None:
             from .remote import DistributedShardExecutor
 
@@ -507,6 +518,8 @@ class MonteCarloRunner:
                 shards_per_run=lambda: run_length(self.n_jobs + hub.n_workers()),
                 max_retries=max_shard_retries,
                 worker=_shard_worker,
+                time_grid=grid,
+                keep_chronologies=keep_chronologies,
             )
             source = executor.outcomes(plan)
         else:
@@ -518,6 +531,8 @@ class MonteCarloRunner:
                 max_retries=max_shard_retries,
                 worker=_shard_worker,
                 shard_runner=_shard_runner,
+                time_grid=grid,
+                keep_chronologies=keep_chronologies,
             )
         parallel = executor is not None
 
@@ -540,7 +555,7 @@ class MonteCarloRunner:
             elif not plan:
                 stop_reason = "fixed" if fixed_target is not None else "max_groups"
             for outcome in source:
-                accumulator.add_shard(outcome.chronologies)
+                accumulator.merge(outcome.summary)
                 if keep_chronologies:
                     kept.extend(outcome.chronologies)
                 shards_done += 1
@@ -680,6 +695,8 @@ class MonteCarloRunner:
         max_retries: int = DEFAULT_MAX_SHARD_RETRIES,
         worker: Optional[ShardWorker] = None,
         shard_runner: Optional[Callable[[int, int], List[GroupChronology]]] = None,
+        time_grid: Optional[Sequence[float]] = None,
+        keep_chronologies: bool = False,
     ) -> "Tuple[Optional[PipelinedShardExecutor], Iterator[ShardOutcome]]":
         """The plan's outcomes, in order, from the spawn pool or in process.
 
@@ -688,7 +705,9 @@ class MonteCarloRunner:
         (returned alongside, for its telemetry); ``n_jobs=1`` or an
         injected ``shard_runner`` runs it here.  Either way the plan is
         cut into runs of ``run_length(jobs)`` shards (one per run with a
-        ``shard_runner``), each sized when it starts.
+        ``shard_runner``), each sized when it starts, and every outcome
+        carries its shard's summary over ``time_grid`` (and its
+        chronologies when ``keep_chronologies``).
         """
         pooled = self.n_jobs > 1 and shard_runner is None and bool(plan)
         jobs = self.n_jobs if pooled else 1
@@ -698,7 +717,13 @@ class MonteCarloRunner:
 
         if not pooled:
             return None, self._serial_outcomes(
-                plan, engine, root_state, shard_runner, per_run
+                plan,
+                engine,
+                root_state,
+                shard_runner,
+                per_run,
+                time_grid,
+                keep_chronologies,
             )
         executor = PipelinedShardExecutor(
             self.config,
@@ -708,6 +733,8 @@ class MonteCarloRunner:
             shards_per_run=per_run,
             max_retries=max_retries,
             worker=worker,
+            time_grid=time_grid,
+            keep_chronologies=keep_chronologies,
         )
         return executor, executor.outcomes(plan)
 
@@ -718,13 +745,17 @@ class MonteCarloRunner:
         root_state: dict,
         _shard_runner: Optional[Callable[[int, int], List[GroupChronology]]],
         run_length: Callable[[], int],
+        time_grid: Optional[Sequence[float]] = None,
+        keep_chronologies: bool = False,
     ) -> Iterator[ShardOutcome]:
         """In-process shard execution (``n_jobs=1`` or an injected runner).
 
         Consecutive shards are simulated ``run_length()`` at a time, sized
         when the run starts (after the previous run's shards were taken),
         but still delivered one by one, each timed at the run's wall time
-        times its share of the run's groups.
+        times its share of the run's groups.  Shards are summarized as a
+        pool task summarizes them (an injected runner's chronologies by
+        :func:`~repro.simulation.executor.shard_result`).
         """
         first = 0
         while first < len(plan):
@@ -732,15 +763,26 @@ class MonteCarloRunner:
             first += len(run)
             start = time.perf_counter()
             if _shard_runner is not None:
-                per_shard = [_shard_runner(task.index, task.n_groups) for task in run]
+                per_shard = [
+                    shard_result(
+                        self.config,
+                        _shard_runner(task.index, task.n_groups),
+                        time_grid,
+                        keep_chronologies,
+                    )
+                    for task in run
+                ]
             else:
-                per_shard = simulate_shards(self.config, root_state, engine, run)
+                per_shard = summarize_shards(
+                    self.config, root_state, engine, run, time_grid, keep_chronologies
+                )
             wall = time.perf_counter() - start
-            for delivered, (task, chronologies, seconds) in enumerate(
+            for delivered, (task, (summary, chronologies), seconds) in enumerate(
                 split_run(run, per_shard, wall), 1
             ):
                 yield ShardOutcome(
                     task=task,
+                    summary=summary,
                     chronologies=chronologies,
                     wall_seconds=seconds,
                     queue_depth=len(run) - delivered,

@@ -11,10 +11,11 @@ one machine with *unchanged semantics*:
   loop.  It dials the coordinator, announces itself, receives the run
   constants, then pulls *runs* of consecutive shards (work stealing: a
   fast host simply asks more often).  It simulates each run in one
-  :func:`~repro.simulation.executor.simulate_shards` call, as a pool task
-  does, and streams back one length-prefixed JSON result frame per shard,
-  the shard's chronologies in columns.  A background thread heartbeats; a
-  dropped connection triggers reconnect with exponential backoff.
+  :func:`~repro.simulation.executor.summarize_shards` call, as a pool
+  task does, and streams back one length-prefixed JSON result frame per
+  shard: the shard's summary, plus its chronologies in columns when the
+  run keeps them.  A background thread heartbeats; a dropped connection
+  triggers reconnect with exponential backoff.
 
 * :class:`RemoteWorkerHub` — the coordinator side.  A listening socket
   plus one thread per connected worker.  Each worker thread drives the
@@ -23,9 +24,10 @@ one machine with *unchanged semantics*:
   ``hub`` this is, beside its local pool), and publishes each shard as
   its frame arrives.  It sends the worker its next run as soon as the
   first frame of the current one arrives, so a link holds at most two
-  runs.  Heartbeat staleness or a socket error abandons every shard not
-  yet back to the queue, each *charged* one retry against
-  ``max_retries``, the same path a local pool break takes.  An idle link
+  runs.  Heartbeat staleness, a socket error or a frame that does not
+  decode into exactly its shard abandons every shard not yet published
+  to the queue, each *charged* one retry against ``max_retries``, the
+  same path a local pool break takes, and drops the link.  An idle link
   waits on the hub's condition, which :meth:`RemoteWorkerHub.register`
   notifies, so a new run reaches idle workers at once.  Because commits
   stay strictly in shard order and each shard is reseeded from its
@@ -36,16 +38,17 @@ one machine with *unchanged semantics*:
 * :class:`DistributedShardExecutor` — the executor with its ``hub``
   required.
 
-Wire format (version 2): every frame is a 4-byte big-endian unsigned
+Wire format (version 3): every frame is a 4-byte big-endian unsigned
 length followed by that many bytes of UTF-8 JSON.  JSON round-trips
-Python floats exactly (shortest-repr), so chronologies survive the wire
-bit-identical.  Messages carry a ``t`` tag:
+Python floats and ints exactly, so summaries and chronologies survive
+the wire bit-identical.  Messages carry a ``t`` tag:
 
 ====================  =======================================================
 coordinator → worker
 ====================  =======================================================
 ``init``              run constants: ``epoch``, ``engine``, ``config``,
-                      ``root_state``
+                      ``root_state``, ``time_grid`` (the summaries' curve
+                      ages, or null) and ``keep_chronologies``
 ``task``              one run of consecutive shards: ``epoch``, ``shards``
                       (one ``[index, group_offset, n_groups]`` per shard)
 ``drain``             no work right now (convergence drain / between runs)
@@ -60,8 +63,11 @@ worker → coordinator
                       for this config (``epoch``, ``reason``)
 ``result``            one shard of a run, in run order: ``epoch``,
                       ``index``, ``wall_seconds`` (the shard's share of the
-                      run's), ``columns`` (the shard's chronologies as
-                      columns, see :func:`chronology_to_dict`)
+                      run's), ``summary`` (the shard's
+                      :class:`~repro.simulation.streaming.FleetAccumulator`
+                      as ``to_dict()``) and, only when the run keeps
+                      chronologies, ``columns`` (see
+                      :func:`chronology_to_dict`)
 ``task_err``          the run raised on the worker (``epoch``, ``index``
                       of its first shard, ``error``) — fails the run with
                       the real error instead of burning retries
@@ -70,14 +76,19 @@ worker → coordinator
 
 The ``epoch`` stamps every task/result with the run it belongs to, so a
 result that limps in after its run drained (or after the shard was
-reassigned) is recognizably stale and discarded.  A hub refuses a
-``hello`` from another protocol version before it sends anything.
+reassigned) is recognizably stale and discarded.  A result of the
+current epoch must be the shard the link awaits, with a finite
+``wall_seconds`` >= 0 and a summary (and kept columns) of exactly that
+shard's groups, mission and time grid; anything else is handled as a
+lost connection.  A hub refuses a ``hello`` from another protocol
+version before it sends anything.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import socket
 import struct
@@ -87,19 +98,20 @@ from collections import deque
 from operator import attrgetter
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..exceptions import SimulationError
+from ..exceptions import ReproError, SimulationError
 from .config import RaidGroupConfig
 from .executor import (
     _POLL_SECONDS,
     PipelinedShardExecutor,
     ShardTask,
     _describe,
-    simulate_shards,
     split_run,
+    summarize_shards,
 )
 from .raid_simulator import DDFType, GroupChronology
+from .streaming import FleetAccumulator
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Hard cap on a single frame — a 5k-group shard of pathological
 #: chronologies is well under 64 MiB; anything larger is a corrupt or
@@ -150,14 +162,68 @@ def chronology_to_dict(chronologies: Sequence[GroupChronology]) -> dict:
 
 
 def chronology_from_dict(columns: dict) -> List[GroupChronology]:
-    """The chronologies of one shard from :func:`chronology_to_dict`'s columns."""
+    """The chronologies of one shard from :func:`chronology_to_dict`'s columns.
+
+    Raises ValueError if the columns differ in length.
+    """
     kinds = [[DDFType(v) for v in values] for values in columns["ddf_types"]]
     return [
         GroupChronology(times, types, *scalars)
         for times, types, *scalars in zip(
-            columns["ddf_times"], kinds, *(columns[name] for name in _SCALARS)
+            columns["ddf_times"],
+            kinds,
+            *(columns[name] for name in _SCALARS),
+            strict=True,
         )
     ]
+
+
+def _int_field(message: dict, key: str) -> Optional[int]:
+    """``message[key]`` when it is an int (not a bool), else None."""
+    value = message.get(key)
+    return value if isinstance(value, int) and not isinstance(value, bool) else None
+
+
+def _decode_result(
+    message: dict, task: ShardTask, session: PipelinedShardExecutor
+) -> Tuple[FleetAccumulator, Optional[List[GroupChronology]], float]:
+    """A result frame's summary, kept chronologies and wall time.
+
+    Raises ConnectionError, which the link handles as a lost socket,
+    unless the frame decodes and describes exactly ``task``: a finite
+    ``wall_seconds`` >= 0, a summary of ``task.n_groups`` groups over the
+    session's mission and time grid, and, when the session keeps
+    chronologies, that many of them.
+    """
+    try:
+        wall_seconds = message["wall_seconds"]
+        if isinstance(wall_seconds, bool) or not 0.0 <= wall_seconds < math.inf:
+            raise ValueError(f"wall_seconds {wall_seconds!r} is not a finite time >= 0")
+        summary = FleetAccumulator.from_dict(message["summary"])
+        chronologies = (
+            chronology_from_dict(message["columns"])
+            if session.keep_chronologies
+            else None
+        )
+    except (KeyError, TypeError, ValueError, ArithmeticError, ReproError) as exc:
+        # Everything a peer's JSON can make the decoders raise.
+        raise ConnectionError(
+            f"undecodable result frame for shard {task.index}: {exc!r}"
+        ) from exc
+    grid = None if summary.time_grid is None else summary.time_grid.tolist()
+    if summary.n_groups != task.n_groups:
+        problem = f"a summary of {summary.n_groups} groups"
+    elif summary.mission_hours != session.config.mission_hours:
+        problem = f"a summary over a {summary.mission_hours}-hour mission"
+    elif grid != session.time_grid:
+        problem = "a summary over another time grid"
+    elif chronologies is not None and len(chronologies) != task.n_groups:
+        problem = f"{len(chronologies)} chronologies"
+    else:
+        return summary, chronologies, float(wall_seconds)
+    raise ConnectionError(
+        f"result frame for shard {task.index} of {task.n_groups} groups carries {problem}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +364,8 @@ def _serve_connection(
     hb_thread = threading.Thread(target=_heartbeat, daemon=True)
     config: Optional[RaidGroupConfig] = None
     root_state: Optional[dict] = None
+    time_grid: Optional[List[float]] = None
+    keep_chronologies = False
     engine = "event"
     epoch = -1
     completed = 0
@@ -329,9 +397,12 @@ def _serve_connection(
                 # Parse the config before the capability check: engine
                 # support is per-config (the batch engine cannot run some
                 # structures), and a config this host cannot even
-                # deserialize is an init_err, not a crash.
+                # deserialize is an init_err, not a crash.  So is a time
+                # grid no summary can be built over.
                 try:
                     new_config = config_from_dict(message["config"])
+                    time_grid = message.get("time_grid")
+                    FleetAccumulator(new_config.mission_hours, time_grid=time_grid)
                 except Exception as exc:
                     send_frame(
                         sock,
@@ -355,6 +426,7 @@ def _serve_connection(
                     continue
                 config = new_config
                 root_state = dict(message["root_state"])
+                keep_chronologies = bool(message.get("keep_chronologies"))
                 send_frame(sock, send_lock, {"t": "init_ok", "epoch": epoch})
             elif kind == "task":
                 if config is None or int(message["epoch"]) != epoch:
@@ -365,7 +437,9 @@ def _serve_connection(
                 ]
                 start = time.perf_counter()
                 try:
-                    per_shard = simulate_shards(config, root_state, engine, run)
+                    per_shard = summarize_shards(
+                        config, root_state, engine, run, time_grid, keep_chronologies
+                    )
                 except Exception as exc:
                     # A deterministic failure must reach the coordinator
                     # as an actionable error, not kill the worker (which
@@ -385,20 +459,19 @@ def _serve_connection(
                 wall_seconds = time.perf_counter() - start
                 # One frame per shard, so the coordinator publishes each
                 # shard as it arrives and no frame holds a whole run.
-                for task, chronologies, seconds in split_run(
+                for task, (summary, chronologies), seconds in split_run(
                     run, per_shard, wall_seconds
                 ):
-                    send_frame(
-                        sock,
-                        send_lock,
-                        {
-                            "t": "result",
-                            "epoch": epoch,
-                            "index": task.index,
-                            "wall_seconds": seconds,
-                            "columns": chronology_to_dict(chronologies),
-                        },
-                    )
+                    result = {
+                        "t": "result",
+                        "epoch": epoch,
+                        "index": task.index,
+                        "wall_seconds": seconds,
+                        "summary": summary.to_dict(),
+                    }
+                    if chronologies is not None:
+                        result["columns"] = chronology_to_dict(chronologies)
+                    send_frame(sock, send_lock, result)
                     completed += 1
             elif kind == "drain":
                 continue  # nothing to do right now; keep listening
@@ -648,7 +721,7 @@ class RemoteWorkerHub:
             hello = link.reader.read(timeout=10.0)
             if not hello or hello.get("t") != "hello":
                 return
-            if int(hello.get("v", -1)) != PROTOCOL_VERSION:
+            if hello.get("v") != PROTOCOL_VERSION:
                 return
             base = f"{hello.get('host', '?')}:{hello.get('pid', '?')}"
             link.last_seen = time.monotonic()
@@ -708,10 +781,11 @@ class RemoteWorkerHub:
 
         The link sends the worker its next run as soon as the first frame
         of the current one arrives, so at most two runs are out at once,
-        and publishes each shard as its frame arrives.  A socket error or
-        heartbeat staleness abandons every shard not yet back (charged one
-        retry each) and propagates as ConnectionError to drop the link; a
-        convergence drain abandons them uncharged.
+        and publishes each shard as its frame arrives.  A socket error,
+        heartbeat staleness or a result frame that does not decode into
+        exactly its shard abandons every shard not yet published (charged
+        one retry each) and propagates as ConnectionError to drop the
+        link; a convergence drain abandons them uncharged.
         """
         from ..validation.generator import config_to_dict
 
@@ -722,6 +796,8 @@ class RemoteWorkerHub:
                 "engine": session.engine,
                 "config": config_to_dict(session.config),
                 "root_state": session.root_state,
+                "time_grid": session.time_grid,
+                "keep_chronologies": session.keep_chronologies,
             }
         )
         # Staleness-based, like _await_result: a worker still finishing a
@@ -734,16 +810,18 @@ class RemoteWorkerHub:
             if message is not None:
                 link.last_seen = time.monotonic()
                 kind = message.get("t")
-                if kind == "init_ok" and int(message.get("epoch", -1)) == epoch:
+                if kind == "init_ok" and _int_field(message, "epoch") == epoch:
                     break
-                if kind == "init_err" and int(message.get("epoch", -1)) == epoch:
+                if kind == "init_err" and _int_field(message, "epoch") == epoch:
                     link.rejected.add(epoch)
                     return
             elif time.monotonic() - link.last_seen > self.heartbeat_timeout:
                 raise ConnectionError("worker did not answer init")
 
-        # Runs sent to the worker and not yet fully back, oldest first.
+        # Runs sent to the worker and not yet fully back, oldest first, and
+        # the shard whose frame arrived but is not yet published.
         runs: Deque[_SentRun] = deque()
+        arrived: List[ShardTask] = []
         try:
             while True:
                 if not runs:
@@ -783,6 +861,7 @@ class RemoteWorkerHub:
                 # split over its shards as their frames arrive.
                 arrived_at = time.perf_counter()
                 task = current.pending.popleft()
+                arrived = [task]
                 rtt = arrived_at - current.last_at
                 current.last_at = arrived_at
                 # Send the next run before decoding this frame, so the
@@ -801,19 +880,30 @@ class RemoteWorkerHub:
                         self._send_run(link, epoch, runs[-1])
                     except OSError as exc:
                         lost = exc
-                chronologies = chronology_from_dict(message["columns"])
-                wall_seconds = float(message["wall_seconds"])
+                summary, chronologies, wall_seconds = _decode_result(
+                    message, task, session
+                )
+                try:
+                    session.complete(
+                        task,
+                        summary,
+                        wall_seconds,
+                        worker=link.name,
+                        rtt_seconds=rtt,
+                        chronologies=chronologies,
+                    )
+                except SimulationError as exc:
+                    raise ConnectionError(str(exc)) from exc
+                arrived = []
                 link.shards_committed += 1
                 link.wall_seconds += wall_seconds
                 link.rtt_total += rtt
                 link.rtt_count += 1
-                session.complete(
-                    task, chronologies, wall_seconds, worker=link.name, rtt_seconds=rtt
-                )
                 if lost is not None:
                     raise lost
         except OSError as exc:
-            session.abandon(_unarrived(runs), f"{link.name}: {exc}")
+            # ConnectionError included: a bad frame drops the link too.
+            session.abandon(arrived + _unarrived(runs), f"{link.name}: {exc}")
             raise ConnectionError(str(exc)) from exc
 
     @staticmethod
@@ -841,19 +931,29 @@ class RemoteWorkerHub:
 
         Returns the ``result`` frame for the shard (or the ``task_err``
         of the run it starts), or None if the session stops accepting
-        first (drain).
+        first (drain).  Frames of other epochs are stale and skipped; a
+        result or ``task_err`` without an integer epoch and index, or of
+        this epoch for another shard, raises ConnectionError, since a
+        worker answers its runs in order.
         """
         while True:
             message = link.reader.read(_POLL_SECONDS)
             if message is not None:
                 link.last_seen = time.monotonic()
-                if (
-                    message.get("t") in ("result", "task_err")
-                    and int(message.get("epoch", -1)) == epoch
-                    and int(message.get("index", -1)) == index
-                ):
-                    return message
-                continue
+                kind = message.get("t")
+                if kind not in ("result", "task_err"):
+                    continue
+                got_epoch = _int_field(message, "epoch")
+                got_index = _int_field(message, "index")
+                if got_epoch is None or got_index is None:
+                    raise ConnectionError(f"{kind} frame without an integer epoch and index")
+                if got_epoch != epoch:
+                    continue
+                if got_index != index:
+                    raise ConnectionError(
+                        f"{kind} frame for shard {got_index} while shard {index} was due"
+                    )
+                return message
             if time.monotonic() - link.last_seen > self.heartbeat_timeout:
                 raise ConnectionError(
                     f"worker heartbeat timed out awaiting shard {index}"

@@ -1,11 +1,11 @@
-"""Streaming fleet statistics: incremental, mergeable, checkpointable.
+"""Streaming fleet statistics: incremental, exactly mergeable, checkpointable.
 
 The materialized path (:class:`~repro.simulation.results.SimulationResult`)
 keeps every per-group chronology in memory; fine for thousands of groups,
 hostile to production-scale fleets and to runs whose size is not known in
 advance.  This module provides the streaming counterpart: **accumulators**
-that consume chronologies shard-by-shard and keep only sufficient
-statistics, so a fleet run can
+that keep only sufficient statistics of the groups fed in, so a fleet run
+can
 
 * grow until a **precision target** is met (:class:`Precision`) instead of
   running a fixed ``n_groups`` blind,
@@ -15,26 +15,40 @@ statistics, so a fleet run can
 * report progress while it runs (:class:`ProgressEvent`,
   :class:`StderrProgressReporter`).
 
-All accumulators are *mergeable*: ``a.merge(b)`` folds another
-accumulator's state in, and merging is associative (to floating-point
-tolerance for the moment statistics, exactly for the integer tallies), so
-shards may be combined in any grouping.  Updates are applied
-shard-by-shard in shard order, which makes an interrupted-then-resumed
-run perform the *same sequence of floating-point operations* as an
-uninterrupted one — the checkpoint/resume bit-identity guarantee.
+All accumulators are *exactly* mergeable: ``a.merge(b)`` folds another
+accumulator's state in, and the merged state is the same bytes however
+the groups were cut into shards, and in whatever order and tree shape
+the shards were merged.  So each shard of a run is summarized where it
+was simulated (in process, in a pool worker or on a remote worker) into
+one small :class:`FleetAccumulator`, and the run commits it with one
+merge; serial, pooled, distributed and interrupted-then-resumed runs
+agree byte for byte because there is nothing order-dependent left to
+disagree on.  Three choices make that so:
 
-The mean/variance accumulator uses Welford's online algorithm; merging
-uses the parallel (Chan et al.) update.  Sampled time-to-first-DDF values
-are kept in a deterministic bounded reservoir so quantiles of the
-first-failure distribution stay available without storing every group.
+* :class:`StreamingMoments` keeps the count, Σx and Σx² exactly, as
+  Python ints for integral values (the per-group DDF counts) and as
+  :class:`fractions.Fraction` otherwise (every finite float is a dyadic
+  rational); the mean and variance are rounded once from the exact
+  ratios;
+* :class:`FirstDDFReservoir` is a bottom-k sample: every time-to-first-DDF
+  value gets a fixed 64-bit priority, a hash of its IEEE-754 bits, and
+  the sample keeps the values of the lowest priorities, so merging is a
+  union cut back to the capacity (Cohen & Kaplan, "Summarizing data
+  using bottom-k sketches", PODC 2007);
+* everything else is an integer tally, and the spare-wait hours are
+  summed as an exact :class:`~fractions.Fraction`.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
+import operator
+import struct
 import sys
 import time
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -46,14 +60,11 @@ from .raid_simulator import DDFType, GroupChronology
 #: Hours in the paper's first-year reporting window (Table 3).
 FIRST_YEAR_HOURS = 8_760.0
 
-#: Default capacity of the time-to-first-DDF reservoir.
+#: Default capacity of the time-to-first-DDF sample.
 DEFAULT_RESERVOIR_CAPACITY = 1_024
 
-#: Fixed seed of the reservoir's internal (non-physical) RNG.  The
-#: reservoir only *subsamples* already-simulated values, so this stream is
-#: deliberately independent of the simulation seed; a constant keeps
-#: accumulator state a pure function of the chronologies fed in.
-_RESERVOIR_SEED = 0x5EED_D1CE
+#: An exact sum: an int, or a Fraction once a non-integral value is in it.
+Exact = Union[int, Fraction]
 
 
 def normal_two_sided_z(confidence: float) -> float:
@@ -69,52 +80,92 @@ def normal_two_sided_z(confidence: float) -> float:
 
 
 # ----------------------------------------------------------------------
-class StreamingMoments:
-    """Welford online mean/variance over a stream of scalars.
+# Exact rationals.
+def _exact(value: float) -> Exact:
+    """A finite number as an exact rational: an int when it is integral."""
+    if isinstance(value, int):
+        return value
+    value = float(value)
+    if value.is_integer():
+        return int(value)
+    if not math.isfinite(value):
+        raise ParameterError(f"cannot accumulate a non-finite value: {value!r}")
+    return Fraction(value)
 
-    Exact in count and mean-of-stream semantics; numerically stable in
-    one pass.  :meth:`merge` applies the parallel-variance update, so
-    moments computed per shard combine into the whole-fleet moments.
+
+def _ratio(numerator: Exact, denominator: int) -> float:
+    """``numerator / denominator``, rounded once to the nearest float."""
+    # Both divisions round correctly: int / int is a correctly rounded
+    # true division, and a Fraction converts by one such division.
+    if isinstance(numerator, int):
+        return numerator / denominator
+    return float(numerator / denominator)
+
+
+def _exact_to_json(value: Exact) -> List[int]:
+    """``[numerator, denominator]`` of an exact value (JSON ints are exact)."""
+    value = Fraction(value)
+    return [value.numerator, value.denominator]
+
+
+def _exact_from_json(state: object) -> Exact:
+    """Inverse of :func:`_exact_to_json`; rejects anything but two ints."""
+    numerator, denominator = state  # type: ignore[misc]
+    value = Fraction(operator.index(numerator), operator.index(denominator))
+    # Integral sums (the DDF counts') stay ints, whose arithmetic is fastest.
+    return value.numerator if value.denominator == 1 else value
+
+
+# ----------------------------------------------------------------------
+class StreamingMoments:
+    """Exact count, mean and variance of a stream of scalars.
+
+    The state is the count and the exact sums Σx and Σx² (ints while
+    every value is integral, Fractions otherwise), so :meth:`add` and
+    :meth:`merge` commute and associate exactly: any partition of a
+    stream, merged in any order, gives the same state.  :attr:`mean` and
+    :meth:`variance` are the exact ratios rounded once.  Values must be
+    finite.
     """
 
-    __slots__ = ("count", "mean", "_m2")
+    __slots__ = ("count", "_sum", "_sum_sq")
 
-    def __init__(self, count: int = 0, mean: float = 0.0, m2: float = 0.0) -> None:
+    def __init__(self, count: int = 0, total: Exact = 0, total_sq: Exact = 0) -> None:
         self.count = int(count)
-        self.mean = float(mean)
-        self._m2 = float(m2)
+        self._sum = total
+        self._sum_sq = total_sq
 
     def add(self, value: float) -> None:
         """Fold one observation in."""
+        x = _exact(value)
         self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
+        self._sum += x
+        self._sum_sq += x * x
 
     def add_many(self, values: Iterable[float]) -> None:
-        """Fold a sequence in, one observation at a time (stream order)."""
+        """Fold a sequence in, one observation at a time."""
         for value in values:
-            self.add(float(value))
+            self.add(value)
 
     def merge(self, other: "StreamingMoments") -> None:
-        """Fold another accumulator's state in (Chan et al. update)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self._m2 = other.count, other.mean, other._m2
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count = total
+        """Fold another accumulator's state in (exact sums add)."""
+        self.count += other.count
+        self._sum += other._sum
+        self._sum_sq += other._sum_sq
 
     # ------------------------------------------------------------------
+    @property
+    def mean(self) -> float:
+        """Mean of the stream so far (0.0 while empty)."""
+        return _ratio(self._sum, self.count) if self.count else 0.0
+
     def variance(self, ddof: int = 1) -> float:
         """Sample variance (``ddof=1``) of the stream so far."""
         if self.count <= ddof:
             return 0.0
-        return self._m2 / (self.count - ddof)
+        # Σ(x - mean)² = (n·Σx² - (Σx)²) / n, exactly.
+        spread = self.count * self._sum_sq - self._sum * self._sum
+        return _ratio(spread, self.count * (self.count - ddof))
 
     def std(self, ddof: int = 1) -> float:
         """Sample standard deviation."""
@@ -130,20 +181,25 @@ class StreamingMoments:
         """Normal-theory two-sided CI for the stream mean."""
         z = normal_two_sided_z(confidence)
         half = z * self.stderr() if self.count >= 2 else float("inf")
-        return self.mean - half, self.mean + half
+        mean = self.mean
+        return mean - half, mean + half
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe full state."""
-        return {"count": self.count, "mean": self.mean, "m2": self._m2}
+        """JSON-safe full state; the sums as ``[numerator, denominator]``."""
+        return {
+            "count": self.count,
+            "sum": _exact_to_json(self._sum),
+            "sum_sq": _exact_to_json(self._sum_sq),
+        }
 
     @classmethod
     def from_dict(cls, state: Dict[str, object]) -> "StreamingMoments":
         """Inverse of :meth:`to_dict`."""
         return cls(
-            count=int(state["count"]),  # type: ignore[arg-type]
-            mean=float(state["mean"]),  # type: ignore[arg-type]
-            m2=float(state["m2"]),  # type: ignore[arg-type]
+            count=operator.index(state["count"]),  # type: ignore[arg-type]
+            total=_exact_from_json(state["sum"]),
+            total_sq=_exact_from_json(state["sum_sq"]),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -151,65 +207,126 @@ class StreamingMoments:
 
 
 # ----------------------------------------------------------------------
-class FirstDDFReservoir:
-    """Bounded uniform sample of per-group time-to-first-DDF values.
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<Q")
+_MASK64 = (1 << 64) - 1
 
-    Algorithm R with a dedicated deterministic RNG: feeding the same
-    values in the same order always keeps the same sample, and the RNG
-    state serializes with the reservoir, so checkpoint/resume replays
-    identically.  Groups that never suffer a DDF contribute to
-    ``groups_offered`` only through :attr:`n_censored`.
+
+def _priority(value: float) -> int:
+    """One value's bottom-k priority; equals :func:`first_ddf_priorities`."""
+    # ``+ 0.0`` turns -0.0 into 0.0, so equal values hash alike.
+    (z,) = _BITS.unpack(_DOUBLE.pack(value + 0.0))
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def first_ddf_priorities(values: np.ndarray) -> np.ndarray:
+    """Bottom-k priorities of float values: splitmix64 of their bits.
+
+    The splitmix64 finalizer is a bijection on 64-bit words, so distinct
+    values (``-0.0`` counted as ``0.0``) get distinct priorities and a
+    priority order is a total order on values.  numpy's uint64 arithmetic
+    wraps, as the mix needs.
+    """
+    z = (np.asarray(values, dtype=np.float64) + 0.0).view(np.uint64)
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _by_priority(values: Sequence[float]) -> "tuple[List[float], List[int]]":
+    """``values`` and their priorities, in ascending priority order."""
+    priorities = first_ddf_priorities(values)
+    order = np.argsort(priorities, kind="stable")
+    return np.asarray(values, dtype=float)[order].tolist(), priorities[order].tolist()
+
+
+class FirstDDFReservoir:
+    """Bottom-k sample of per-group time-to-first-DDF values.
+
+    Every value has a fixed priority (:func:`first_ddf_priorities`), and
+    the sample holds the ``capacity`` values of lowest priority in
+    ascending priority order.  Distinct values have distinct priorities
+    and equal values are interchangeable, so the sample of a multiset of
+    values is unique: offering values one by one, or merging the samples
+    of any partition of them in any order, gives the same list.  The hash
+    is of the value, not of the group, so the state is the values alone.
+    Groups that never suffer a DDF count only in :attr:`n_censored`.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_RESERVOIR_CAPACITY,
-        seed: int = _RESERVOIR_SEED,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_RESERVOIR_CAPACITY) -> None:
         require_int("capacity", capacity, minimum=1)
         self.capacity = capacity
         self.values: List[float] = []
         self.n_seen = 0
         self.n_censored = 0
-        self._rng = np.random.Generator(np.random.PCG64(seed))
+        # The priorities of ``values``, parallel to it; None after
+        # :meth:`from_dict` until first needed (a read never needs them).
+        self._priorities: Optional[List[int]] = []
+
+    @classmethod
+    def from_values(
+        cls,
+        values: np.ndarray,
+        n_censored: int = 0,
+        capacity: int = DEFAULT_RESERVOIR_CAPACITY,
+    ) -> "FirstDDFReservoir":
+        """The sample of these first-DDF values, computed at once."""
+        out = cls(capacity=capacity)
+        ranked, priorities = _by_priority(values)
+        out.values, out._priorities = ranked[:capacity], priorities[:capacity]
+        out.n_seen = len(ranked)
+        out.n_censored = int(n_censored)
+        return out
 
     def offer_first_ddf(self, time_hours: float) -> None:
         """Offer one group's first-DDF instant."""
         self.n_seen += 1
-        if len(self.values) < self.capacity:
-            self.values.append(float(time_hours))
-            return
-        slot = int(self._rng.integers(0, self.n_seen))
-        if slot < self.capacity:
-            self.values[slot] = float(time_hours)
+        value = float(time_hours)
+        self._absorb([_priority(value)], [value])
 
     def offer_censored(self) -> None:
         """Record a group whose mission ended with no DDF."""
         self.n_censored += 1
 
     def merge(self, other: "FirstDDFReservoir") -> None:
-        """Fold another reservoir in (weighted source selection)."""
-        self.n_censored += other.n_censored
-        if not other.n_seen:
-            return
-        if not self.n_seen:
-            self.values = list(other.values)
-            self.n_seen = other.n_seen
-            return
-        mine = list(self.values)
-        theirs = list(other.values)
-        self._rng.shuffle(mine)  # type: ignore[arg-type]
-        self._rng.shuffle(theirs)  # type: ignore[arg-type]
-        total = self.n_seen + other.n_seen
-        weight_self = self.n_seen / total
-        merged: List[float] = []
-        while len(merged) < self.capacity and (mine or theirs):
-            take_mine = mine and (
-                not theirs or float(self._rng.random()) < weight_self
+        """Fold another sample in: the union, cut back to the capacity."""
+        if other.capacity != self.capacity:
+            raise SimulationError(
+                "cannot merge first-DDF samples of different capacities "
+                f"({self.capacity} vs {other.capacity})"
             )
-            merged.append(mine.pop() if take_mine else theirs.pop())
-        self.values = merged
-        self.n_seen = total
+        # Copies, in case ``other`` is this sample.
+        priorities, values = list(other._ranked()), list(other.values)
+        self.n_seen += other.n_seen
+        self.n_censored += other.n_censored
+        self._absorb(priorities, values)
+
+    def _ranked(self) -> List[int]:
+        """The priorities of :attr:`values`, putting both in canonical order
+        the first time they are needed after :meth:`from_dict`."""
+        if self._priorities is None:
+            self.values, self._priorities = _by_priority(self.values)
+        return self._priorities
+
+    def _absorb(self, priorities: Sequence[int], values: Sequence[float]) -> None:
+        """Insert values given in ascending priority, keeping the lowest."""
+        mine = self._ranked()
+        kept = self.values
+        for priority, value in zip(priorities, values):
+            if len(mine) >= self.capacity:
+                # Every later value ranks at least as high: none can enter.
+                # An equal priority is an equal value, interchangeable.
+                if priority >= mine[-1]:
+                    return
+                mine.pop()
+                kept.pop()
+            slot = bisect.bisect_right(mine, priority)
+            mine.insert(slot, priority)
+            kept.insert(slot, value)
 
     # ------------------------------------------------------------------
     def quantile(self, q: float) -> float:
@@ -219,36 +336,43 @@ class FirstDDFReservoir:
         return float(np.quantile(np.asarray(self.values), q))
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe full state, including the RNG cursor."""
+        """JSON-safe full state (the priorities follow from the values)."""
         return {
             "capacity": self.capacity,
             "values": list(self.values),
             "n_seen": self.n_seen,
             "n_censored": self.n_censored,
-            "rng_state": self._rng.bit_generator.state,
         }
 
     @classmethod
     def from_dict(cls, state: Dict[str, object]) -> "FirstDDFReservoir":
         """Inverse of :meth:`to_dict`."""
-        out = cls(capacity=int(state["capacity"]))  # type: ignore[arg-type]
-        out.values = [float(v) for v in state["values"]]  # type: ignore[union-attr]
-        out.n_seen = int(state["n_seen"])  # type: ignore[arg-type]
-        out.n_censored = int(state["n_censored"])  # type: ignore[arg-type]
-        out._rng.bit_generator.state = state["rng_state"]
+        out = cls(capacity=operator.index(state["capacity"]))  # type: ignore[arg-type]
+        values = [float(v) for v in state["values"]]  # type: ignore[union-attr]
+        if len(values) > out.capacity:
+            raise ParameterError(
+                f"a first-DDF sample of capacity {out.capacity} holds {len(values)} values"
+            )
+        out.values = values
+        out._priorities = None
+        out.n_seen = operator.index(state["n_seen"])  # type: ignore[arg-type]
+        out.n_censored = operator.index(state["n_censored"])  # type: ignore[arg-type]
         return out
 
 
 # ----------------------------------------------------------------------
 class FleetAccumulator:
-    """Sufficient statistics of a fleet, fed chronology-by-chronology.
+    """Sufficient statistics of a fleet, fed chronology by chronology or
+    merged shard summary by shard summary.
 
     Tracks everything :meth:`SimulationResult.summary
     <repro.simulation.results.SimulationResult.summary>` reports — DDF
     totals, pathway mix, event counters — plus per-group DDF-count
-    moments (for confidence intervals), first-year counts, a
-    time-to-first-DDF reservoir, and an optional cumulative-DDF count on
-    a fixed time grid (the Figs 6-10 curves).
+    moments (for confidence intervals), first-year counts, a bottom-k
+    time-to-first-DDF sample, and an optional cumulative-DDF count on a
+    fixed time grid (the Figs 6-10 curves).  Every part is exact, so
+    :meth:`merge` gives the same state for any partition of the groups
+    and any merge order (see the module docstring).
     """
 
     def __init__(
@@ -271,7 +395,7 @@ class FleetAccumulator:
         self.n_scrub_repairs = 0
         self.n_restores = 0
         self.n_spare_waits = 0
-        self.spare_wait_hours = 0.0
+        self._spare_wait_hours = Fraction(0)
         self.first_ddf = FirstDDFReservoir(capacity=reservoir_capacity)
         if time_grid is not None:
             grid = np.asarray(list(time_grid), dtype=float)
@@ -283,21 +407,84 @@ class FleetAccumulator:
             self.time_grid = None
             self.grid_counts = None
 
+    @classmethod
+    def from_ddfs(
+        cls,
+        mission_hours: float,
+        n_groups: int,
+        ddf_group: np.ndarray,
+        ddf_times: np.ndarray,
+        ddf_double: np.ndarray,
+        *,
+        n_op_failures: int = 0,
+        n_latent_defects: int = 0,
+        n_scrub_repairs: int = 0,
+        n_restores: int = 0,
+        time_grid: Optional[Sequence[float]] = None,
+    ) -> "FleetAccumulator":
+        """The summary of ``n_groups`` groups given by their DDFs as arrays.
+
+        ``ddf_group`` (each DDF's group, 0 to ``n_groups - 1``,
+        ascending), ``ddf_times`` (each group's DDFs in time order) and
+        ``ddf_double`` (``True`` for :attr:`DDFType.DOUBLE_OP`) list every
+        DDF; the counters are the groups' totals, and no group waited for
+        a spare.  The state equals, byte for byte, :meth:`add_shard` over
+        the chronologies these arrays describe — without building them.
+        """
+        out = cls(mission_hours, time_grid=time_grid)
+        ddf_group = np.asarray(ddf_group, dtype=np.int64)
+        ddf_times = np.asarray(ddf_times, dtype=float)
+        per_group = np.bincount(ddf_group, minlength=n_groups)
+        first_year = np.bincount(
+            ddf_group[ddf_times <= out.first_year_horizon], minlength=n_groups
+        )
+        out.n_groups = int(n_groups)
+        out.total_ddfs = int(ddf_times.size)
+        out.total_first_year_ddfs = int(first_year.sum())
+        out.ddf_moments = StreamingMoments(
+            n_groups, out.total_ddfs, int(per_group @ per_group)
+        )
+        out.first_year_moments = StreamingMoments(
+            n_groups, out.total_first_year_ddfs, int(first_year @ first_year)
+        )
+        double = int(np.count_nonzero(ddf_double))
+        out.pathway[DDFType.DOUBLE_OP] = double
+        out.pathway[DDFType.LATENT_THEN_OP] = out.total_ddfs - double
+        out.n_op_failures = int(n_op_failures)
+        out.n_latent_defects = int(n_latent_defects)
+        out.n_scrub_repairs = int(n_scrub_repairs)
+        out.n_restores = int(n_restores)
+        # Each group's first DDF is where the group column changes.
+        starts = np.flatnonzero(np.diff(ddf_group, prepend=-1))
+        out.first_ddf = FirstDDFReservoir.from_values(
+            ddf_times[starts], n_censored=n_groups - starts.size
+        )
+        if out.grid_counts is not None:
+            out.grid_counts = np.searchsorted(
+                np.sort(ddf_times), out.time_grid, side="right"
+            ).astype(np.int64)
+        return out
+
     # ------------------------------------------------------------------
     @property
     def first_year_horizon(self) -> float:
         """The first-year window, clipped to the mission."""
         return min(FIRST_YEAR_HOURS, self.mission_hours)
 
+    @property
+    def spare_wait_hours(self) -> float:
+        """Hours failures spent waiting for a spare (summed exactly)."""
+        return float(self._spare_wait_hours)
+
     def add_chronology(self, chrono: GroupChronology) -> None:
         """Fold one group's mission in."""
         n_ddfs = chrono.n_ddfs
         self.n_groups += 1
         self.total_ddfs += n_ddfs
-        self.ddf_moments.add(float(n_ddfs))
+        self.ddf_moments.add(n_ddfs)
         first_year = chrono.ddfs_before(self.first_year_horizon) if n_ddfs else 0
         self.total_first_year_ddfs += first_year
-        self.first_year_moments.add(float(first_year))
+        self.first_year_moments.add(first_year)
         for kind in chrono.ddf_types:
             self.pathway[kind] += 1
         self.n_op_failures += chrono.n_op_failures
@@ -305,9 +492,10 @@ class FleetAccumulator:
         self.n_scrub_repairs += chrono.n_scrub_repairs
         self.n_restores += chrono.n_restores
         self.n_spare_waits += chrono.n_spare_waits
-        self.spare_wait_hours += chrono.spare_wait_hours
+        if chrono.spare_wait_hours:
+            self._spare_wait_hours += Fraction(chrono.spare_wait_hours)
         if not n_ddfs:
-            # Most groups see no DDF: no reservoir value, no curve update.
+            # Most groups see no DDF: no sampled value, no curve update.
             self.first_ddf.offer_censored()
             return
         self.first_ddf.offer_first_ddf(chrono.ddf_times[0])
@@ -317,16 +505,30 @@ class FleetAccumulator:
             ).astype(np.int64)
 
     def add_shard(self, chronologies: Iterable[GroupChronology]) -> None:
-        """Fold a whole shard in, in order."""
+        """Fold a whole shard in."""
         for chrono in chronologies:
             self.add_chronology(chrono)
 
     def merge(self, other: "FleetAccumulator") -> None:
-        """Fold another accumulator in (associative across shards)."""
+        """Fold another accumulator in, exactly (see the class docstring).
+
+        Everything that could refuse the merge is checked first, so a
+        merge that raises leaves this accumulator as it was.
+        """
         if other.mission_hours != self.mission_hours:
             raise SimulationError(
                 "cannot merge accumulators over different missions "
                 f"({self.mission_hours} vs {other.mission_hours} hours)"
+            )
+        if (self.time_grid is None) != (other.time_grid is None) or (
+            self.time_grid is not None
+            and not np.array_equal(self.time_grid, other.time_grid)
+        ):
+            raise SimulationError("cannot merge accumulators with mismatched time grids")
+        if other.first_ddf.capacity != self.first_ddf.capacity:
+            raise SimulationError(
+                "cannot merge accumulators with first-DDF samples of different "
+                f"capacities ({self.first_ddf.capacity} vs {other.first_ddf.capacity})"
             )
         self.n_groups += other.n_groups
         self.total_ddfs += other.total_ddfs
@@ -340,15 +542,9 @@ class FleetAccumulator:
         self.n_scrub_repairs += other.n_scrub_repairs
         self.n_restores += other.n_restores
         self.n_spare_waits += other.n_spare_waits
-        self.spare_wait_hours += other.spare_wait_hours
+        self._spare_wait_hours += other._spare_wait_hours
         self.first_ddf.merge(other.first_ddf)
-        if (self.time_grid is None) != (other.time_grid is None):
-            raise SimulationError("cannot merge accumulators with mismatched time grids")
-        if self.time_grid is not None:
-            assert other.time_grid is not None
-            if not np.array_equal(self.time_grid, other.time_grid):
-                raise SimulationError("cannot merge accumulators with mismatched time grids")
-            assert self.grid_counts is not None and other.grid_counts is not None
+        if self.grid_counts is not None:
             self.grid_counts += other.grid_counts
 
     # ------------------------------------------------------------------
@@ -371,10 +567,11 @@ class FleetAccumulator:
         ``inf`` while the estimate is zero or fewer than two groups have
         been seen — relative precision is undefined there.
         """
-        if self.ddf_moments.count < 2 or self.ddf_moments.mean <= 0.0:
+        mean = self.ddf_moments.mean
+        if self.ddf_moments.count < 2 or mean <= 0.0:
             return float("inf")
         lo, hi = self.ddf_moments.confidence_interval(confidence)
-        return (hi - lo) / self.ddf_moments.mean
+        return (hi - lo) / mean
 
     def pathway_mix(self) -> Dict[str, float]:
         """Fraction of DDFs per pathway (zeros when no DDFs yet)."""
@@ -430,41 +627,46 @@ class FleetAccumulator:
             "n_scrub_repairs": self.n_scrub_repairs,
             "n_restores": self.n_restores,
             "n_spare_waits": self.n_spare_waits,
-            "spare_wait_hours": self.spare_wait_hours,
+            "spare_wait_hours": _exact_to_json(self._spare_wait_hours),
             "first_ddf": self.first_ddf.to_dict(),
-            "time_grid": None if self.time_grid is None else list(self.time_grid),
+            "time_grid": None if self.time_grid is None else self.time_grid.tolist(),
             "grid_counts": (
-                None if self.grid_counts is None else [int(c) for c in self.grid_counts]
+                None if self.grid_counts is None else self.grid_counts.tolist()
             ),
         }
 
     @classmethod
     def from_dict(cls, state: Dict[str, object]) -> "FleetAccumulator":
         """Inverse of :meth:`to_dict`."""
+        first_ddf = FirstDDFReservoir.from_dict(state["first_ddf"])  # type: ignore[arg-type]
         out = cls(
             mission_hours=float(state["mission_hours"]),  # type: ignore[arg-type]
             time_grid=state["time_grid"],  # type: ignore[arg-type]
+            reservoir_capacity=first_ddf.capacity,
         )
-        out.n_groups = int(state["n_groups"])  # type: ignore[arg-type]
-        out.total_ddfs = int(state["total_ddfs"])  # type: ignore[arg-type]
-        out.total_first_year_ddfs = int(state["total_first_year_ddfs"])  # type: ignore[arg-type]
+        out.n_groups = operator.index(state["n_groups"])  # type: ignore[arg-type]
+        out.total_ddfs = operator.index(state["total_ddfs"])  # type: ignore[arg-type]
+        out.total_first_year_ddfs = operator.index(state["total_first_year_ddfs"])  # type: ignore[arg-type]
         out.ddf_moments = StreamingMoments.from_dict(state["ddf_moments"])  # type: ignore[arg-type]
         out.first_year_moments = StreamingMoments.from_dict(
             state["first_year_moments"]  # type: ignore[arg-type]
         )
         out.pathway = {
-            kind: int(state["pathway"][kind.name])  # type: ignore[index]
+            kind: operator.index(state["pathway"][kind.name])  # type: ignore[index]
             for kind in DDFType
         }
-        out.n_op_failures = int(state["n_op_failures"])  # type: ignore[arg-type]
-        out.n_latent_defects = int(state["n_latent_defects"])  # type: ignore[arg-type]
-        out.n_scrub_repairs = int(state["n_scrub_repairs"])  # type: ignore[arg-type]
-        out.n_restores = int(state["n_restores"])  # type: ignore[arg-type]
-        out.n_spare_waits = int(state["n_spare_waits"])  # type: ignore[arg-type]
-        out.spare_wait_hours = float(state["spare_wait_hours"])  # type: ignore[arg-type]
-        out.first_ddf = FirstDDFReservoir.from_dict(state["first_ddf"])  # type: ignore[arg-type]
-        if state["grid_counts"] is not None:
-            out.grid_counts = np.asarray(state["grid_counts"], dtype=np.int64)
+        out.n_op_failures = operator.index(state["n_op_failures"])  # type: ignore[arg-type]
+        out.n_latent_defects = operator.index(state["n_latent_defects"])  # type: ignore[arg-type]
+        out.n_scrub_repairs = operator.index(state["n_scrub_repairs"])  # type: ignore[arg-type]
+        out.n_restores = operator.index(state["n_restores"])  # type: ignore[arg-type]
+        out.n_spare_waits = operator.index(state["n_spare_waits"])  # type: ignore[arg-type]
+        out._spare_wait_hours = Fraction(_exact_from_json(state["spare_wait_hours"]))
+        out.first_ddf = first_ddf
+        if out.time_grid is not None:
+            counts = np.asarray(state["grid_counts"], dtype=np.int64)
+            if counts.shape != out.time_grid.shape:
+                raise ParameterError("grid_counts does not match the time grid")
+            out.grid_counts = counts
         return out
 
 

@@ -117,6 +117,23 @@ class TestExtendEqualsCold:
         finally:
             jobs.shutdown()
 
+    def test_pooled_refinement_equals_in_process(self):
+        """Pool tasks carry the service's time grid, so a refinement at
+        ``n_jobs=2`` gives the in-process answer, curve included."""
+        answers = []
+        for n_jobs in (1, 2):
+            jobs = JobManager(
+                ResultCache(), max_workers=1, n_jobs=n_jobs, seed=5, shard_size=SHARD
+            )
+            try:
+                streaming = jobs.run_simulation(make_spec(6 * SHARD, jobs))
+            finally:
+                jobs.shutdown()
+            assert streaming.groups == 6 * SHARD
+            assert streaming.accumulator.time_grid is not None
+            answers.append(canonical(streaming.accumulator))
+        assert answers[0] == answers[1]
+
     def test_derived_seed_is_stable_and_config_sensitive(self):
         fp = fingerprint(CONFIG)
         assert derive_seed(7, fp) == derive_seed(7, fp)
@@ -321,6 +338,26 @@ class TestDiskIntegrity:
         assert (status, found) == ("miss", None)
         assert reopened.stats()["integrity_rejections"] == 1
         assert reopened.stats()["disk_loads"] == 0
+
+    def test_entry_of_an_older_checkpoint_format_is_a_miss(self, tmp_path):
+        """A file persisted under ``repro-checkpoint/1`` (Welford moments
+        and a reservoir RNG) is rejected as an integrity miss, so the
+        key is refined afresh rather than merged with the old state."""
+        entry = self.make_entry(tmp_path)
+        path = os.path.join(str(tmp_path), entry.key.filename())
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["format"] = "repro-checkpoint/1"
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        reopened = ResultCache(cache_dir=str(tmp_path))
+        status, found = reopened.lookup(
+            entry.key,
+            Precision(rel_ci_width=0.5),
+            expected_run_fingerprint=config_fingerprint(CONFIG),
+        )
+        assert (status, found) == ("miss", None)
+        assert reopened.stats()["integrity_rejections"] == 1
 
     def test_cache_rejects_renamed_entry_file(self, tmp_path):
         entry = self.make_entry(tmp_path)

@@ -16,7 +16,10 @@ callers (``DESIGN.md`` §4f):
   a precision target sizes each run from its estimate and drops what it
   simulated past the stopping shard;
 * the seven golden fingerprints (:mod:`.goldens`) pin the NumPy kernel
-  byte for byte.
+  byte for byte;
+* per-shard summaries — a run that keeps no chronologies summarizes each
+  shard from the kernel's per-group arrays without building one, into
+  the bytes ``FleetAccumulator.add_shard`` gives over the chronologies.
 """
 
 import dataclasses
@@ -33,6 +36,7 @@ import repro.simulation.monte_carlo as monte_carlo
 from repro.distributions import Exponential, Weibull
 from repro.exceptions import SimulationError
 from repro.simulation import (
+    FleetAccumulator,
     Precision,
     RaidGroupConfig,
     load_checkpoint,
@@ -41,6 +45,7 @@ from repro.simulation import (
 from repro.simulation.batch import _BlockSampler, simulate_groups_batch
 from repro.simulation.executor import ShardTask, simulate_shard
 from repro.simulation.monte_carlo import KERNEL_ROWS, MonteCarloRunner, _seed_state
+from repro.simulation.raid_simulator import GroupChronology
 from repro.simulation.rng import make_seed_sequence
 
 from .goldens import (
@@ -237,9 +242,9 @@ def kernel_calls(monkeypatch):
     calls = []
     real = executor_module.simulate_groups_batch
 
-    def spy(config, n_groups, rng):
+    def spy(config, n_groups, rng, **kwargs):
         calls.append(n_groups)
-        return real(config, n_groups, rng)
+        return real(config, n_groups, rng, **kwargs)
 
     monkeypatch.setattr(executor_module, "simulate_groups_batch", spy)
     return calls
@@ -467,9 +472,9 @@ class TestSeveralShardsPerCall:
         clock = [0.0]
         real = executor_module.simulate_groups_batch
 
-        def timed_kernel(config, n_groups, rng):
+        def timed_kernel(config, n_groups, rng, **kwargs):
             clock[0] += 1.0
-            return real(config, n_groups, rng)
+            return real(config, n_groups, rng, **kwargs)
 
         monkeypatch.setattr(executor_module, "simulate_groups_batch", timed_kernel)
         monkeypatch.setattr(
@@ -523,6 +528,80 @@ class TestGoldenBatchFingerprints:
         ]
         together = simulate_groups_batch(config, sizes, generators())
         assert chronology_fingerprint(together) == chronology_fingerprint(per_shard)
+
+
+def summary_bytes(summary) -> str:
+    return json.dumps(summary.to_dict(), sort_keys=True)
+
+
+class TestKernelSummaries:
+    """The kernel's per-group arrays summarize each shard into the bytes
+    ``add_shard`` gives over the shard's chronologies, on every golden
+    case, with and without a time grid."""
+
+    @staticmethod
+    def grid_for(config, chronologies, with_grid):
+        """None, or curve ages that include some of the fleet's DDF times,
+        so DDFs fall on grid points."""
+        if not with_grid:
+            return None
+        times = sorted(t for c in chronologies for t in c.ddf_times)[:3]
+        ages = np.linspace(0.0, config.mission_hours, 9).tolist()
+        return sorted(set(ages + [min(config.mission_hours, 8_760.0)] + times))
+
+    @pytest.mark.parametrize("with_grid", [False, True], ids=["no-grid", "grid"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_BATCH_FINGERPRINTS))
+    def test_arrays_summarize_like_add_shard(self, name, with_grid):
+        config, n_groups, seed = golden_batch_cases()[name]
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        groups = simulate_groups_batch(config, n_groups, rng, as_arrays=True)
+        chronologies = groups.chronologies()
+        assert chronology_fingerprint(chronologies) == GOLDEN_BATCH_FINGERPRINTS[name]
+        grid = self.grid_for(config, chronologies, with_grid)
+        [summary] = groups.summaries([n_groups], grid)
+        expected = FleetAccumulator(config.mission_hours, time_grid=grid)
+        expected.add_shard(chronologies)
+        assert summary_bytes(summary) == summary_bytes(expected)
+
+        # Cut into uneven shards with a 1-group one, each summary is its
+        # own shard's, and they merge back into the whole.
+        sizes = [n_groups // 3, 1, n_groups - n_groups // 3 - 1]
+        children = np.random.SeedSequence(seed).spawn(len(sizes))
+        rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
+        groups = simulate_groups_batch(config, sizes, rngs, as_arrays=True)
+        chronologies = groups.chronologies()
+        merged = FleetAccumulator(config.mission_hours, time_grid=grid)
+        start = 0
+        for n, part in zip(sizes, groups.summaries(sizes, grid)):
+            expected = FleetAccumulator(config.mission_hours, time_grid=grid)
+            expected.add_shard(chronologies[start : start + n])
+            assert summary_bytes(part) == summary_bytes(expected)
+            merged.merge(part)
+            start += n
+        whole = FleetAccumulator(config.mission_hours, time_grid=grid)
+        whole.add_shard(chronologies)
+        assert summary_bytes(merged) == summary_bytes(whole)
+
+    def test_serial_summary_run_builds_no_chronology(self, monkeypatch):
+        built = []
+        init = GroupChronology.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GroupChronology, "__init__", counting_init)
+        base = RaidGroupConfig.paper_base_case()
+        runner = MonteCarloRunner(base, n_groups=5 * 512 + 7, seed=27, engine="batch")
+        grid = [0.0, 8_760.0, 43_800.0, 87_600.0]
+        streaming = runner.run_streaming(time_grid=grid)
+        assert streaming.groups == 5 * 512 + 7
+        assert streaming.accumulator.total_ddfs > 0
+        assert built == []
+        # The counter sees chronologies where they are built.
+        kept = runner.run_streaming(time_grid=grid, keep_chronologies=True)
+        assert len(built) == 5 * 512 + 7
+        assert canonical(kept) == canonical(streaming)
 
 
 def target_met_inside_a_run(widths, shard):

@@ -31,7 +31,7 @@ from repro.simulation.executor import (
     _child_seed,
     _run_shard_task,
     shard_plan,
-    simulate_shards,
+    summarize_shards,
 )
 from repro.simulation.monte_carlo import (
     BATCH_SHARD_SIZE,
@@ -64,6 +64,14 @@ def crash_once_worker(crash_dir, task):
     return _run_shard_task(task)
 
 
+def short_shard_worker(task):
+    """Lose the last group of shard CRASH_SHARD."""
+    chronologies, seconds = _run_shard_task(task)
+    if task.index == CRASH_SHARD:
+        chronologies = chronologies[:-1]
+    return chronologies, seconds
+
+
 def always_crash_worker(task):
     """Kill the worker on every attempt at shard CRASH_SHARD."""
     if task.index == CRASH_SHARD:
@@ -73,6 +81,11 @@ def always_crash_worker(task):
 
 def canonical(streaming) -> str:
     return json.dumps(streaming.accumulator.to_dict(), sort_keys=True)
+
+
+def summaries(outcomes) -> list:
+    """Each outcome's shard summary, as canonical JSON."""
+    return [json.dumps(o.summary.to_dict(), sort_keys=True) for o in outcomes]
 
 
 def make_runner(engine: str, **overrides) -> MonteCarloRunner:
@@ -302,9 +315,15 @@ class TestWorkerFaultTolerance:
         plan = shard_plan(0, 0, 8 * SHARD, SHARD)
 
         clean = PipelinedShardExecutor(
-            config, root_state, "batch", n_jobs=2, shards_per_run=lambda: 2
+            config,
+            root_state,
+            "batch",
+            n_jobs=2,
+            shards_per_run=lambda: 2,
+            keep_chronologies=True,
         )
-        reference = [outcome.chronologies for outcome in clean.outcomes(plan)]
+        clean_outcomes = list(clean.outcomes(plan))
+        reference = [outcome.chronologies for outcome in clean_outcomes]
 
         broken = _SubmitBreakExecutor(
             config,
@@ -313,11 +332,13 @@ class TestWorkerFaultTolerance:
             n_jobs=2,
             shards_per_run=lambda: 2,
             break_at_submit=3,
+            keep_chronologies=True,
         )
         outcomes = list(broken.outcomes(plan))
         assert [outcome.task.index for outcome in outcomes] == list(range(8))
         assert broken.pool_breaks == 1
         assert [outcome.chronologies for outcome in outcomes] == reference
+        assert summaries(outcomes) == summaries(clean_outcomes)
 
     def test_double_break_inside_recover_is_recovered(self):
         """A second ``BrokenProcessPool`` raised at the lost run's
@@ -335,9 +356,15 @@ class TestWorkerFaultTolerance:
         plan = shard_plan(0, 0, 4 * SHARD, SHARD)
 
         clean = _ScriptedBreakExecutor(
-            config, root_state, "batch", n_jobs=2, shards_per_run=lambda: 2
+            config,
+            root_state,
+            "batch",
+            n_jobs=2,
+            shards_per_run=lambda: 2,
+            keep_chronologies=True,
         )
-        reference = [outcome.chronologies for outcome in clean.outcomes(plan)]
+        clean_outcomes = list(clean.outcomes(plan))
+        reference = [outcome.chronologies for outcome in clean_outcomes]
 
         broken = _ScriptedBreakExecutor(
             config,
@@ -346,11 +373,13 @@ class TestWorkerFaultTolerance:
             n_jobs=2,
             shards_per_run=lambda: 2,
             script={(1, 0): "break-result", (1, 1): "break-submit"},
+            keep_chronologies=True,
         )
         outcomes = list(broken.outcomes(plan))
         assert [outcome.task.index for outcome in outcomes] == [0, 1, 2, 3]
         assert broken.pool_breaks == 2
         assert [outcome.chronologies for outcome in outcomes] == reference
+        assert summaries(outcomes) == summaries(clean_outcomes)
         # Each break charged every shard of the lost run one retry.
         assert [outcome.retries for outcome in outcomes] == [2, 2, 0, 0]
 
@@ -384,12 +413,23 @@ class TestWorkerFaultTolerance:
         root_state = _seed_state(np.random.SeedSequence(11))
         plan = shard_plan(0, 0, 4 * SHARD, SHARD)
         clean = _ScriptedBreakExecutor(
-            config, root_state, "batch", n_jobs=2, shards_per_run=lambda: 2
+            config,
+            root_state,
+            "batch",
+            n_jobs=2,
+            shards_per_run=lambda: 2,
+            keep_chronologies=True,
         )
-        reference = [outcome.chronologies for outcome in clean.outcomes(plan)]
+        clean_outcomes = list(clean.outcomes(plan))
+        reference = [outcome.chronologies for outcome in clean_outcomes]
 
         executor = _StaleCallbackExecutor(
-            config, root_state, "batch", n_jobs=2, shards_per_run=lambda: 2
+            config,
+            root_state,
+            "batch",
+            n_jobs=2,
+            shards_per_run=lambda: 2,
+            keep_chronologies=True,
         )
         outcomes = list(executor.outcomes(plan))
         executor.manager.join(timeout=10.0)
@@ -397,6 +437,7 @@ class TestWorkerFaultTolerance:
         assert executor.recovered.is_set()
         assert executor.pool_breaks == 1
         assert [outcome.chronologies for outcome in outcomes] == reference
+        assert summaries(outcomes) == summaries(clean_outcomes)
         assert [outcome.retries for outcome in outcomes] == [1, 1, 1, 1]
 
     def test_next_run_is_submitted_before_a_run_is_delivered(self):
@@ -436,6 +477,16 @@ class TestWorkerFaultTolerance:
             [2.0 * share for share in shares], rel=1e-12
         )
         assert sum(o.wall_seconds for o in outcomes) == pytest.approx(2.0, rel=1e-12)
+
+    def test_short_shard_from_the_pool_fails_the_run(self):
+        """``complete`` refuses a summary of other than the shard's group
+        count, for the pool too: the run fails instead of committing a
+        shard that would count groups the accumulator never saw."""
+        short = f"shard {CRASH_SHARD} of {SHARD} groups"
+        with pytest.raises(SimulationError, match=short):
+            make_runner("batch", n_jobs=2).run_streaming(
+                shard_size=SHARD, _shard_worker=short_shard_worker
+            )
 
     def test_deterministic_worker_exception_not_retried(self):
         def failing_runner(shard_index, n):
@@ -515,7 +566,14 @@ class _ScriptedBreakExecutor(PipelinedShardExecutor):
             future.set_exception(BrokenProcessPool("worker died mid-run"))
         else:
             start = time.perf_counter()
-            per_shard = simulate_shards(self.config, self.root_state, self.engine, run)
+            per_shard = summarize_shards(
+                self.config,
+                self.root_state,
+                self.engine,
+                run,
+                self.time_grid,
+                self.keep_chronologies,
+            )
             seconds = self._run_seconds
             if seconds is None:
                 seconds = time.perf_counter() - start
@@ -589,9 +647,11 @@ class _StaleCallbackExecutor(_ScriptedBreakExecutor):
             self._callback_returned.wait(10.0)
 
 
-def sleepy_worker(after, seconds, task):
-    """Take ``seconds`` longer over every shard past shard ``after``."""
+def sleepy_worker(after, seconds, started, task):
+    """Take ``seconds`` longer over every shard past shard ``after``,
+    leaving a file in the directory ``started`` as such a shard begins."""
     if task.index > after:
+        open(os.path.join(started, f"shard{task.index}"), "w").close()
         time.sleep(seconds)
     return _run_shard_task(task)
 
@@ -678,7 +738,9 @@ class TestWarmPool:
         assert after.executor_stats["workers_started"] == 2
         assert all(idle is not pool for idle in _POOLS._idle)
 
-    def test_fixed_run_after_a_precision_run_that_stopped_early(self, cold_pools):
+    def test_fixed_run_after_a_precision_run_that_stopped_early(
+        self, cold_pools, tmp_path
+    ):
         """The precision run stops with slow runs still in its pool; the
         pool comes back only when they end, so the next run meanwhile
         starts its own, and each run gets its own results."""
@@ -686,10 +748,25 @@ class TestWarmPool:
         serial = make_runner("batch", n_groups=512, seed=5).run_streaming(
             until=until, shard_size=64
         )
+        started = tmp_path / "slow"
+        started.mkdir()
+
+        def stop_once_a_slow_run_started(event):
+            # A stop cancels the runs the pool has not dispatched to a
+            # worker yet, and the commits can outpace the dispatch: wait
+            # at the stopping shard until a slow run is under way.
+            deadline = time.monotonic() + 30.0
+            while event.done and not os.listdir(started):
+                assert time.monotonic() < deadline, "no slow run started"
+                time.sleep(0.01)
+
         stopped = make_runner("batch", n_groups=512, seed=5, n_jobs=2).run_streaming(
             until=until,
             shard_size=64,
-            _shard_worker=functools.partial(sleepy_worker, serial.shards_run - 1, 1.0),
+            observers=(stop_once_a_slow_run_started,),
+            _shard_worker=functools.partial(
+                sleepy_worker, serial.shards_run - 1, 1.0, str(started)
+            ),
         )
         assert stopped.executor_stats["discarded_in_flight"] > 0
         assert canonical(stopped) == canonical(serial)

@@ -29,12 +29,13 @@ import repro.simulation.remote as remote_module
 from repro.exceptions import ParameterError, SimulationError
 from repro.simulation import Precision, RaidGroupConfig
 from repro.simulation.executor import (
+    PipelinedShardExecutor,
     ShardTask,
     _run_shard_task,
     shard_plan,
     simulate_shard,
-    simulate_shards,
     split_run,
+    summarize_shards,
 )
 from repro.simulation.monte_carlo import MonteCarloRunner, _seed_state
 from repro.simulation.remote import (
@@ -422,16 +423,16 @@ class TestChaos:
         reference = canonical(
             make_runner("batch", n_groups=320).run_streaming(shard_size=SHARD)
         )
-        simulate = remote_module.simulate_shards
+        simulate = remote_module.summarize_shards
         started = threading.Semaphore(0)
         release = threading.Event()
 
-        def held(config, root_state, engine, run):
+        def held(config, root_state, engine, run, *rest):
             started.release()
             release.wait(timeout=30.0)
-            return simulate(config, root_state, engine, run)
+            return simulate(config, root_state, engine, run, *rest)
 
-        monkeypatch.setattr(remote_module, "simulate_shards", held)
+        monkeypatch.setattr(remote_module, "summarize_shards", held)
         stop = start_workers(hub, 2)
         dropped = threading.Event()
 
@@ -542,15 +543,15 @@ class _MixedRun:
         self.release = threading.Event()
         self.link_holds_a_run = threading.Semaphore(0)
         link_claimed = threading.Event()
-        simulate = remote_module.simulate_shards
+        simulate = remote_module.summarize_shards
         claim = DistributedShardExecutor.claim
         complete = DistributedShardExecutor.complete
         take_pool = DistributedShardExecutor._take_pool
 
-        def held(config, root_state, engine, run):
+        def held(config, root_state, engine, run, *rest):
             self.link_holds_a_run.release()
             self.release.wait(timeout=60.0)
-            return simulate(config, root_state, engine, run)
+            return simulate(config, root_state, engine, run, *rest)
 
         def recording_claim(executor, claimant, *args, **kwargs):
             run = claim(executor, claimant, *args, **kwargs)
@@ -569,7 +570,7 @@ class _MixedRun:
             assert link_claimed.wait(timeout=30.0)
             return take_pool(executor)
 
-        monkeypatch.setattr(remote_module, "simulate_shards", held)
+        monkeypatch.setattr(remote_module, "summarize_shards", held)
         monkeypatch.setattr(DistributedShardExecutor, "claim", recording_claim)
         monkeypatch.setattr(DistributedShardExecutor, "complete", recording_complete)
         monkeypatch.setattr(
@@ -769,6 +770,8 @@ class TestWorkerRobustness:
             constants = {
                 "config": config_to_dict(config),
                 "root_state": _seed_state(np.random.SeedSequence(7)),
+                "time_grid": None,
+                "keep_chronologies": True,
             }
             send_frame(
                 conn, lock,
@@ -790,6 +793,7 @@ class TestWorkerRobustness:
             result = _read_tagged(reader, "result")
             assert result["index"] == 0
             assert len(chronology_from_dict(result["columns"])) == 8
+            assert result["summary"]["n_groups"] == 8
             conn.close()
         finally:
             stop.set()
@@ -805,10 +809,10 @@ class TestWorkerRobustness:
         travels back as ``task_err`` and fails the run with the real
         cause — and the worker survives."""
 
-        def explode(config, root_state, engine, run):
+        def explode(config, root_state, engine, run, *rest):
             raise RuntimeError("boom: bad shard")
 
-        monkeypatch.setattr(remote_module, "simulate_shards", explode)
+        monkeypatch.setattr(remote_module, "summarize_shards", explode)
         stop = start_workers(hub, 1)
         with pytest.raises(SimulationError, match="boom: bad shard"):
             make_runner("batch", n_jobs=0).run_streaming(
@@ -860,14 +864,14 @@ class TestWorkerRobustness:
         whenever another claimant held the last shards.  Shard 1 takes
         3 s, three times the timeout; neither worker may be dropped (a
         dropped one would not redial)."""
-        simulate = remote_module.simulate_shards
+        simulate = remote_module.summarize_shards
 
-        def hold_shard_1(config, root_state, engine, run):
+        def hold_shard_1(config, root_state, engine, run, *rest):
             if any(task.index == 1 for task in run):
                 time.sleep(3.0)
-            return simulate(config, root_state, engine, run)
+            return simulate(config, root_state, engine, run, *rest)
 
-        monkeypatch.setattr(remote_module, "simulate_shards", hold_shard_1)
+        monkeypatch.setattr(remote_module, "summarize_shards", hold_shard_1)
         serial = make_runner("batch", n_groups=2 * SHARD).run_streaming(
             shard_size=SHARD
         )
@@ -958,6 +962,141 @@ class TestWorkerRobustness:
         finally:
             sock.close()
         assert hub.n_workers() == 0
+
+
+def drop_summary(result, task):
+    del result["summary"]
+
+
+def short_summary(result, task):
+    result["summary"]["n_groups"] = task.n_groups - 1
+
+
+def short_column(result, task):
+    result["columns"]["n_restores"].pop()
+
+
+class TestFrameValidation:
+    """A result frame that does not decode into exactly its shard is
+    handled like a lost socket: the link's shards not yet published go
+    back to the queue, each charged one retry, and the link is dropped.
+    No malformed frame may hang a run or reach the accumulator."""
+
+    @staticmethod
+    def run_in_thread(runner, **kwargs):
+        holder = {}
+
+        def run():
+            try:
+                holder["result"] = runner.run_streaming(**kwargs)
+            except BaseException as exc:  # reported by the test
+                holder["error"] = exc
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread, holder
+
+    @pytest.mark.parametrize(
+        "forge, keep",
+        [(drop_summary, False), (short_summary, False), (short_column, True)],
+        ids=["no-summary", "short-summary", "short-column"],
+    )
+    def test_bad_frame_is_retried_elsewhere(self, hub, monkeypatch, forge, keep):
+        """The forger is the only worker when the run starts, so its
+        first frame is the first result the hub sees; a good worker that
+        dials in afterwards completes the run, equal to serial, and no
+        shard of the forger is ever published."""
+        published = []
+        complete = DistributedShardExecutor.complete
+
+        def recording_complete(self, task, summary, *args, worker, **kwargs):
+            published.append((worker, task.n_groups, summary.n_groups))
+            return complete(self, task, summary, *args, worker=worker, **kwargs)
+
+        monkeypatch.setattr(DistributedShardExecutor, "complete", recording_complete)
+        serial = make_runner("batch", n_groups=2 * SHARD).run_streaming(
+            shard_size=SHARD, keep_chronologies=keep
+        )
+        stop = threading.Event()
+        sent = threading.Event()
+        threading.Thread(
+            target=_forging_worker,
+            args=(hub.address, forge, stop, sent, False),
+            daemon=True,
+        ).start()
+        assert hub.wait_for_workers(1, timeout=15.0)
+        thread, holder = self.run_in_thread(
+            make_runner("batch", n_groups=2 * SHARD, n_jobs=0),
+            shard_size=SHARD,
+            workers=hub,
+            keep_chronologies=keep,
+        )
+        try:
+            assert sent.wait(timeout=15.0)
+            good = start_workers(hub, 1)
+            thread.join(timeout=30.0)
+            good.set()
+        finally:
+            stop.set()
+        assert not thread.is_alive(), "a bad frame hung the run"
+        assert "error" not in holder, holder.get("error")
+        distributed = holder["result"]
+        assert canonical(distributed) == canonical(serial)
+        if keep:
+            assert distributed.result.summary() == serial.result.summary()
+        assert distributed.executor_stats["shard_retries"] >= 1
+        committed = distributed.executor_stats["workers"]
+        assert not any(name.startswith("forger") for name in committed)
+        assert all(worker != "forger:1" for worker, _, _ in published)
+        assert all(want == got for _, want, got in published)
+
+    def test_bad_frames_exhaust_the_retries(self, hub):
+        """A forger alone, redialling after every drop: each drop charges
+        the run's shards one retry, so the run fails with SimulationError
+        once they are exhausted, instead of waiting for a frame."""
+        stop = threading.Event()
+        threading.Thread(
+            target=_forging_worker,
+            args=(hub.address, drop_summary, stop, threading.Event(), True),
+            daemon=True,
+        ).start()
+        assert hub.wait_for_workers(1, timeout=15.0)
+        thread, holder = self.run_in_thread(
+            make_runner("batch", n_groups=2 * SHARD, n_jobs=0),
+            shard_size=SHARD,
+            workers=hub,
+            max_shard_retries=2,
+        )
+        thread.join(timeout=30.0)
+        stop.set()
+        assert not thread.is_alive(), "a bad frame hung the run"
+        assert isinstance(holder.get("error"), SimulationError)
+        assert "was lost 3 times" in str(holder["error"])
+        assert "undecodable result frame" in str(holder["error"])
+
+    def test_short_column_is_not_decoded(self):
+        """Regression: the columns were zipped, so a frame with one short
+        column decoded into fewer chronologies without an error."""
+        config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
+        root_state = _seed_state(np.random.SeedSequence(3))
+        task = ShardTask(index=0, group_offset=0, n_groups=8)
+        columns = chronology_to_dict(simulate_shard(config, root_state, "batch", task))
+        columns["n_restores"] = columns["n_restores"][:5]
+        with pytest.raises(ValueError):
+            chronology_from_dict(columns)
+
+    def test_complete_rejects_a_summary_of_other_size(self):
+        config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
+        root_state = _seed_state(np.random.SeedSequence(11))
+        executor = PipelinedShardExecutor(config, root_state, "batch", 1)
+        task = ShardTask(index=0, group_offset=0, n_groups=SHARD)
+        executor._by_index = {0: task}
+        [(summary, _)] = summarize_shards(
+            config, root_state, "batch", [ShardTask(0, 0, SHARD - 1)]
+        )
+        with pytest.raises(SimulationError, match="came back"):
+            executor.complete(task, summary, 0.1, worker="somebody")
+        assert executor._results == {}
 
 
 class TestNJobsZero:
@@ -1062,8 +1201,9 @@ def _slow_init_worker(address, delay, stop):
     reader = FrameReader(sock)
     from repro.validation.generator import config_from_dict
 
-    config = root_state = None
+    config = root_state = time_grid = None
     engine = "batch"
+    keep = False
     epoch = -1
     try:
         send_frame(
@@ -1088,26 +1228,92 @@ def _slow_init_worker(address, delay, stop):
                 engine = message["engine"]
                 config = config_from_dict(message["config"])
                 root_state = message["root_state"]
+                time_grid = message["time_grid"]
+                keep = message["keep_chronologies"]
                 send_frame(sock, lock, {"t": "init_ok", "epoch": epoch})
             elif kind == "task":
                 run = [ShardTask(*shard) for shard in message["shards"]]
-                per_shard = simulate_shards(config, root_state, engine, run)
-                for task, chronologies, seconds in split_run(run, per_shard, 0.0):
-                    send_frame(
-                        sock,
-                        lock,
-                        {
-                            "t": "result",
-                            "epoch": epoch,
-                            "index": task.index,
-                            "wall_seconds": seconds,
-                            "columns": chronology_to_dict(chronologies),
-                        },
-                    )
+                per_shard = summarize_shards(
+                    config, root_state, engine, run, time_grid, keep
+                )
+                for task, (summary, chronologies), seconds in split_run(
+                    run, per_shard, 0.0
+                ):
+                    result = {
+                        "t": "result",
+                        "epoch": epoch,
+                        "index": task.index,
+                        "wall_seconds": seconds,
+                        "summary": summary.to_dict(),
+                    }
+                    if chronologies is not None:
+                        result["columns"] = chronology_to_dict(chronologies)
+                    send_frame(sock, lock, result)
     except OSError:
         pass
     finally:
         sock.close()
+
+
+def _forging_worker(address, forge, stop, sent, redial):
+    """Raw-socket worker whose first result frame of every connection is
+    forged by ``forge(frame, task)``; ``sent`` is set once one went out.
+    Otherwise it serves like ``repro worker`` until the hub drops it,
+    then redials while ``redial``."""
+    host, port = parse_endpoint(address)
+    from repro.validation.generator import config_from_dict
+
+    while not stop.is_set():
+        try:
+            sock = socket.create_connection((host, port), timeout=10.0)
+        except OSError:
+            return
+        lock = threading.Lock()
+        reader = FrameReader(sock)
+        forged = False
+        try:
+            hello = {"t": "hello", "v": PROTOCOL_VERSION, "host": "forger", "pid": 1}
+            send_frame(sock, lock, hello)
+            while not stop.is_set():
+                message = reader.read(timeout=0.25)
+                if message is None:
+                    continue
+                if message.get("t") == "init":
+                    constants = message
+                    send_frame(sock, lock, {"t": "init_ok", "epoch": message["epoch"]})
+                elif message.get("t") == "task":
+                    run = [ShardTask(*shard) for shard in message["shards"]]
+                    per_shard = summarize_shards(
+                        config_from_dict(constants["config"]),
+                        constants["root_state"],
+                        constants["engine"],
+                        run,
+                        constants["time_grid"],
+                        constants["keep_chronologies"],
+                    )
+                    for task, (summary, chronologies), seconds in split_run(
+                        run, per_shard, 0.01
+                    ):
+                        result = {
+                            "t": "result",
+                            "epoch": message["epoch"],
+                            "index": task.index,
+                            "wall_seconds": seconds,
+                            "summary": summary.to_dict(),
+                        }
+                        if chronologies is not None:
+                            result["columns"] = chronology_to_dict(chronologies)
+                        if not forged:
+                            forge(result, task)
+                            forged = True
+                        send_frame(sock, lock, result)
+                    sent.set()
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            sock.close()
+        if not redial:
+            return
 
 
 def _die_after_first_task(address, died):

@@ -1,21 +1,22 @@
 """Streaming accumulators: merge laws, exactness, and engine equivalence.
 
 The streaming layer's whole contract is that feeding a fleet shard by
-shard is indistinguishable from materialising it: Welford moments must
-match two-pass NumPy statistics, merges must be associative, and a
-fixed-size ``run_streaming`` must reproduce the materialized ``run``
-exactly on both engines.
+shard is indistinguishable from materialising it: the exact moments must
+match two-pass NumPy statistics, merges must give the same bytes for any
+partition, order and tree shape, and a fixed-size ``run_streaming`` must
+reproduce the materialized ``run`` exactly on both engines.
 """
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, SimulationError
 from repro.simulation import (
     FirstDDFReservoir,
     FleetAccumulator,
@@ -25,7 +26,12 @@ from repro.simulation import (
 )
 from repro.simulation.monte_carlo import MonteCarloRunner
 from repro.simulation.raid_simulator import DDFType, GroupChronology
-from repro.simulation.streaming import normal_two_sided_z
+from repro.simulation.streaming import (
+    DEFAULT_RESERVOIR_CAPACITY as DEFAULT_CAPACITY,
+    _priority,
+    first_ddf_priorities,
+    normal_two_sided_z,
+)
 
 #: Hypothesis sample streams: modest floats so two-pass comparisons are
 #: dominated by algorithmic differences, not catastrophic cancellation.
@@ -79,12 +85,9 @@ class TestStreamingMoments:
         left.merge(fold(c))
         right = fold(a)
         right.merge(fold(b, c))
-        assert left.count == right.count
-        assert left.mean == pytest.approx(right.mean, rel=1e-9, abs=1e-12)
-        if left.count >= 2:
-            assert left.variance() == pytest.approx(
-                right.variance(), rel=1e-8, abs=1e-10
-            )
+        assert left.to_dict() == right.to_dict()
+        assert left.mean == right.mean
+        assert left.variance() == right.variance()
 
     @given(samples, samples)
     @settings(max_examples=200, deadline=None)
@@ -96,12 +99,32 @@ class TestStreamingMoments:
         merged.merge(other)
         straight = StreamingMoments()
         straight.add_many(a + b)
-        assert merged.count == straight.count
-        assert merged.mean == pytest.approx(straight.mean, rel=1e-9, abs=1e-12)
-        if merged.count >= 2:
-            assert merged.variance() == pytest.approx(
-                straight.variance(), rel=1e-8, abs=1e-10
-            )
+        assert merged.to_dict() == straight.to_dict()
+        assert merged.mean == straight.mean
+        assert merged.variance() == straight.variance()
+
+    @given(samples)
+    @settings(max_examples=200, deadline=None)
+    def test_mean_and_variance_are_the_exact_ratios_rounded_once(self, values):
+        moments = StreamingMoments()
+        moments.add_many(values)
+        exact = [Fraction(v) for v in values]
+        if values:
+            assert moments.mean == float(sum(exact) / len(exact))
+        if len(values) >= 2:
+            mean = sum(exact) / len(exact)
+            spread = sum((x - mean) ** 2 for x in exact)
+            assert moments.variance() == float(spread / (len(exact) - 1))
+
+    def test_integer_counts_stay_integers(self):
+        moments = StreamingMoments()
+        moments.add_many([0, 2.0, 1, 0, 3])
+        assert moments.to_dict() == {"count": 5, "sum": [6, 1], "sum_sq": [14, 1]}
+        assert moments.mean == 1.2
+
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(ParameterError):
+            StreamingMoments().add(float("nan"))
 
     def test_roundtrip(self):
         moments = StreamingMoments()
@@ -148,6 +171,10 @@ class TestFleetAccumulator:
         assert left.pathway == whole.pathway
         assert left.n_op_failures == whole.n_op_failures
         assert left.n_latent_defects == whole.n_latent_defects
+        # And so is everything else: the whole state, byte for byte.
+        assert json.dumps(left.to_dict(), sort_keys=True) == json.dumps(
+            whole.to_dict(), sort_keys=True
+        )
 
     def test_summary_matches_exact_statistics(self):
         counts = [0, 2, 1, 0, 0, 3]
@@ -165,10 +192,33 @@ class TestFleetAccumulator:
     def test_mission_mismatch_rejected(self):
         a = FleetAccumulator(mission_hours=8_760.0)
         b = FleetAccumulator(mission_hours=87_600.0)
-        from repro.exceptions import SimulationError
 
         with pytest.raises(SimulationError):
             a.merge(b)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(mission_hours=87_600.0, time_grid=[100.0, 200.0]),
+            dict(mission_hours=8_760.0),
+            dict(mission_hours=8_760.0, time_grid=[100.0, 300.0]),
+            dict(mission_hours=8_760.0, time_grid=[100.0, 200.0], reservoir_capacity=8),
+        ],
+        ids=["mission", "grid-vs-none", "grid-values", "capacity"],
+    )
+    def test_failed_merge_leaves_the_target_unchanged(self, other):
+        """Regression: merge added every tally and merged the sample
+        before it compared the time grids, so a refused merge left its
+        target half-merged (n_groups 1 + 2 == 3)."""
+        target = FleetAccumulator(mission_hours=8_760.0, time_grid=[100.0, 200.0])
+        target.add_chronology(make_chronology(1))
+        before = json.dumps(target.to_dict(), sort_keys=True)
+        source = FleetAccumulator(**other)
+        source.add_shard([make_chronology(2), make_chronology(0)])
+        with pytest.raises(SimulationError):
+            target.merge(source)
+        assert json.dumps(target.to_dict(), sort_keys=True) == before
+        assert target.n_groups == 1
 
     def test_relative_ci_width_undefined_when_empty_or_zero(self):
         acc = FleetAccumulator(mission_hours=8_760.0)
@@ -244,7 +294,197 @@ class TestFirstDDFReservoir:
         for v in range(50, 80):
             a.offer_first_ddf(float(v))
             b.offer_first_ddf(float(v))
-        assert a.values == b.values  # RNG state survived the roundtrip
+        assert a.values == b.values  # the sample is a function of its values
+
+    @given(
+        st.lists(
+            st.lists(st.floats(min_value=0.0, max_value=1e5), max_size=30),
+            min_size=3,
+            max_size=3,
+        ),
+        st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_merge_order_and_grouping_do_not_matter(self, parts, capacity):
+        """(a ∪ b) ∪ c == a ∪ (c ∪ b), byte for byte, and both equal
+        offering every value to one sample.  Equal values (0.0 and -0.0
+        included) are interchangeable, so duplicates cannot break it."""
+
+        def sample(values):
+            out = FirstDDFReservoir(capacity=capacity)
+            for v in values:
+                out.offer_first_ddf(v)
+            return out
+
+        a, b, c = (sample(part) for part in parts)
+        left = sample(parts[0])
+        left.merge(b)
+        left.merge(c)
+        inner = sample(parts[2])
+        inner.merge(b)
+        right = a
+        right.merge(inner)
+        whole = sample(parts[0] + parts[1] + parts[2])
+        dumps = [json.dumps(r.to_dict(), sort_keys=True) for r in (left, right, whole)]
+        assert dumps[0] == dumps[1] == dumps[2]
+        assert sorted(whole.values) == sorted(
+            sorted(parts[0] + parts[1] + parts[2], key=_priority)[:capacity]
+        )
+
+    def test_scalar_and_vector_priorities_agree(self):
+        values = [0.0, -0.0, 1.0, 1e-300, 87_600.0, 8_760.0 + 2 ** -40, 123.456]
+        assert first_ddf_priorities(np.array(values)).tolist() == [
+            _priority(v) for v in values
+        ]
+        assert _priority(-0.0) == _priority(0.0)
+        assert len({_priority(v) for v in values}) == len(values) - 1
+
+    def test_from_values_equals_offering_them(self):
+        rng = np.random.default_rng(3)
+        values = rng.exponential(5_000.0, size=300)
+        offered = FirstDDFReservoir(capacity=64)
+        for v in values:
+            offered.offer_first_ddf(v)
+        offered.offer_censored()
+        built = FirstDDFReservoir.from_values(values, n_censored=1, capacity=64)
+        assert built.to_dict() == offered.to_dict()
+
+
+#: Mission, first-year horizon and curve ages of the exactness property:
+#: DDF times are drawn on these boundaries as well as between them.
+EXACT_MISSION = 87_600.0
+EXACT_GRID = [0.0, 100.0, 8_760.0, 20_000.0, EXACT_MISSION]
+BOUNDARY_TIMES = [0.0, 100.0, 8_760.0, 8_760.0 - 2**-40, 8_760.0 + 2**-40, 20_000.0]
+
+
+@st.composite
+def chronologies(draw):
+    """A group's mission: DDFs of both pathways (some on the first-year
+    and grid boundaries, some sharing a time), and nonzero spare waits."""
+    times = sorted(
+        draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(BOUNDARY_TIMES),
+                    st.floats(min_value=0.0, max_value=EXACT_MISSION),
+                ),
+                max_size=4,
+            )
+        )
+    )
+    waits = draw(st.integers(min_value=0, max_value=3))
+    return GroupChronology(
+        ddf_times=times,
+        ddf_types=draw(
+            st.lists(
+                st.sampled_from(list(DDFType)), min_size=len(times), max_size=len(times)
+            )
+        ),
+        n_op_failures=len(times) + draw(st.integers(min_value=0, max_value=5)),
+        n_latent_defects=draw(st.integers(min_value=0, max_value=5)),
+        n_scrub_repairs=draw(st.integers(min_value=0, max_value=5)),
+        n_restores=draw(st.integers(min_value=0, max_value=5)),
+        mission_hours=EXACT_MISSION,
+        n_spare_waits=waits,
+        spare_wait_hours=(
+            draw(st.floats(min_value=0.0, max_value=5_000.0)) if waits else 0.0
+        ),
+    )
+
+
+def dumps(accumulator) -> str:
+    return json.dumps(accumulator.to_dict(), sort_keys=True)
+
+
+class TestExactMerge:
+    """Merging is exact: any partition of a fleet's groups into shards,
+    merged in any order and tree shape, gives the bytes of folding the
+    groups in one by one."""
+
+    @given(
+        st.lists(chronologies(), max_size=30),
+        st.sampled_from([1, 3, DEFAULT_CAPACITY]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_partition_order_and_tree_shape(self, groups, capacity, data):
+        def accumulator(part):
+            out = FleetAccumulator(
+                EXACT_MISSION, time_grid=EXACT_GRID, reservoir_capacity=capacity
+            )
+            out.add_shard(part)
+            return out
+
+        whole = dumps(accumulator(groups))
+        cut = st.integers(min_value=0, max_value=len(groups))
+        cuts = sorted(data.draw(st.lists(cut, max_size=6)))
+        bounds = [0, *cuts, len(groups)]
+        shards = [accumulator(groups[a:b]) for a, b in zip(bounds, bounds[1:])]
+        shards = data.draw(st.permutations(shards))
+        while len(shards) > 1:
+            # Any two of what is left: every order and tree shape.
+            i, j = data.draw(
+                st.sampled_from(
+                    [(i, j) for i in range(len(shards)) for j in range(len(shards)) if i != j]
+                )
+            )
+            shards[i].merge(shards[j])
+            del shards[j]
+        assert dumps(shards[0]) == whole
+
+    def test_spare_waits_are_summed_exactly(self):
+        acc = FleetAccumulator(EXACT_MISSION)
+        for hours in (0.1, 0.2, 0.3):
+            chrono = make_chronology(0, mission_hours=EXACT_MISSION)
+            chrono.n_spare_waits, chrono.spare_wait_hours = 1, hours
+            acc.add_chronology(chrono)
+        exact = Fraction(0.1) + Fraction(0.2) + Fraction(0.3)
+        assert acc.to_dict()["spare_wait_hours"] == [exact.numerator, exact.denominator]
+        assert acc.spare_wait_hours == float(exact)
+        assert FleetAccumulator.from_dict(acc.to_dict()).to_dict() == acc.to_dict()
+
+
+class TestBaseCaseFleet:
+    """The Table 2 base case, 8,192 groups, seed 7, batch engine."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        runner = MonteCarloRunner(
+            RaidGroupConfig.paper_base_case(), n_groups=8_192, seed=7, engine="batch"
+        )
+        return runner.run_streaming(keep_chronologies=True)
+
+    def test_mean_ddf_count_is_correctly_rounded(self, fleet):
+        moments = fleet.accumulator.ddf_moments
+        assert fleet.accumulator.total_ddfs == 1_113
+        # 1113/8192 is a float, so the exact mean is that float; per-group
+        # Welford updates had left it at 0.13586425781249967.
+        assert moments.mean == 1_113 / 8_192 == 0.1358642578125
+
+    @pytest.mark.parametrize("capacity", [DEFAULT_CAPACITY, 128])
+    def test_first_ddf_sample_matches_the_run(self, fleet, capacity):
+        """The bottom-k sample against every first-DDF time of the run:
+        its Kolmogorov-Smirnov distance stays below the 1% critical
+        value for its size.  The default capacity holds nearly all of
+        this run's first DDFs, so a 128-value sample of the same times
+        is checked too."""
+        firsts = np.sort(
+            [c.ddf_times[0] for c in fleet.result.chronologies if c.ddf_times]
+        )
+        if capacity == DEFAULT_CAPACITY:
+            reservoir = fleet.accumulator.first_ddf
+        else:
+            reservoir = FirstDDFReservoir.from_values(firsts, capacity=capacity)
+        sample = np.sort(reservoir.values)
+        assert reservoir.n_seen == firsts.size
+        assert sample.size == min(capacity, firsts.size)
+        assert set(sample.tolist()) <= set(firsts.tolist())
+        # Both empirical CDFs at every population point, from both sides.
+        grid = np.concatenate([firsts, np.nextafter(firsts, -np.inf)])
+        population = np.searchsorted(firsts, grid, side="right") / firsts.size
+        sampled = np.searchsorted(sample, grid, side="right") / sample.size
+        distance = float(np.max(np.abs(population - sampled)))
+        assert distance < 1.628 / math.sqrt(sample.size)
 
 
 class TestPrecision:
