@@ -35,36 +35,52 @@ precision axis of the conceptual ``(fingerprint, horizon, precision)``
 key is resolved by the achieved-width comparison above, which is what
 makes entries mergeable rather than duplicated per precision level.
 
-With a ``cache_dir``, every entry is also persisted as an atomic JSON
-checkpoint file and survives a service restart.  Disk entries are loaded
-through :func:`repro.simulation.checkpoint.load_checkpoint` with the
-query's expected fingerprint, so a moved, renamed, or hand-edited
-checkpoint is rejected with an actionable error instead of silently
-merging into the wrong design's statistics.
+With a ``cache_dir``, entries also survive a restart.  Each key owns a
+directory, ``<cache_dir>/<key digest>/``, and each persisted run is one
+file in it named by its groups count, ``<groups_completed>.json``,
+written once with :func:`~repro.simulation.checkpoint.atomic_write_text`.
+A smaller run persisted late lands beside a larger one, never over it,
+and a lookup that misses memory loads the largest of the key's files
+that passes the integrity check, so the disk never regresses and no lock
+is held around file I/O; ``put`` then deletes the key's smaller files,
+best effort.  The check reads and parses a file once and rejects it
+(counts, logs, and falls back to the next largest) unless its
+configuration fingerprint is the query's, its envelope and resume
+coordinates are its key's, its groups count is its name's, and all of it
+decodes: a moved, renamed, hand-edited or torn file is never merged into
+the wrong design's statistics and never fails a request.  Other names,
+such as ``atomic_write_text``'s temp files, are ignored.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import logging
 import os
+import re
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..exceptions import SimulationError
-from ..simulation.checkpoint import (
-    RunCheckpoint,
-    atomic_write_text,
-    load_checkpoint,
-)
+from ..exceptions import ReproError, SimulationError
+from ..simulation.checkpoint import RunCheckpoint, atomic_write_text
 from ..simulation.streaming import Precision, normal_two_sided_z
 
 logger = logging.getLogger("repro.service")
 
 #: Default in-memory entry bound (LRU eviction beyond it).
 DEFAULT_MAX_ENTRIES = 1024
+
+#: A persisted run's file name: its groups count.
+_ENTRY_NAME = re.compile(r"([0-9]+)\.json")
+
+#: What reading or decoding a torn or hand-edited file can raise.
+_DECODE_ERRORS = (
+    OSError, AttributeError, LookupError, TypeError, ValueError, ArithmeticError,
+    ReproError,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,13 +105,13 @@ class CacheKey:
     seed: Optional[int]
     shard_size: int
 
-    def filename(self) -> str:
-        """Stable on-disk name for this key's persisted checkpoint."""
+    def dirname(self) -> str:
+        """Stable name of the directory holding this key's persisted runs."""
         digest = hashlib.sha256(
             f"{self.fingerprint}:{self.horizon_hours!r}:{self.engine}:"
             f"{self.seed!r}:{self.shard_size}".encode("utf-8")
         ).hexdigest()
-        return f"cache-{digest[:32]}.json"
+        return digest[:32]
 
 
 @dataclasses.dataclass
@@ -160,7 +176,8 @@ class ResultCache:
     """Bounded LRU of mergeable accumulator checkpoints, optionally on disk.
 
     Thread-safe: the service's request handlers and simulation worker
-    threads share one instance.
+    threads share one instance.  The lock guards the in-memory map and
+    the counters only; file I/O runs outside it.
     """
 
     def __init__(
@@ -176,13 +193,6 @@ class ResultCache:
             os.makedirs(cache_dir, exist_ok=True)
         self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
         self._lock = threading.Lock()
-        # Per-key write ordering for disk persistence: _persist runs
-        # outside the main lock (it does file I/O), so racing puts for
-        # the same key serialize on the key's own lock and consult
-        # _persisted_groups to guarantee the file never regresses to a
-        # smaller (looser) run than it already holds.
-        self._persist_locks: Dict[CacheKey, threading.Lock] = {}
-        self._persisted_groups: Dict[CacheKey, int] = {}
         self.evictions = 0
         self.disk_loads = 0
         self.integrity_rejections = 0
@@ -207,13 +217,13 @@ class ResultCache:
 
         ``expected_run_fingerprint`` is the repr-based
         :func:`~repro.simulation.checkpoint.config_fingerprint` of the
-        query's configuration, known to the caller: a persisted
-        checkpoint whose recorded fingerprint disagrees — the file was
-        moved, renamed, or hand-edited — is rejected by
-        :func:`~repro.simulation.checkpoint.load_checkpoint`, counted in
-        :attr:`integrity_rejections`, logged with the actionable error,
-        and treated as a miss (so the service recomputes rather than
-        merging into the wrong design's statistics).
+        query's configuration, known to the caller.  A persisted file
+        whose recorded fingerprint disagrees, or that fails any other
+        part of the integrity check, is counted in
+        :attr:`integrity_rejections`, logged with the reason, and
+        skipped for the key's next largest file; with none left the
+        lookup is a miss, so the service recomputes rather than merging
+        into the wrong design's statistics.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -234,11 +244,10 @@ class ResultCache:
 
         An extension never *loosens* an entry: a stored entry with more
         accumulated groups than the incoming one is kept (two coalesced
-        misses racing to store resolve to the larger run), and the same
-        ordering holds on disk — persistence happens under a per-key
-        lock that skips the write when the file already holds a larger
-        run, so a restart can never resurrect the loosened loser of a
-        race.
+        misses racing to store resolve to the larger run).  On disk the
+        run becomes a file of its own, named by its groups count, and
+        lookups load a key's largest intact file, so a smaller run
+        persisted late cannot hide a larger one, across restarts too.
         """
         with self._lock:
             existing = self._entries.get(entry.key)
@@ -247,72 +256,23 @@ class ResultCache:
             self._entries[entry.key] = entry
             self._entries.move_to_end(entry.key)
             self._evict_locked()
-            persist_lock = self._persist_locks.setdefault(
-                entry.key, threading.Lock()
-            )
-        with persist_lock:
-            if self._disk_would_regress(entry):
-                return
-            self._persist(entry)
-            with self._lock:
-                recorded = self._persisted_groups.get(entry.key, -1)
-                self._persisted_groups[entry.key] = max(recorded, entry.groups)
+        if self.cache_dir is not None:
+            self._persist(self.cache_dir, entry)
 
     def _evict_locked(self) -> None:
-        """Enforce the LRU bound (caller holds the main lock).
-
-        ``_persist_locks`` and ``_persisted_groups`` are deliberately
-        retained for evicted keys: a racing put may already hold a
-        reference to the key's lock (fetched under the main lock,
-        acquired after releasing it), and dropping the registration here
-        would let a later put for the same key mint a second lock — two
-        ``_persist`` calls for one key serializing on different locks,
-        re-opening the smaller-run-clobbers-larger disk race for keys
-        near the LRU boundary.  Both maps cost a few dozen bytes per key
-        ever cached, bounded by the query universe, not the LRU size.
-        """
+        """Enforce the LRU bound (caller holds the lock)."""
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def _disk_would_regress(self, entry: CacheEntry) -> bool:
-        """Whether persisting ``entry`` would shrink the on-disk run.
-
-        Consults the in-memory high-water mark first; with no record
-        (fresh start, or the key was evicted) it reads the existing
-        file's cursor, so the never-loosen rule survives restarts too.
-        """
-        path = self._entry_path(entry.key)
-        if path is None:
-            return True  # nothing to persist to
-        with self._lock:
-            recorded = self._persisted_groups.get(entry.key)
-        if recorded is not None:
-            return recorded > entry.groups
-        if not os.path.exists(path):
-            return False
-        import json
-
-        try:
-            with open(path) as handle:
-                on_disk = int(json.load(handle).get("groups_completed", 0))
-        except (OSError, ValueError):
-            return False  # unreadable file: overwrite it
-        return on_disk > entry.groups
-
     # ------------------------------------------------------------------
-    def _entry_path(self, key: CacheKey) -> Optional[str]:
-        if self.cache_dir is None:
-            return None
-        return os.path.join(self.cache_dir, key.filename())
-
-    def _persist(self, entry: CacheEntry) -> None:
-        path = self._entry_path(entry.key)
-        if path is None:
-            return
-        # The file is a plain run checkpoint plus a service envelope; the
-        # envelope keys are ignored by RunCheckpoint.from_dict, so the
-        # file round-trips through load_checkpoint unchanged.
+    @staticmethod
+    def _persist(cache_dir: str, entry: CacheEntry) -> None:
+        """Write ``entry`` as a new file of its key, then prune smaller ones."""
+        directory = os.path.join(cache_dir, entry.key.dirname())
+        os.makedirs(directory, exist_ok=True)
+        # A plain run checkpoint plus a service envelope, which
+        # RunCheckpoint.from_dict ignores.
         payload = entry.checkpoint.to_dict()
         payload["service"] = {
             "key_fingerprint": entry.key.fingerprint,
@@ -320,74 +280,53 @@ class ResultCache:
             "confidence": entry.confidence,
             "achieved_rel_ci_width": entry.achieved_rel_ci_width,
         }
-        import json
-
-        atomic_write_text(path, json.dumps(payload, sort_keys=True))
+        atomic_write_text(
+            os.path.join(directory, f"{entry.groups}.json"),
+            json.dumps(payload, sort_keys=True),
+        )
+        for groups, name in _entry_files(directory):
+            if groups < entry.groups:
+                try:
+                    os.remove(os.path.join(directory, name))
+                except OSError:
+                    pass  # a smaller file left behind is never loaded first
 
     def _load_from_disk(
         self, key: CacheKey, expected_run_fingerprint: Optional[str]
     ) -> Optional[CacheEntry]:
-        path = self._entry_path(key)
-        if path is None or not os.path.exists(path):
+        """Admit the key's largest persisted run that passes the check."""
+        if self.cache_dir is None:
             return None
-        import json
-
-        try:
-            checkpoint = load_checkpoint(
-                path, expected_fingerprint=expected_run_fingerprint
-            )
-            with open(path) as handle:
-                envelope = json.load(handle).get("service", {})
-        except SimulationError as exc:
+        directory = os.path.join(self.cache_dir, key.dirname())
+        for groups, name in sorted(_entry_files(directory), reverse=True):
+            path = os.path.join(directory, name)
+            try:
+                with open(path) as handle:
+                    text = handle.read()
+                entry = _decode_entry(key, groups, text, expected_run_fingerprint)
+            except FileNotFoundError:
+                continue  # pruned since the listing
+            except _DECODE_ERRORS as exc:
+                with self._lock:
+                    self.integrity_rejections += 1
+                logger.warning(
+                    "rejecting cache entry %s: %s: %s", path, type(exc).__name__, exc
+                )
+                continue
             with self._lock:
-                self.integrity_rejections += 1
-            logger.warning("rejecting cache entry %s: %s", path, exc)
-            return None
-        if envelope.get("key_fingerprint") != key.fingerprint:
-            with self._lock:
-                self.integrity_rejections += 1
-            logger.warning(
-                "rejecting cache entry %s: envelope fingerprint %r does not "
-                "match cache key %r (file moved or hand-edited)",
-                path,
-                str(envelope.get("key_fingerprint"))[:12],
-                key.fingerprint[:12],
-            )
-            return None
-        coordinates = (checkpoint.engine, checkpoint.seed, checkpoint.shard_size)
-        if coordinates != (key.engine, key.seed, key.shard_size):
-            with self._lock:
-                self.integrity_rejections += 1
-            logger.warning(
-                "rejecting cache entry %s: its (engine, seed, shard_size) %r "
-                "are not its cache key's (file moved or hand-edited)",
-                path,
-                coordinates,
-            )
-            return None
-        entry = CacheEntry(
-            key=key,
-            checkpoint=checkpoint,
-            confidence=float(envelope.get("confidence", 0.95)),
-            achieved_rel_ci_width=float(
-                envelope.get("achieved_rel_ci_width", float("inf"))
-            ),
-        )
-        with self._lock:
-            self.disk_loads += 1
-            existing = self._entries.get(key)
-            if existing is None or existing.groups < entry.groups:
-                self._entries[key] = entry
-            else:
-                entry = existing  # a racing put landed a larger run
-            self._entries.move_to_end(key)
-            # Disk loads obey the same LRU bound as puts — a cold
-            # restart scanning thousands of persisted keys must not grow
-            # the in-memory map without bound.
-            self._evict_locked()
-            recorded = self._persisted_groups.get(key, -1)
-            self._persisted_groups[key] = max(recorded, entry.groups)
-        return entry
+                self.disk_loads += 1
+                existing = self._entries.get(key)
+                if existing is None or existing.groups < entry.groups:
+                    self._entries[key] = entry
+                else:
+                    entry = existing  # a racing put landed a larger run
+                self._entries.move_to_end(key)
+                # Disk loads obey the same LRU bound as puts: a cold
+                # restart scanning thousands of persisted keys must not
+                # grow the in-memory map without bound.
+                self._evict_locked()
+            return entry
+        return None
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
@@ -401,3 +340,54 @@ class ResultCache:
                 "integrity_rejections": self.integrity_rejections,
                 "persistent": self.cache_dir is not None,
             }
+
+
+def _entry_files(directory: str) -> List[Tuple[int, str]]:
+    """``(groups, file name)`` of every run persisted in a key's directory."""
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return []
+    matches = (_ENTRY_NAME.fullmatch(name) for name in names)
+    return [(int(m.group(1)), m.group(0)) for m in matches if m is not None]
+
+
+def _decode_entry(
+    key: CacheKey, groups: int, text: str, expected_run_fingerprint: Optional[str]
+) -> CacheEntry:
+    """The entry in the text of ``key``'s file named for ``groups``.
+
+    Raises one of :data:`_DECODE_ERRORS` when the file is torn, was
+    moved or renamed, or was edited into something that does not decode.
+    """
+    state = json.loads(text)
+    checkpoint = RunCheckpoint.from_dict(state)
+    if (
+        expected_run_fingerprint is not None
+        and checkpoint.fingerprint != expected_run_fingerprint
+    ):
+        raise SimulationError(
+            f"its configuration fingerprint {checkpoint.fingerprint[:12]}… is "
+            f"not the query's {expected_run_fingerprint[:12]}… (file moved or "
+            "hand-edited)"
+        )
+    envelope = state["service"]
+    filed = CacheKey(
+        envelope["key_fingerprint"],
+        envelope["horizon_hours"],
+        checkpoint.engine,
+        checkpoint.seed,
+        checkpoint.shard_size,
+    )
+    if (filed, checkpoint.groups_completed) != (key, groups):
+        raise SimulationError(
+            f"it holds {checkpoint.groups_completed} groups of {filed}, not the "
+            f"{groups} of {key} its path names (file moved, renamed or hand-edited)"
+        )
+    confidence = float(envelope["confidence"])
+    if not 0.0 < confidence < 1.0:
+        raise SimulationError(f"its confidence {confidence!r} is not in (0, 1)")
+    checkpoint.accumulator()  # decodes the whole state, or raises
+    return CacheEntry(
+        key, checkpoint, confidence, float(envelope["achieved_rel_ci_width"])
+    )

@@ -41,7 +41,6 @@ from ..simulation.executor import DEFAULT_MAX_SHARD_RETRIES, ShardWorker
 from ..simulation.monte_carlo import MonteCarloRunner
 from ..simulation.remote import RemoteWorkerHub
 from ..simulation.streaming import (
-    FleetAccumulator,
     Precision,
     ProgressEvent,
     RunObserver,
@@ -226,11 +225,6 @@ class JobManager:
             min_groups=256 if min_groups is None else int(min_groups),
         )
 
-    def inflight_for(self, spec: QuerySpec) -> Optional[RefinementJob]:
-        """The running job this query would coalesce onto, if any."""
-        with self._lock:
-            return self._inflight.get(spec.job_key)
-
     def submit(
         self, spec: QuerySpec, resume_entry: Optional[CacheEntry]
     ) -> "Tuple[RefinementJob, bool]":
@@ -361,10 +355,6 @@ class JobManager:
         job.future.set_result(streaming)
 
     # ------------------------------------------------------------------
-    def rebuild_accumulator(self, entry: CacheEntry) -> FleetAccumulator:
-        """Rehydrate a cache entry's fleet statistics."""
-        return entry.checkpoint.accumulator()
-
     def stats(self) -> Dict[str, object]:
         """JSON-safe job telemetry for ``/stats``."""
         with self._lock:

@@ -208,8 +208,8 @@ def load_checkpoint(
 
     ``expected_fingerprint`` pins the checkpoint to a specific
     configuration *at load time*: callers that map a config to a
-    checkpoint path themselves (the service result cache keys entries by
-    fingerprint) pass the expected :func:`config_fingerprint`, and a file
+    checkpoint path themselves pass the expected
+    :func:`config_fingerprint`, and a file
     whose recorded fingerprint disagrees — moved, renamed, or hand-edited
     — is rejected here with an actionable error instead of being merged
     silently into the wrong design's statistics.

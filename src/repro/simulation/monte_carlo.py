@@ -258,6 +258,10 @@ class MonteCarloRunner:
     def run(self, until: "Union[Precision, float, None]" = None) -> SimulationResult:
         """Simulate the fleet and aggregate.
 
+        A :meth:`run_streaming` run that keeps its chronologies; the
+        returned result carries that run's statistics on
+        :attr:`~repro.simulation.results.SimulationResult.streaming`.
+
         Parameters
         ----------
         until:
@@ -265,38 +269,16 @@ class MonteCarloRunner:
             :class:`~repro.simulation.streaming.Precision` or a bare
             relative CI width).  When given, the fleet grows in seeded
             shards until the mission-DDF-rate CI is tight enough, with
-            :attr:`n_groups` as the hard cap; the returned result carries
-            the streaming statistics on
-            :attr:`~repro.simulation.results.SimulationResult.streaming`.
+            :attr:`n_groups` as the hard cap; otherwise the fleet is
+            exactly :attr:`n_groups` groups.
         """
-        if until is not None:
-            streaming = self.run_streaming(until=until, keep_chronologies=True)
-            assert isinstance(streaming.result, SimulationResult)
-            return streaming.result
-        if self.n_jobs == 0:
-            raise ParameterError(
-                "n_jobs=0 (no local shard pool) is only valid for "
-                "distributed streaming runs (run_streaming(workers=...)); "
-                "a materialized run() has nobody else to simulate the fleet"
-            )
-        engine = self.resolve_engine()
-        # The batch shard partition for every engine: the event engine's
-        # per-group seeds do not depend on it.
-        plan = shard_plan(0, 0, self.n_groups, BATCH_SHARD_SIZE)
-        _, source = self._local_outcomes(
-            plan,
-            engine,
-            _seed_state(make_seed_sequence(self.seed)),
-            lambda jobs: _shards_per_run(engine, BATCH_SHARD_SIZE, len(plan), jobs),
-            keep_chronologies=True,
-        )
-        chronologies = [chrono for outcome in source for chrono in outcome.chronologies]
-        return SimulationResult(
-            config=self.config,
-            chronologies=chronologies,
-            seed=self.seed if isinstance(self.seed, int) else None,
-            engine=engine,
-        )
+        streaming = self.run_streaming(until=until, keep_chronologies=True)
+        result = streaming.result
+        # The result holds the run but not the reverse: a link back would
+        # be a cycle that keeps every chronology alive until the cyclic
+        # garbage collector runs.
+        streaming.result = None
+        return result
 
     # ------------------------------------------------------------------
     def run_streaming(

@@ -54,17 +54,21 @@ class SimulationResult:
         vectorized lockstep engine).  Results from the two engines agree
         in distribution, not sample for sample.
     streaming:
-        The :class:`~repro.simulation.streaming.StreamingResult` that
-        produced this fleet, when it came from a precision-driven
-        streaming run (``MonteCarloRunner.run(until=...)``); ``None``
-        for plain fixed-size runs.
+        The :class:`~repro.simulation.streaming.StreamingResult` of the
+        run that produced this fleet: ``MonteCarloRunner.run``, with or
+        without ``until``, sets it, with its ``result`` left ``None`` so
+        the two form no reference cycle.  ``None`` when the result was
+        built from chronologies directly.  It describes the run, not the
+        fleet, so it takes no part in equality.
     """
 
     config: RaidGroupConfig
     chronologies: List[GroupChronology]
     seed: "int | None" = None
     engine: str = "event"
-    streaming: "Optional[StreamingResult]" = None
+    streaming: "Optional[StreamingResult]" = dataclasses.field(
+        default=None, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.chronologies:

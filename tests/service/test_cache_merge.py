@@ -7,19 +7,28 @@ engines.  The property tests pin that through the service's own
 simulation path (derived seed, canonical time grid, shard cursor).
 
 The disk edge gets the adversarial treatment: a checkpoint file that was
-moved, renamed, or hand-edited must be rejected with an actionable error
-and treated as a miss, never merged into the wrong design's statistics.
+moved, renamed, hand-edited or torn must be rejected with an actionable
+error and passed over, never merged into the wrong design's statistics
+nor allowed to fail the query.  Each persisted run is a write-once file
+named by its groups count in its key's directory; a lookup loads the
+largest one that passes, which keeps a late smaller run from hiding a
+larger one without any lock.
 """
 
 import dataclasses
+import glob
 import json
 import os
+import random
+import shutil
+import sys
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.service.cache as cache_module
 from repro.distributions import Weibull
 from repro.exceptions import SimulationError
 from repro.service import (
@@ -78,6 +87,11 @@ def make_spec(total_groups: int, jobs: JobManager) -> QuerySpec:
         min_groups=SHARD,
     )
     return QuerySpec(CONFIG, fingerprint(CONFIG), CONFIG.mission_hours, precision)
+
+
+def entry_path(root, key: CacheKey, groups: int) -> str:
+    """Where a cache over ``root`` persists ``key``'s run of ``groups``."""
+    return os.path.join(str(root), key.dirname(), f"{groups}.json")
 
 
 def canonical(accumulator) -> str:
@@ -265,30 +279,24 @@ class TestLookupSemantics:
         assert len(cache) == 2
         assert cache.stats()["evictions"] == 1
 
-    def test_persist_lock_registration_survives_eviction(self, tmp_path):
-        """Regression: eviction used to drop ``_persist_locks`` /
-        ``_persisted_groups`` for the evicted key, so a put that had
-        fetched the key's lock (under the main lock) but not yet acquired
-        it could race a later put that minted a *fresh* lock for the same
-        key — two ``_persist`` calls serializing on different locks, with
-        no high-water record, re-opening the smaller-run-clobbers-disk
-        race for keys near the LRU boundary.  The registration must
-        outlive the LRU entry."""
+    def test_evicted_key_restart_loads_larger_run(self, tmp_path):
+        """A smaller run put for a key after its larger run was evicted
+        from memory lands beside the larger run on disk, not over it,
+        so a restart still loads the larger run."""
         cache = ResultCache(max_entries=1, cache_dir=str(tmp_path))
-        first = self.entry(SHARD, width=0.5)
-        first.key = dataclasses.replace(first.key, horizon_hours=1_000.0)
-        cache.put(first)
-        lock = cache._persist_locks[first.key]
-        high_water = cache._persisted_groups[first.key]
-
-        second = self.entry(SHARD, width=0.5)
-        second.key = dataclasses.replace(second.key, horizon_hours=2_000.0)
-        cache.put(second)  # evicts `first` from the LRU map
-
+        big = self.entry(2 * SHARD, width=0.2)
+        cache.put(big)
+        other = self.entry(SHARD, width=0.5)
+        other.key = dataclasses.replace(other.key, horizon_hours=1_000.0)
+        cache.put(other)  # evicts `big` from the LRU map
         assert len(cache) == 1
         assert cache.stats()["evictions"] == 1
-        assert cache._persist_locks.get(first.key) is lock
-        assert cache._persisted_groups.get(first.key) == high_water
+        cache.put(self.entry(SHARD, width=0.9))
+
+        reopened = ResultCache(cache_dir=str(tmp_path))
+        status, found = reopened.lookup(big.key, Precision(rel_ci_width=1e-9))
+        assert status == "extend" and found is not None
+        assert found.groups == 2 * SHARD
 
 
 class TestDiskIntegrity:
@@ -308,7 +316,7 @@ class TestDiskIntegrity:
 
     def test_load_checkpoint_rejects_foreign_fingerprint(self, tmp_path):
         entry = self.make_entry(tmp_path)
-        path = os.path.join(str(tmp_path), entry.key.filename())
+        path = entry_path(tmp_path, entry.key, entry.groups)
         other = config_fingerprint(CONFIG.as_raid6())
         with pytest.raises(SimulationError) as excinfo:
             load_checkpoint(path, expected_fingerprint=other)
@@ -318,7 +326,7 @@ class TestDiskIntegrity:
 
     def test_load_checkpoint_accepts_matching_fingerprint(self, tmp_path):
         entry = self.make_entry(tmp_path)
-        path = os.path.join(str(tmp_path), entry.key.filename())
+        path = entry_path(tmp_path, entry.key, entry.groups)
         loaded = load_checkpoint(
             path, expected_fingerprint=config_fingerprint(CONFIG)
         )
@@ -344,7 +352,7 @@ class TestDiskIntegrity:
         and a reservoir RNG) is rejected as an integrity miss, so the
         key is refined afresh rather than merged with the old state."""
         entry = self.make_entry(tmp_path)
-        path = os.path.join(str(tmp_path), entry.key.filename())
+        path = entry_path(tmp_path, entry.key, entry.groups)
         with open(path) as handle:
             payload = json.load(handle)
         payload["format"] = "repro-checkpoint/1"
@@ -361,11 +369,11 @@ class TestDiskIntegrity:
 
     def test_cache_rejects_renamed_entry_file(self, tmp_path):
         entry = self.make_entry(tmp_path)
-        src = os.path.join(str(tmp_path), entry.key.filename())
+        src = entry_path(tmp_path, entry.key, entry.groups)
         foreign_key = dataclasses.replace(
             entry.key, fingerprint=fingerprint(CONFIG.as_raid6())
         )
-        os.rename(src, os.path.join(str(tmp_path), foreign_key.filename()))
+        os.renames(src, entry_path(tmp_path, foreign_key, entry.groups))
         reopened = ResultCache(cache_dir=str(tmp_path))
         status, found = reopened.lookup(foreign_key, Precision(rel_ci_width=0.5))
         assert (status, found) == ("miss", None)
@@ -376,9 +384,9 @@ class TestDiskIntegrity:
         size holds a checkpoint that key's runs would refuse to resume:
         it is rejected, never offered for ``extend``."""
         entry = self.make_entry(tmp_path)
-        src = os.path.join(str(tmp_path), entry.key.filename())
+        src = entry_path(tmp_path, entry.key, entry.groups)
         other = dataclasses.replace(entry.key, shard_size=2 * SHARD)
-        os.rename(src, os.path.join(str(tmp_path), other.filename()))
+        os.renames(src, entry_path(tmp_path, other, entry.groups))
         reopened = ResultCache(cache_dir=str(tmp_path))
         status, found = reopened.lookup(
             other,
@@ -437,7 +445,7 @@ class TestDiskIntegrity:
         big_put.join(timeout=30.0)
         assert not small_put.is_alive() and not big_put.is_alive()
 
-        path = os.path.join(str(tmp_path), big.key.filename())
+        path = entry_path(tmp_path, big.key, big.groups)
         with open(path) as handle:
             assert json.load(handle)["groups_completed"] == 2 * SHARD
 
@@ -468,7 +476,7 @@ class TestDiskIntegrity:
 
         fresh = ResultCache(cache_dir=str(tmp_path))  # no in-memory record
         fresh.put(small)
-        path = os.path.join(str(tmp_path), big.key.filename())
+        path = entry_path(tmp_path, big.key, big.groups)
         with open(path) as handle:
             assert json.load(handle)["groups_completed"] == 2 * SHARD
 
@@ -514,6 +522,167 @@ class TestDiskIntegrity:
             entry.checkpoint.to_dict(), sort_keys=True
         )
         assert reopened.stats()["disk_loads"] == 1
+
+
+class Crash(Exception):
+    """Stands in for the process dying at the point it is raised."""
+
+
+class TestWriteOnceLayout:
+    """Each persisted run is a file of its own, ``<key dir>/<groups>.json``,
+    and a lookup loads the largest of a key's files that passes the
+    integrity check."""
+
+    @staticmethod
+    def runs(*groups: int):
+        jobs = JobManager(ResultCache(), max_workers=1, seed=0, shard_size=SHARD)
+        try:
+            specs = [make_spec(n, jobs) for n in groups]
+            return [jobs.entry_from_result(s, jobs.run_simulation(s)) for s in specs]
+        finally:
+            jobs.shutdown()
+
+    @staticmethod
+    def restart_and_lookup(tmp_path, key: CacheKey):
+        reopened = ResultCache(cache_dir=str(tmp_path))
+        _, found = reopened.lookup(
+            key,
+            Precision(rel_ci_width=1e-9, max_groups=10_000),
+            expected_run_fingerprint=config_fingerprint(CONFIG),
+        )
+        return reopened, found
+
+    def test_crash_between_write_and_prune(self, tmp_path, monkeypatch):
+        small, big, bigger = self.runs(SHARD, 2 * SHARD, 3 * SHARD)
+        ResultCache(cache_dir=str(tmp_path)).put(small)
+
+        def crash(directory):
+            raise Crash
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "_entry_files", crash)
+            with pytest.raises(Crash):
+                ResultCache(cache_dir=str(tmp_path)).put(big)
+        key_dir = os.path.join(str(tmp_path), big.key.dirname())
+        assert sorted(os.listdir(key_dir)) == ["16.json", "32.json"]
+
+        reopened, found = self.restart_and_lookup(tmp_path, big.key)
+        assert found is not None and found.groups == 2 * SHARD
+        assert reopened.stats()["disk_loads"] == 1
+        assert reopened.stats()["integrity_rejections"] == 0
+        reopened.put(bigger)
+        assert os.listdir(key_dir) == ["48.json"]
+
+    def test_torn_newest_file_falls_back_to_next_largest(self, tmp_path):
+        small, big = self.runs(SHARD, 2 * SHARD)
+        ResultCache(cache_dir=str(tmp_path)).put(big)
+        ResultCache(cache_dir=str(tmp_path)).put(small)  # lands beside `big`
+        path = entry_path(tmp_path, big.key, big.groups)
+        with open(path) as handle:
+            text = handle.read()
+        with open(path, "w") as handle:
+            handle.write(text[: len(text) // 2])
+
+        reopened, found = self.restart_and_lookup(tmp_path, big.key)
+        assert found is not None and found.groups == SHARD
+        assert reopened.stats()["integrity_rejections"] == 1
+        assert reopened.stats()["disk_loads"] == 1
+
+    @pytest.mark.parametrize(
+        "horizon, groups",
+        [(CONFIG.mission_hours, 4 * SHARD), (4_380.0, SHARD)],
+        ids=["renamed-to-other-groups", "moved-to-other-horizon"],
+    )
+    def test_misfiled_file_is_rejected(self, tmp_path, horizon, groups):
+        (entry,) = self.runs(SHARD)
+        ResultCache(cache_dir=str(tmp_path)).put(entry)
+        key = dataclasses.replace(entry.key, horizon_hours=horizon)
+        os.renames(
+            entry_path(tmp_path, entry.key, entry.groups),
+            entry_path(tmp_path, key, groups),
+        )
+
+        reopened, found = self.restart_and_lookup(tmp_path, key)
+        assert found is None
+        assert reopened.stats()["integrity_rejections"] == 1
+        assert reopened.stats()["disk_loads"] == 0
+
+    def test_file_deleted_after_listing_is_skipped(self, tmp_path, monkeypatch):
+        small, big = self.runs(SHARD, 2 * SHARD)
+        ResultCache(cache_dir=str(tmp_path)).put(big)
+        ResultCache(cache_dir=str(tmp_path)).put(small)
+        listed = cache_module._entry_files
+
+        def listed_then_pruned(directory):
+            files = listed(directory)
+            os.remove(entry_path(tmp_path, big.key, big.groups))
+            return files
+
+        monkeypatch.setattr(cache_module, "_entry_files", listed_then_pruned)
+        reopened, found = self.restart_and_lookup(tmp_path, big.key)
+        assert found is not None and found.groups == SHARD
+        assert reopened.stats()["integrity_rejections"] == 0
+        assert reopened.stats()["disk_loads"] == 1
+
+    def test_racing_writers_and_readers_keep_the_largest_run(self, tmp_path):
+        """Stress: more writers than cores put one key's runs in shuffled
+        orders, each through a cache of its own as separate processes
+        would, while readers restart and look the key up.  No read is
+        ever a rejection, and afterwards a restart loads the largest run."""
+        entries = self.runs(*(n * SHARD for n in range(1, 7)))
+        rejections = []
+        errors = []
+
+        def guarded(body):
+            def run():
+                try:
+                    body()
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+
+            return threading.Thread(target=run)
+
+        def writer(seed: int):
+            for entry in random.Random(seed).sample(entries, len(entries)):
+                ResultCache(cache_dir=str(tmp_path)).put(entry)
+
+        def reader():
+            for _ in range(40):
+                reopened, _ = self.restart_and_lookup(tmp_path, entries[0].key)
+                rejections.append(reopened.stats()["integrity_rejections"])
+
+        threads = [guarded(lambda seed=seed: writer(seed)) for seed in range(6)]
+        threads += [guarded(reader) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sum(rejections) == 0
+        _, found = self.restart_and_lookup(tmp_path, entries[0].key)
+        assert found is not None and found.groups == 6 * SHARD
+
+    def test_files_under_other_names_are_ignored(self, tmp_path):
+        """The previous layout's ``cache-<digest>.json`` file, and temp
+        files of interrupted writes, are neither loaded nor rejected."""
+        (entry,) = self.runs(SHARD)
+        ResultCache(cache_dir=str(tmp_path / "written")).put(entry)
+        intact = entry_path(tmp_path / "written", entry.key, entry.groups)
+        shutil.copy(intact, tmp_path / f"cache-{entry.key.dirname()}.json")
+        key_dir = tmp_path / entry.key.dirname()
+        key_dir.mkdir()
+        shutil.copy(intact, key_dir / f"{entry.groups}.json.x1y2.tmp")
+
+        reopened, found = self.restart_and_lookup(tmp_path, entry.key)
+        assert found is None
+        assert reopened.stats()["integrity_rejections"] == 0
+        assert reopened.stats()["disk_loads"] == 0
 
 
 def answer(service: ReliabilityService, query: dict) -> dict:
@@ -577,3 +746,52 @@ class TestResumeCoordinates:
             later.close()
         assert response["source"] == "cache"
         assert response["answer"]["groups"] == 512
+
+
+class TestUndecodableEntry:
+    """Regression: a persisted file that parsed but did not decode failed
+    its query (in the lookup, or after being admitted, when the answer
+    was built) instead of being a miss, so the key kept failing."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: payload.update(accumulator={}),
+            lambda payload: payload.pop("seed"),
+            lambda payload: payload["service"].update(confidence="x"),
+        ],
+        ids=["empty-accumulator", "no-seed", "non-numeric-confidence"],
+    )
+    def test_undecodable_entry_is_refined_afresh(self, tmp_path, edit):
+        query = {
+            "config": config_to_dict(CONFIG),
+            "precision": {"rel_ci_width": 1e-9, "min_groups": 128, "max_groups": 256},
+        }
+
+        def service() -> ReliabilityService:
+            return ReliabilityService(
+                cache=ResultCache(cache_dir=str(tmp_path)), max_workers=1
+            )
+
+        writer = service()
+        try:
+            assert answer(writer, query)["source"] == "simulated"
+        finally:
+            writer.close()
+        [path] = glob.glob(os.path.join(str(tmp_path), "**", "*.json"), recursive=True)
+        with open(path) as handle:
+            payload = json.load(handle)
+        edit(payload)
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+
+        reader = service()
+        try:
+            response = answer(reader, query)
+            stats = reader.cache.stats()
+        finally:
+            reader.close()
+        assert response["source"] == "simulated"
+        assert response["answer"]["groups"] == 256
+        assert stats["integrity_rejections"] == 1
+        assert stats["disk_loads"] == 0

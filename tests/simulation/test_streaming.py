@@ -7,8 +7,10 @@ partition, order and tree shape, and a fixed-size ``run_streaming`` must
 reproduce the materialized ``run`` exactly on both engines.
 """
 
+import gc
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -616,6 +618,8 @@ class TestStreamingMatchesMaterialized:
             streaming.accumulator.to_dict(), sort_keys=True
         ) == json.dumps(bridged.to_dict(), sort_keys=True)
         assert streaming.summary() == materialized.summary()
+        assert materialized.streaming.stop_reason == "fixed"
+        assert materialized.streaming.groups == 700
 
     def test_event_engine_partition_independent(self):
         config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
@@ -637,3 +641,24 @@ class TestStreamingMatchesMaterialized:
         assert result.streaming.stop_reason in ("converged", "max_groups")
         # The chronologies the result holds are the ones accumulated.
         assert result.total_ddfs == result.streaming.accumulator.total_ddfs
+
+    @pytest.mark.parametrize(
+        "until",
+        [None, Precision(rel_ci_width=0.8, min_groups=256)],
+        ids=["fixed", "precision"],
+    )
+    def test_run_result_is_freed_by_reference_counting(self, until):
+        """A result and its streaming statistics form no reference cycle,
+        so a fleet's chronologies are freed as soon as the result is
+        dropped, not at the next cyclic collection."""
+        config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
+        runner = MonteCarloRunner(config, n_groups=600, seed=3, engine="batch")
+        gc.disable()
+        try:
+            result = runner.run(until=until)
+            assert result.streaming is not None
+            chronology = weakref.ref(result.chronologies[0])
+            del result
+            assert chronology() is None
+        finally:
+            gc.enable()
