@@ -51,7 +51,7 @@ except ImportError:  # pragma: no cover - bench requires a client
 from repro.distributions import Weibull
 from repro.service import ReliabilityService, ResultCache, ServiceThread
 from repro.simulation.config import RaidGroupConfig
-from repro.simulation.executor import _run_shard_task
+from repro.simulation.executor import simulate_shard
 from repro.validation import config_to_dict
 
 SEED = 20_260_808
@@ -61,7 +61,7 @@ CRASH_DIR_ENV = "REPRO_SERVE_CRASH_DIR"
 CRASH_INDEX_ENV = "REPRO_SERVE_CRASH_INDEX"
 
 
-def crash_once_worker(task):
+def crash_once_worker(config, root_state, engine, task):
     """Kill the worker process on the victim shard's first attempt."""
     if task.index == int(os.environ.get(CRASH_INDEX_ENV, "1")):
         crash_dir = os.environ[CRASH_DIR_ENV]
@@ -69,7 +69,7 @@ def crash_once_worker(task):
         if attempts < 1:
             open(os.path.join(crash_dir, f"attempt{attempts}"), "w").close()
             os._exit(1)
-    return _run_shard_task(task)
+    return simulate_shard(config, root_state, engine, task)
 
 
 def solver_payloads() -> List[dict]:

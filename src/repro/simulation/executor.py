@@ -9,19 +9,23 @@ is order-dependent, though: every shard's random streams are a pure
 function of its index (one spawned :class:`~numpy.random.SeedSequence`
 child per shard for the batch engine, one per group for the event
 engine), so shards may be computed out of order, on any process, and the
-results are byte-identical.  A claimant sends back each shard as one
-small summary (a ``FleetAccumulator`` over the shard, built where it was
-simulated; :func:`summarize_shards`), plus its chronologies only when
-the run keeps them, and the commit is one exact merge.
+results are byte-identical.
+
+The unit of work, from claim to publish, is a *run* of consecutive
+shards.  Every claimant simulates a run with one local run function
+(:func:`_run_shard_run`: one
+:func:`~repro.simulation.batch.simulate_groups_batch` call of up to
+:data:`~repro.simulation.monte_carlo.KERNEL_ROWS` rows for the batch
+engine) and hands it back whole: one small summary per shard (a
+``FleetAccumulator`` over the shard, built where it was simulated;
+:func:`summarize_shards`), plus its chronologies only when the run keeps
+them, and the run's wall time.  One :meth:`PipelinedShardExecutor.complete`
+call publishes the run, and each shard's commit is one exact merge.
 
 :class:`PipelinedShardExecutor` exploits exactly that split:
 
 * the plan's shards wait in one queue, from which every *claimant* takes
-  runs of consecutive shards, each sized when it is claimed; a
-  batch-engine run is a single
-  :func:`~repro.simulation.batch.simulate_groups_batch` call of up to
-  :data:`~repro.simulation.monte_carlo.KERNEL_ROWS` rows (the in-process
-  path groups shards the same way),
+  runs, each sized when it is claimed,
 * the claimants are a ``spawn``-context
   :class:`~concurrent.futures.ProcessPoolExecutor` of ``n_jobs`` workers
   and, for a distributed run, the links of a
@@ -31,7 +35,7 @@ the run keeps them, and the commit is one exact merge.
   *before* delivering it, so no worker idles while the consumer commits,
   checkpoints and notifies observers.  Finished runs that wait on a
   link's shard do not count, so a slow link never idles the pool.  A
-  finished run's done-callback publishes its shards,
+  finished run's done-callback publishes it with one ``complete`` call,
 * the pool outlives the run: this module keeps the process's idle pools
   on a free list, a run leases one (or spawns one if none is idle) and
   hands it back when it ends, so the runs after the first in a process
@@ -122,10 +126,9 @@ class ShardOutcome:
         groups, built where the shard was simulated.  The commit merges
         it into the run's accumulator.
     wall_seconds:
-        Worker-side simulation wall time (queue wait excluded).  Shards
-        simulated together in one run (one kernel call, in process or
-        in a pool task) split the run's wall time by their shares of its
-        groups.
+        Worker-side simulation wall time (queue wait excluded): the
+        run's wall time times the shard's share of the run's groups
+        (:func:`split_run`).
     queue_depth:
         Shards simulated or in flight and not yet delivered when this
         one was: the rest of its run, plus every shard submitted to the
@@ -142,11 +145,9 @@ class ShardOutcome:
         in-process pool, ``host:pid`` for a remote worker.
     rtt_seconds:
         Coordinator-side round trip for remote workers; 0 for local
-        execution.  A run's round trip (task sent → its last shard's
-        frame received) is split over its shards as their frames
-        arrive: each is charged the time since the previous frame of its
-        run, the first since the task was sent, so a run's shards add up
-        to its round trip.
+        execution.  A run's round trip (task sent → its result frame
+        received) is split over its shards like its wall time, so a
+        run's shards add up to its round trip.
     chronologies:
         Its per-group chronologies, in group order, when the run keeps
         them (``keep_chronologies``); otherwise None, and none was built
@@ -187,14 +188,10 @@ def shard_plan(
 
 
 # ----------------------------------------------------------------------
-# Worker side.  Every pool task carries its run's constants, so a warm
-# worker serves one run after another and nothing of one reaches the next.
-
-#: The running pool task's (config, root seed state, engine), for
-#: :func:`_run_shard_task`; None between tasks.
-_task_constants: Optional[Tuple[RaidGroupConfig, dict, str]] = None
-
-
+# Simulating a run, wherever it runs: the serial loop, pool tasks and
+# remote workers all call _run_shard_run.  Every pool task carries its
+# run's constants, so a warm worker serves one run after another and
+# nothing of one reaches the next.
 def _child_seed(root_state: dict, index: int) -> np.random.SeedSequence:
     """The root's ``index``-th spawned child, rebuilt without spawning.
 
@@ -305,35 +302,38 @@ def summarize_shards(
     ]
 
 
-def split_run(
-    run: Sequence[ShardTask],
-    per_shard: Sequence[object],
-    wall_seconds: float,
-) -> Iterator[Tuple[ShardTask, object, float]]:
-    """A run's shards with their results and shares of its wall time.
-
-    Each shard is charged the run's wall time times its share of the
-    run's groups, so per-shard times add up to the run's.
-    """
+def split_run(run: Sequence[ShardTask], seconds: float) -> List[float]:
+    """Each shard's share of a run's time (wall time or round trip): the
+    run's ``seconds`` times the shard's share of the run's groups, so the
+    shares add up to the run's."""
     groups = sum(task.n_groups for task in run)
-    for task, result in zip(run, per_shard):
-        yield task, result, wall_seconds * (task.n_groups / groups)
+    return [seconds * (task.n_groups / groups) for task in run]
 
 
-def _run_shard_task(task: ShardTask) -> "Tuple[List[GroupChronology], float]":
-    """One-shard worker: simulate one shard, timing the simulation.
+def _check_run(
+    run: Sequence[ShardTask], per_shard: Sequence[ShardResult], worker: str
+) -> None:
+    """Raise :class:`~repro.exceptions.SimulationError` unless
+    ``per_shard`` holds one result per shard of ``run``, each summary
+    (and any kept chronologies) of exactly its shard's groups."""
+    if len(per_shard) != len(run):
+        raise SimulationError(
+            f"{_describe(run)} came back from {worker} with {len(per_shard)} results"
+        )
+    for task, (summary, chronologies) in zip(run, per_shard):
+        sizes = [summary.n_groups]
+        if chronologies is not None:
+            sizes.append(len(chronologies))
+        if any(size != task.n_groups for size in sizes):
+            raise SimulationError(
+                f"shard {task.index} of {task.n_groups} groups came back from "
+                f"{worker} with {' and '.join(map(str, sizes))}"
+            )
 
-    The body of a ``_shard_worker`` hook that only adds a failure to it;
-    pool tasks otherwise run whole runs (:func:`_run_shard_run`).
-    """
-    config, root_state, engine = _task_constants
-    start = time.perf_counter()
-    chronologies = simulate_shard(config, root_state, engine, task)
-    return chronologies, time.perf_counter() - start
 
-
-#: Worker signature: ShardTask -> (chronologies, wall_seconds).
-ShardWorker = Callable[[ShardTask], "Tuple[List[GroupChronology], float]"]
+#: Test hook, with :func:`simulate_shard`'s signature:
+#: (config, root seed state, engine, task) -> the shard's chronologies.
+ShardWorker = Callable[[RaidGroupConfig, dict, str, ShardTask], List[GroupChronology]]
 
 
 def _run_shard_run(
@@ -345,28 +345,29 @@ def _run_shard_run(
     time_grid: Optional[Sequence[float]],
     keep_chronologies: bool,
 ) -> "Tuple[List[ShardResult], float]":
-    """Pool task: simulate a run of shards, timing the whole run.
+    """Simulate a run of shards, timing the whole run.
 
     The run is one :func:`summarize_shards` call, unless a ``worker``
-    hook is injected: that is called once per shard, so a hook that
-    kills its process loses the whole run, and its chronologies are
-    summarized by :func:`shard_result`.
+    hook is given: that is called once per shard in place of
+    :func:`simulate_shard`, so a hook that kills its process loses the
+    whole run, and its chronologies are summarized by
+    :func:`shard_result`.
     """
-    global _task_constants
     start = time.perf_counter()
     if worker is None:
         per_shard = summarize_shards(
             config, root_state, engine, run, time_grid, keep_chronologies
         )
     else:
-        _task_constants = (config, root_state, engine)
-        try:
-            per_shard = [
-                shard_result(config, worker(task)[0], time_grid, keep_chronologies)
-                for task in run
-            ]
-        finally:
-            _task_constants = None
+        per_shard = [
+            shard_result(
+                config,
+                worker(config, root_state, engine, task),
+                time_grid,
+                keep_chronologies,
+            )
+            for task in run
+        ]
     return per_shard, time.perf_counter() - start
 
 
@@ -471,14 +472,15 @@ class PipelinedShardExecutor:
     in plan order.  Claimants take runs from the plan's queue
     (:meth:`claim`: the lowest unclaimed shard and the consecutive ones
     after it, as many as ``shards_per_run()`` last said), publish each
-    shard (:meth:`complete`), and give a lost run's shards back, each
+    run whole (:meth:`complete`), and give a lost run's shards back, each
     charged one retry (:meth:`abandon`).  The local pool of ``n_jobs``
     workers is one claimant, driven from the consumer's thread: it holds
     at most ``n_jobs`` runs the consumer has not reached (see
     :meth:`_may_claim`).  With a ``hub``, every connected remote worker
     is another, and ``n_jobs`` may be 0.  Every claimant sends back each
     shard's summary over ``time_grid``, and its chronologies only when
-    ``keep_chronologies``.
+    ``keep_chronologies``.  Pool tasks call the ``worker`` hook once per
+    shard (:func:`_run_shard_run`); remote workers never do.
 
     ``shards_per_run()`` is evaluated on the consumer's thread, before
     the first claim and after each committed shard, so the callable may
@@ -526,9 +528,10 @@ class PipelinedShardExecutor:
         self._queue: List[int] = []  # heap of unclaimed shard indices
         self._by_index: Dict[int, ShardTask] = {}
         self._claimed: Dict[int, str] = {}
-        self._results: Dict[int, Tuple[ShardResult, float, str, float]] = {}
+        # Published shards: (result, wall seconds, worker, round trip,
+        # when published).
+        self._results: Dict[int, Tuple[ShardResult, float, str, float, float]] = {}
         self._retries: Dict[int, int] = {}
-        self._done_at: Dict[int, float] = {}
         self._run_length = 1
         self._error: Optional[BaseException] = None
         self._stopped = False
@@ -570,39 +573,30 @@ class PipelinedShardExecutor:
 
     def complete(
         self,
-        task: ShardTask,
-        summary: FleetAccumulator,
+        run: Sequence[ShardTask],
+        per_shard: Sequence[ShardResult],
         wall_seconds: float,
         *,
         worker: str,
         rtt_seconds: float = 0.0,
-        chronologies: Optional[List[GroupChronology]] = None,
     ) -> None:
-        """Publish a claimed shard's result.
+        """Publish a claimed run: one result per shard, in run order.
 
         Raises :class:`~repro.exceptions.SimulationError`, publishing
-        nothing, if the summary (or the chronologies) do not cover
-        exactly the shard's groups.
+        nothing, unless every summary (and any kept chronologies) covers
+        exactly its shard's groups.  The run's wall time and round trip
+        are split over its shards by :func:`split_run`.  A shard already
+        published or no longer planned is a stale duplicate (e.g.
+        completed after a reassignment) and is skipped.
         """
-        sizes = [summary.n_groups]
-        if chronologies is not None:
-            sizes.append(len(chronologies))
-        if any(size != task.n_groups for size in sizes):
-            raise SimulationError(
-                f"shard {task.index} of {task.n_groups} groups came back from "
-                f"{worker} with {' and '.join(map(str, sizes))}"
-            )
+        _check_run(run, per_shard, worker)
+        walls, rtts = split_run(run, wall_seconds), split_run(run, rtt_seconds)
         with self._cond:
-            if task.index not in self._by_index or task.index in self._results:
-                return  # stale duplicate (e.g. completed after a reassignment)
-            self._claimed.pop(task.index, None)
-            self._results[task.index] = (
-                (summary, chronologies),
-                wall_seconds,
-                worker,
-                rtt_seconds,
-            )
-            self._done_at.setdefault(task.index, time.perf_counter())
+            now = time.perf_counter()
+            for task, result, wall, rtt in zip(run, per_shard, walls, rtts):
+                if task.index in self._by_index and task.index not in self._results:
+                    self._claimed.pop(task.index, None)
+                    self._results[task.index] = (result, wall, worker, rtt, now)
             self._cond.notify_all()
 
     def abandon(
@@ -619,7 +613,6 @@ class PipelinedShardExecutor:
                 if task.index not in self._by_index or task.index in self._results:
                     continue
                 self._claimed.pop(task.index, None)
-                self._done_at.pop(task.index, None)
                 if self._stopped or self._error is not None:
                     continue
                 if charge:
@@ -663,7 +656,6 @@ class PipelinedShardExecutor:
             self._results.clear()
             self._claimed.clear()
             self._retries.clear()
-            self._done_at.clear()
             self._run_length = length
         if self.hub is not None:
             self.hub.register(self)
@@ -715,9 +707,10 @@ class PipelinedShardExecutor:
             if ready:
                 break
         with self._cond:
-            result, wall_seconds, worker, rtt_seconds = self._results.pop(index)
+            result, wall_seconds, worker, rtt_seconds, finished_at = self._results.pop(
+                index
+            )
             del self._by_index[index]
-            finished_at = self._done_at.pop(index, time.perf_counter())
             retries = self._retries.get(index, 0)
             in_flight = len(self._claimed) + len(self._results)
         summary, chronologies = result
@@ -786,10 +779,9 @@ class PipelinedShardExecutor:
     def _finished(self, future: Future) -> None:
         """A local run's done-callback, usually on the pool's manager thread.
 
-        Publishes the run's shards, each with its share of the run's wall
-        time; flags a pool break for the consumer to recover from; or
-        fails the run with the worker's error.  A run given up meanwhile
-        is ignored.
+        Publishes the run with one :meth:`complete` call; flags a pool
+        break for the consumer to recover from; or fails the run with the
+        worker's error.  A run given up meanwhile is ignored.
         """
         if future.cancelled():
             return
@@ -807,16 +799,7 @@ class PipelinedShardExecutor:
         if error is None:
             per_shard, wall_seconds = future.result()
             try:
-                for task, (summary, chronologies), seconds in split_run(
-                    run, per_shard, wall_seconds
-                ):
-                    self.complete(
-                        task,
-                        summary,
-                        seconds,
-                        worker="local",
-                        chronologies=chronologies,
-                    )
+                self.complete(run, per_shard, wall_seconds, worker="local")
             except SimulationError as exc:
                 self.fail(exc)
         elif isinstance(error, SimulationError):

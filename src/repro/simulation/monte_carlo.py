@@ -54,10 +54,10 @@ from .executor import (
     ShardOutcome,
     ShardTask,
     ShardWorker,
+    _check_run,
+    _run_shard_run,
     shard_plan,
-    shard_result,
     split_run,
-    summarize_shards,
 )
 from .raid_simulator import GroupChronology
 from .results import SimulationResult
@@ -273,11 +273,11 @@ class MonteCarloRunner:
             exactly :attr:`n_groups` groups.
         """
         streaming = self.run_streaming(until=until, keep_chronologies=True)
-        result = streaming.result
         # The result holds the run but not the reverse: a link back would
         # be a cycle that keeps every chronology alive until the cyclic
         # garbage collector runs.
-        streaming.result = None
+        result, streaming.result = streaming.result, None
+        result.streaming = streaming
         return result
 
     # ------------------------------------------------------------------
@@ -294,7 +294,6 @@ class MonteCarloRunner:
         stop_after_shards: Optional[int] = None,
         max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES,
         workers: "Union[str, RemoteWorkerHub, None]" = None,
-        _shard_runner: Optional[Callable[[int, int], List[GroupChronology]]] = None,
         _shard_worker: Optional[ShardWorker] = None,
     ) -> StreamingResult:
         """Simulate shard-by-shard through streaming accumulators.
@@ -370,9 +369,10 @@ class MonteCarloRunner:
             so their events arrive in a burst.
         keep_chronologies:
             Also materialize every chronology and attach a
-            :class:`~repro.simulation.results.SimulationResult`
-            (incompatible with ``resume_from``, whose earlier shards are
-            no longer materializable).
+            :class:`~repro.simulation.results.SimulationResult`, without
+            a link back to this result (incompatible with
+            ``resume_from``, whose earlier shards are no longer
+            materializable).
         shard_size:
             Groups per shard; the default matches the batch engine's
             kernel shards so streaming and materialized batch runs
@@ -460,7 +460,7 @@ class MonteCarloRunner:
         root_state = _seed_state(make_seed_sequence(self.seed))
         hub: "Optional[RemoteWorkerHub]" = None
         owned_hub = False
-        if workers is not None and _shard_runner is None and bool(plan):
+        if workers is not None and bool(plan):
             from .remote import RemoteWorkerHub
 
             if isinstance(workers, RemoteWorkerHub):
@@ -512,7 +512,6 @@ class MonteCarloRunner:
                 run_length,
                 max_retries=max_shard_retries,
                 worker=_shard_worker,
-                shard_runner=_shard_runner,
                 time_grid=grid,
                 keep_chronologies=keep_chronologies,
             )
@@ -611,14 +610,14 @@ class MonteCarloRunner:
             executor_stats=stats.to_dict(),
         )
         if keep_chronologies:
-            result = SimulationResult(
+            # No link back to the run: a reference cycle would keep every
+            # chronology alive until the cyclic garbage collector runs.
+            streaming.result = SimulationResult(
                 config=self.config,
                 chronologies=kept,
                 seed=self.seed if isinstance(self.seed, int) else None,
                 engine=engine,
-                streaming=streaming,
             )
-            streaming.result = result
         return streaming
 
     @staticmethod
@@ -676,7 +675,6 @@ class MonteCarloRunner:
         *,
         max_retries: int = DEFAULT_MAX_SHARD_RETRIES,
         worker: Optional[ShardWorker] = None,
-        shard_runner: Optional[Callable[[int, int], List[GroupChronology]]] = None,
         time_grid: Optional[Sequence[float]] = None,
         keep_chronologies: bool = False,
     ) -> "Tuple[Optional[PipelinedShardExecutor], Iterator[ShardOutcome]]":
@@ -684,26 +682,21 @@ class MonteCarloRunner:
 
         ``n_jobs > 1`` runs the plan through a
         :class:`~repro.simulation.executor.PipelinedShardExecutor`
-        (returned alongside, for its telemetry); ``n_jobs=1`` or an
-        injected ``shard_runner`` runs it here.  Either way the plan is
-        cut into runs of ``run_length(jobs)`` shards (one per run with a
-        ``shard_runner``), each sized when it starts, and every outcome
-        carries its shard's summary over ``time_grid`` (and its
-        chronologies when ``keep_chronologies``).
+        (returned alongside, for its telemetry); ``n_jobs=1`` runs it
+        here.  Either way the plan is cut into runs of
+        ``run_length(jobs)`` shards, each sized when it starts and
+        simulated by the same run function, which calls the ``worker``
+        hook once per shard; every outcome carries its shard's summary
+        over ``time_grid`` (and its chronologies when
+        ``keep_chronologies``).
         """
-        pooled = self.n_jobs > 1 and shard_runner is None and bool(plan)
-        jobs = self.n_jobs if pooled else 1
-
-        def per_run() -> int:
-            return 1 if shard_runner is not None else run_length(jobs)
-
-        if not pooled:
+        if self.n_jobs <= 1 or not plan:
             return None, self._serial_outcomes(
                 plan,
                 engine,
                 root_state,
-                shard_runner,
-                per_run,
+                worker,
+                lambda: run_length(1),
                 time_grid,
                 keep_chronologies,
             )
@@ -711,8 +704,8 @@ class MonteCarloRunner:
             self.config,
             root_state,
             engine,
-            min(jobs, -(-len(plan) // per_run())),
-            shards_per_run=per_run,
+            min(self.n_jobs, -(-len(plan) // run_length(self.n_jobs))),
+            shards_per_run=lambda: run_length(self.n_jobs),
             max_retries=max_retries,
             worker=worker,
             time_grid=time_grid,
@@ -725,42 +718,31 @@ class MonteCarloRunner:
         plan: Sequence[ShardTask],
         engine: str,
         root_state: dict,
-        _shard_runner: Optional[Callable[[int, int], List[GroupChronology]]],
+        worker: Optional[ShardWorker],
         run_length: Callable[[], int],
         time_grid: Optional[Sequence[float]] = None,
         keep_chronologies: bool = False,
     ) -> Iterator[ShardOutcome]:
-        """In-process shard execution (``n_jobs=1`` or an injected runner).
+        """In-process shard execution (``n_jobs=1``).
 
         Consecutive shards are simulated ``run_length()`` at a time, sized
         when the run starts (after the previous run's shards were taken),
-        but still delivered one by one, each timed at the run's wall time
-        times its share of the run's groups.  Shards are summarized as a
-        pool task summarizes them (an injected runner's chronologies by
-        :func:`~repro.simulation.executor.shard_result`).
+        by the run function a pool task calls
+        (:func:`~repro.simulation.executor._run_shard_run`, with the same
+        ``worker`` hook), and checked as a pool run is.  They are still
+        delivered one by one, each timed at its share of the run's wall
+        time.
         """
         first = 0
         while first < len(plan):
             run = plan[first : first + run_length()]
             first += len(run)
-            start = time.perf_counter()
-            if _shard_runner is not None:
-                per_shard = [
-                    shard_result(
-                        self.config,
-                        _shard_runner(task.index, task.n_groups),
-                        time_grid,
-                        keep_chronologies,
-                    )
-                    for task in run
-                ]
-            else:
-                per_shard = summarize_shards(
-                    self.config, root_state, engine, run, time_grid, keep_chronologies
-                )
-            wall = time.perf_counter() - start
+            per_shard, wall = _run_shard_run(
+                self.config, root_state, engine, run, worker, time_grid, keep_chronologies
+            )
+            _check_run(run, per_shard, "local")
             for delivered, (task, (summary, chronologies), seconds) in enumerate(
-                split_run(run, per_shard, wall), 1
+                zip(run, per_shard, split_run(run, wall)), 1
             ):
                 yield ShardOutcome(
                     task=task,

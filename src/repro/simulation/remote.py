@@ -10,35 +10,37 @@ one machine with *unchanged semantics*:
 * :func:`run_worker` — the ``repro worker --connect HOST:PORT`` client
   loop.  It dials the coordinator, announces itself, receives the run
   constants, then pulls *runs* of consecutive shards (work stealing: a
-  fast host simply asks more often).  It simulates each run in one
-  :func:`~repro.simulation.executor.summarize_shards` call, as a pool
-  task does, and streams back one length-prefixed JSON result frame per
-  shard: the shard's summary, plus its chronologies in columns when the
-  run keeps them.  A background thread heartbeats; a dropped connection
-  triggers reconnect with exponential backoff.
+  fast host simply asks more often).  It simulates each run with the
+  local run function a pool task runs
+  (:func:`~repro.simulation.executor._run_shard_run`) and answers with
+  one length-prefixed JSON ``result`` frame per run
+  (:func:`result_frame`): one summary per shard, plus the chronologies
+  in columns when the run keeps them.  A background thread heartbeats;
+  a dropped connection triggers reconnect with exponential backoff.
 
 * :class:`RemoteWorkerHub` — the coordinator side.  A listening socket
   plus one thread per connected worker.  Each worker thread drives the
   handshake, claims runs from the active session's queue (the
   :class:`~repro.simulation.executor.PipelinedShardExecutor` whose
-  ``hub`` this is, beside its local pool), and publishes each shard as
-  its frame arrives.  It sends the worker its next run as soon as the
-  first frame of the current one arrives, so a link holds at most two
-  runs.  Heartbeat staleness, a socket error or a frame that does not
-  decode into exactly its shard abandons every shard not yet published
-  to the queue, each *charged* one retry against ``max_retries``, the
-  same path a local pool break takes, and drops the link.  An idle link
-  waits on the hub's condition, which :meth:`RemoteWorkerHub.register`
-  notifies, so a new run reaches idle workers at once.  Because commits
-  stay strictly in shard order and each shard is reseeded from its
-  index, a distributed run is bit-identical to a serial one — through
-  checkpoint/resume, convergence stopping (in-flight remote shards are
-  drained and discarded), and mid-run worker loss.
+  ``hub`` this is, beside its local pool), and publishes each run with
+  one ``complete`` call once its frame has arrived and decoded.  It
+  sends the worker its next run as soon as the current run's frame
+  arrives, so a link holds at most two runs.  Heartbeat staleness, a
+  socket error or a frame that does not decode into exactly its run
+  abandons every shard not yet published to the queue, each *charged*
+  one retry against ``max_retries``, the same path a local pool break
+  takes, and drops the link.  An idle link waits on the hub's condition,
+  which :meth:`RemoteWorkerHub.register` notifies, so a new run reaches
+  idle workers at once.  Because commits stay strictly in shard order
+  and each shard is reseeded from its index, a distributed run is
+  bit-identical to a serial one — through checkpoint/resume,
+  convergence stopping (in-flight remote shards are drained and
+  discarded), and mid-run worker loss.
 
 * :class:`DistributedShardExecutor` — the executor with its ``hub``
   required.
 
-Wire format (version 3): every frame is a 4-byte big-endian unsigned
+Wire format (version 4): every frame is a 4-byte big-endian unsigned
 length followed by that many bytes of UTF-8 JSON.  JSON round-trips
 Python floats and ints exactly, so summaries and chronologies survive
 the wire bit-identical.  Messages carry a ``t`` tag:
@@ -61,13 +63,12 @@ worker → coordinator
 ``init_ok``           worker accepted the run constants (``epoch``)
 ``init_err``          worker does not know the engine or cannot run it
                       for this config (``epoch``, ``reason``)
-``result``            one shard of a run, in run order: ``epoch``,
-                      ``index``, ``wall_seconds`` (the shard's share of the
-                      run's), ``summary`` (the shard's
-                      :class:`~repro.simulation.streaming.FleetAccumulator`
-                      as ``to_dict()``) and, only when the run keeps
-                      chronologies, ``columns`` (see
-                      :func:`chronology_to_dict`)
+``result``            one whole run: ``epoch``, ``index`` (the run's first
+                      shard), ``wall_seconds`` (the run's), ``summaries``
+                      (one :class:`~repro.simulation.streaming.FleetAccumulator`
+                      ``to_dict()`` per shard, in run order) and, only when
+                      the run keeps chronologies, ``columns`` (one
+                      :func:`chronology_to_dict` per shard)
 ``task_err``          the run raised on the worker (``epoch``, ``index``
                       of its first shard, ``error``) — fails the run with
                       the real error instead of burning retries
@@ -75,13 +76,13 @@ worker → coordinator
 ====================  =======================================================
 
 The ``epoch`` stamps every task/result with the run it belongs to, so a
-result that limps in after its run drained (or after the shard was
+result that limps in after its run drained (or after the run was
 reassigned) is recognizably stale and discarded.  A result of the
-current epoch must be the shard the link awaits, with a finite
-``wall_seconds`` >= 0 and a summary (and kept columns) of exactly that
-shard's groups, mission and time grid; anything else is handled as a
-lost connection.  A hub refuses a ``hello`` from another protocol
-version before it sends anything.
+current epoch must answer the run the link awaits, with a finite
+``wall_seconds`` >= 0 and, for each of its shards, a summary (and kept
+columns) of exactly that shard's groups, mission and time grid; anything
+else is handled as a lost connection.  A hub refuses a ``hello`` from
+another protocol version before it sends anything.
 """
 
 from __future__ import annotations
@@ -96,24 +97,24 @@ import threading
 import time
 from collections import deque
 from operator import attrgetter
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import ReproError, SimulationError
 from .config import RaidGroupConfig
 from .executor import (
     _POLL_SECONDS,
     PipelinedShardExecutor,
+    ShardResult,
     ShardTask,
     _describe,
-    split_run,
-    summarize_shards,
+    _run_shard_run,
 )
 from .raid_simulator import DDFType, GroupChronology
 from .streaming import FleetAccumulator
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
-#: Hard cap on a single frame — a 5k-group shard of pathological
+#: Hard cap on a single frame — a kernel-width run of pathological
 #: chronologies is well under 64 MiB; anything larger is a corrupt or
 #: hostile peer, not a payload.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -184,46 +185,74 @@ def _int_field(message: dict, key: str) -> Optional[int]:
     return value if isinstance(value, int) and not isinstance(value, bool) else None
 
 
+def result_frame(
+    epoch: int,
+    run: Sequence[ShardTask],
+    per_shard: Sequence[ShardResult],
+    wall_seconds: float,
+) -> dict:
+    """The ``result`` frame answering one run: one summary per shard, in
+    run order, and their chronologies as columns when the run keeps them."""
+    frame = {
+        "t": "result",
+        "epoch": epoch,
+        "index": run[0].index,
+        "wall_seconds": wall_seconds,
+        "summaries": [summary.to_dict() for summary, _ in per_shard],
+    }
+    if per_shard[0][1] is not None:
+        frame["columns"] = [chronology_to_dict(kept) for _, kept in per_shard]
+    return frame
+
+
 def _decode_result(
-    message: dict, task: ShardTask, session: PipelinedShardExecutor
-) -> Tuple[FleetAccumulator, Optional[List[GroupChronology]], float]:
-    """A result frame's summary, kept chronologies and wall time.
+    message: dict, run: Sequence[ShardTask], session: PipelinedShardExecutor
+) -> Tuple[List[ShardResult], float]:
+    """A result frame's per-shard results and the run's wall time.
 
     Raises ConnectionError, which the link handles as a lost socket,
-    unless the frame decodes and describes exactly ``task``: a finite
-    ``wall_seconds`` >= 0, a summary of ``task.n_groups`` groups over the
-    session's mission and time grid, and, when the session keeps
-    chronologies, that many of them.
+    unless the frame decodes and describes exactly ``run``: a finite
+    ``wall_seconds`` >= 0, one summary per shard of the shard's groups
+    over the session's mission and time grid, and, when the session
+    keeps chronologies, one column set per shard of that many groups.
     """
     try:
         wall_seconds = message["wall_seconds"]
         if isinstance(wall_seconds, bool) or not 0.0 <= wall_seconds < math.inf:
             raise ValueError(f"wall_seconds {wall_seconds!r} is not a finite time >= 0")
-        summary = FleetAccumulator.from_dict(message["summary"])
-        chronologies = (
-            chronology_from_dict(message["columns"])
+        summaries = [FleetAccumulator.from_dict(state) for state in message["summaries"]]
+        kept = (
+            [chronology_from_dict(columns) for columns in message["columns"]]
             if session.keep_chronologies
-            else None
+            else [None] * len(run)
         )
     except (KeyError, TypeError, ValueError, ArithmeticError, ReproError) as exc:
         # Everything a peer's JSON can make the decoders raise.
         raise ConnectionError(
-            f"undecodable result frame for shard {task.index}: {exc!r}"
+            f"undecodable result frame for {_describe(run)}: {exc!r}"
         ) from exc
-    grid = None if summary.time_grid is None else summary.time_grid.tolist()
-    if summary.n_groups != task.n_groups:
-        problem = f"a summary of {summary.n_groups} groups"
-    elif summary.mission_hours != session.config.mission_hours:
-        problem = f"a summary over a {summary.mission_hours}-hour mission"
-    elif grid != session.time_grid:
-        problem = "a summary over another time grid"
-    elif chronologies is not None and len(chronologies) != task.n_groups:
-        problem = f"{len(chronologies)} chronologies"
-    else:
-        return summary, chronologies, float(wall_seconds)
-    raise ConnectionError(
-        f"result frame for shard {task.index} of {task.n_groups} groups carries {problem}"
-    )
+    for count, what in ((len(summaries), "summaries"), (len(kept), "column sets")):
+        if count != len(run):
+            raise ConnectionError(
+                f"result frame for {_describe(run)} carries {count} {what}"
+            )
+    for task, summary, chronologies in zip(run, summaries, kept):
+        grid = None if summary.time_grid is None else summary.time_grid.tolist()
+        if summary.n_groups != task.n_groups:
+            problem = f"a summary of {summary.n_groups} groups"
+        elif summary.mission_hours != session.config.mission_hours:
+            problem = f"a summary over a {summary.mission_hours}-hour mission"
+        elif grid != session.time_grid:
+            problem = "a summary over another time grid"
+        elif chronologies is not None and len(chronologies) != task.n_groups:
+            problem = f"{len(chronologies)} chronologies"
+        else:
+            continue
+        raise ConnectionError(
+            f"result frame for shard {task.index} of {task.n_groups} groups "
+            f"carries {problem}"
+        )
+    return list(zip(summaries, kept)), float(wall_seconds)
 
 
 # ----------------------------------------------------------------------
@@ -435,10 +464,9 @@ def _serve_connection(
                     ShardTask(index=int(i), group_offset=int(o), n_groups=int(n))
                     for i, o, n in message["shards"]
                 ]
-                start = time.perf_counter()
                 try:
-                    per_shard = summarize_shards(
-                        config, root_state, engine, run, time_grid, keep_chronologies
+                    per_shard, wall_seconds = _run_shard_run(
+                        config, root_state, engine, run, None, time_grid, keep_chronologies
                     )
                 except Exception as exc:
                     # A deterministic failure must reach the coordinator
@@ -456,23 +484,10 @@ def _serve_connection(
                         },
                     )
                     continue
-                wall_seconds = time.perf_counter() - start
-                # One frame per shard, so the coordinator publishes each
-                # shard as it arrives and no frame holds a whole run.
-                for task, (summary, chronologies), seconds in split_run(
-                    run, per_shard, wall_seconds
-                ):
-                    result = {
-                        "t": "result",
-                        "epoch": epoch,
-                        "index": task.index,
-                        "wall_seconds": seconds,
-                        "summary": summary.to_dict(),
-                    }
-                    if chronologies is not None:
-                        result["columns"] = chronology_to_dict(chronologies)
-                    send_frame(sock, send_lock, result)
-                    completed += 1
+                send_frame(
+                    sock, send_lock, result_frame(epoch, run, per_shard, wall_seconds)
+                )
+                completed += len(run)
             elif kind == "drain":
                 continue  # nothing to do right now; keep listening
             # unknown tags are ignored for forward compatibility
@@ -517,7 +532,6 @@ class _WorkerLink:
         self.shards_committed = 0
         self.wall_seconds = 0.0
         self.rtt_total = 0.0
-        self.rtt_count = 0
         # Sessions whose engine this worker rejected via init_err.
         self.rejected: Set[int] = set()
 
@@ -539,23 +553,10 @@ class _WorkerLink:
             "shards_committed": self.shards_committed,
             "wall_seconds": round(self.wall_seconds, 6),
             "mean_rtt_seconds": round(
-                self.rtt_total / self.rtt_count if self.rtt_count else 0.0, 6
+                self.rtt_total / self.shards_committed if self.shards_committed else 0.0,
+                6,
             ),
         }
-
-
-class _SentRun:
-    """A run sent to a worker: its shards still to arrive, in order, and
-    when the task was sent or the run's latest frame arrived."""
-
-    def __init__(self, run: Sequence[ShardTask]) -> None:
-        self.run = tuple(run)
-        self.pending: Deque[ShardTask] = deque(run)
-        self.last_at = 0.0
-
-
-def _unarrived(runs: Iterable[_SentRun]) -> List[ShardTask]:
-    return [task for sent in runs for task in sent.pending]
 
 
 class RemoteWorkerHub:
@@ -585,7 +586,6 @@ class RemoteWorkerHub:
         self._epoch = 0
         self._closed = threading.Event()
         self._threads: List[threading.Thread] = []
-        self._dropped: Set[str] = set()
         self._seq = 0
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-hub-accept", daemon=True
@@ -641,7 +641,6 @@ class RemoteWorkerHub:
             link = self._links.get(name)
         if link is None:
             return False
-        self._dropped.add(name)
         try:
             link.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -712,7 +711,9 @@ class RemoteWorkerHub:
                 name=f"repro-hub-{name}",
                 daemon=True,
             )
-            self._threads.append(thread)
+            # Only live links' threads are kept, so a hub whose workers
+            # redial does not grow the list for as long as it runs.
+            self._threads = [t for t in self._threads if t.is_alive()] + [thread]
             thread.start()
 
     def _link_loop(self, sock: socket.socket, name: str) -> None:
@@ -751,7 +752,6 @@ class RemoteWorkerHub:
             with self._lock:
                 if self._links.get(name) is link:
                     del self._links[name]
-            self._dropped.discard(name)
             try:
                 sock.close()
             except OSError:
@@ -779,13 +779,14 @@ class RemoteWorkerHub:
     ) -> None:
         """Run one worker against the active session until it ends.
 
-        The link sends the worker its next run as soon as the first frame
-        of the current one arrives, so at most two runs are out at once,
-        and publishes each shard as its frame arrives.  A socket error,
-        heartbeat staleness or a result frame that does not decode into
-        exactly its shard abandons every shard not yet published (charged
-        one retry each) and propagates as ConnectionError to drop the
-        link; a convergence drain abandons them uncharged.
+        The link sends the worker its next run as soon as the current
+        run's frame arrives, so at most two runs are out at once, and
+        publishes each run with one ``complete`` call once its frame is
+        decoded.  A socket error, heartbeat staleness or a result frame
+        that does not decode into exactly its run abandons every shard
+        not yet published (charged one retry each) and propagates as
+        ConnectionError to drop the link; a convergence drain abandons
+        them uncharged.
         """
         from ..validation.generator import config_to_dict
 
@@ -818,13 +819,13 @@ class RemoteWorkerHub:
             elif time.monotonic() - link.last_seen > self.heartbeat_timeout:
                 raise ConnectionError("worker did not answer init")
 
-        # Runs sent to the worker and not yet fully back, oldest first, and
-        # the shard whose frame arrived but is not yet published.
-        runs: Deque[_SentRun] = deque()
-        arrived: List[ShardTask] = []
+        # The runs sent to the worker and not yet published, oldest first,
+        # each with when it was sent.  A run joins before it is sent, so a
+        # failed send abandons it too.
+        out: Deque[Tuple[Tuple[ShardTask, ...], float]] = deque()
         try:
             while True:
-                if not runs:
+                if not out:
                     if not session.accepting():
                         return
                     run = session.claim(link.name, timeout=_POLL_SECONDS)
@@ -834,16 +835,16 @@ class RemoteWorkerHub:
                         if time.monotonic() - link.last_seen > self.heartbeat_timeout:
                             raise ConnectionError("worker heartbeat timed out while idle")
                         continue
-                    runs.append(_SentRun(run))
-                    self._send_run(link, epoch, runs[-1])
-                current = runs[0]
-                message = self._await_result(
-                    link, session, epoch, current.pending[0].index
-                )
+                    out.append((run, time.perf_counter()))
+                    self._send_run(link, epoch, run)
+                run, sent_at = out[0]
+                message = self._await_result(link, session, epoch, run[0].index)
                 if message is None:
-                    # The session stopped accepting while shards were out
+                    # The session stopped accepting while runs were out
                     # (convergence drain): discard them, uncharged.
-                    session.abandon(_unarrived(runs), "drained", charge=False)
+                    session.abandon(
+                        [task for sent, _ in out for task in sent], "drained", charge=False
+                    )
                     return
                 if message.get("t") == "task_err":
                     # The run raised deterministically on the worker —
@@ -852,71 +853,54 @@ class RemoteWorkerHub:
                     # that raises does, instead of burning retries.
                     session.fail(
                         SimulationError(
-                            f"{_describe(current.run)} raised on {link.name}: "
+                            f"{_describe(run)} raised on {link.name}: "
                             f"{message.get('error')}"
                         )
                     )
                     return
-                # A run's round trip, from sending it to its last frame, is
-                # split over its shards as their frames arrive.
-                arrived_at = time.perf_counter()
-                task = current.pending.popleft()
-                arrived = [task]
-                rtt = arrived_at - current.last_at
-                current.last_at = arrived_at
+                rtt = time.perf_counter() - sent_at
                 # Send the next run before decoding this frame, so the
                 # worker simulates while this process decodes and commits.
                 # Sent after publishing, it would wait for the interpreter
                 # lock that the woken consumer's commit holds, and the
                 # worker would start up in the middle of the consumer's
                 # own work.
-                following = session.claim(link.name) if len(runs) == 1 else None
-                if not current.pending:
-                    runs.popleft()
+                following = session.claim(link.name)
                 lost: Optional[OSError] = None
                 if following is not None:
-                    runs.append(_SentRun(following))
+                    out.append((following, time.perf_counter()))
                     try:
-                        self._send_run(link, epoch, runs[-1])
+                        self._send_run(link, epoch, following)
                     except OSError as exc:
                         lost = exc
-                summary, chronologies, wall_seconds = _decode_result(
-                    message, task, session
-                )
+                per_shard, wall_seconds = _decode_result(message, run, session)
                 try:
                     session.complete(
-                        task,
-                        summary,
-                        wall_seconds,
-                        worker=link.name,
-                        rtt_seconds=rtt,
-                        chronologies=chronologies,
+                        run, per_shard, wall_seconds, worker=link.name, rtt_seconds=rtt
                     )
                 except SimulationError as exc:
                     raise ConnectionError(str(exc)) from exc
-                arrived = []
-                link.shards_committed += 1
+                out.popleft()
+                link.shards_committed += len(run)
                 link.wall_seconds += wall_seconds
                 link.rtt_total += rtt
-                link.rtt_count += 1
                 if lost is not None:
                     raise lost
         except OSError as exc:
             # ConnectionError included: a bad frame drops the link too.
-            session.abandon(arrived + _unarrived(runs), f"{link.name}: {exc}")
+            session.abandon(
+                [task for sent, _ in out for task in sent], f"{link.name}: {exc}"
+            )
             raise ConnectionError(str(exc)) from exc
 
     @staticmethod
-    def _send_run(link: _WorkerLink, epoch: int, sent: _SentRun) -> None:
-        """Send one claimed run to the worker, stamping when it was sent."""
-        sent.last_at = time.perf_counter()
+    def _send_run(link: _WorkerLink, epoch: int, run: Tuple[ShardTask, ...]) -> None:
+        """Send one claimed run to the worker."""
         link.send(
             {
                 "t": "task",
                 "epoch": epoch,
-                "shards": [
-                    [task.index, task.group_offset, task.n_groups] for task in sent.run
-                ],
+                "shards": [[task.index, task.group_offset, task.n_groups] for task in run],
             }
         )
 
@@ -927,14 +911,14 @@ class RemoteWorkerHub:
         epoch: int,
         index: int,
     ) -> Optional[dict]:
-        """Wait for shard ``index``'s result, policing heartbeats.
+        """Wait for the result of the run starting at shard ``index``,
+        policing heartbeats.
 
-        Returns the ``result`` frame for the shard (or the ``task_err``
-        of the run it starts), or None if the session stops accepting
-        first (drain).  Frames of other epochs are stale and skipped; a
-        result or ``task_err`` without an integer epoch and index, or of
-        this epoch for another shard, raises ConnectionError, since a
-        worker answers its runs in order.
+        Returns the run's ``result`` (or ``task_err``) frame, or None if
+        the session stops accepting first (drain).  Frames of other
+        epochs are stale and skipped; a result or ``task_err`` without an
+        integer epoch and index, or of this epoch for another run, raises
+        ConnectionError, since a worker answers its runs in order.
         """
         while True:
             message = link.reader.read(_POLL_SECONDS)
@@ -951,12 +935,13 @@ class RemoteWorkerHub:
                     continue
                 if got_index != index:
                     raise ConnectionError(
-                        f"{kind} frame for shard {got_index} while shard {index} was due"
+                        f"{kind} frame for the run at shard {got_index} while the "
+                        f"run at shard {index} was due"
                     )
                 return message
             if time.monotonic() - link.last_seen > self.heartbeat_timeout:
                 raise ConnectionError(
-                    f"worker heartbeat timed out awaiting shard {index}"
+                    f"worker heartbeat timed out awaiting the run at shard {index}"
                 )
             if not session.accepting():
                 return None

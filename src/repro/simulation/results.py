@@ -56,10 +56,11 @@ class SimulationResult:
     streaming:
         The :class:`~repro.simulation.streaming.StreamingResult` of the
         run that produced this fleet: ``MonteCarloRunner.run``, with or
-        without ``until``, sets it, with its ``result`` left ``None`` so
-        the two form no reference cycle.  ``None`` when the result was
-        built from chronologies directly.  It describes the run, not the
-        fleet, so it takes no part in equality.
+        without ``until``, sets it after clearing its ``result``, so the
+        two form no reference cycle.  ``None`` when the result was built
+        from chronologies directly, and on the ``result`` of a
+        ``run_streaming(keep_chronologies=True)`` run.  It describes the
+        run, not the fleet, so it takes no part in equality.
     """
 
     config: RaidGroupConfig

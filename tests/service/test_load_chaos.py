@@ -27,14 +27,14 @@ requests = pytest.importorskip("requests")
 from repro.distributions import Weibull
 from repro.service import ReliabilityService, ResultCache, ServiceThread
 from repro.simulation.config import RaidGroupConfig
-from repro.simulation.executor import _run_shard_task
+from repro.simulation.executor import simulate_shard
 from repro.validation import config_to_dict
 
 SHARD = 32
 SEED = 20_260_808
 
 
-def crash_once_worker(crash_dir, victim, task):
+def crash_once_worker(crash_dir, victim, config, root_state, engine, task):
     """Kill the worker process on shard ``victim``'s first attempt.
 
     ``crash_dir`` counts attempts across worker processes.  Bind both
@@ -46,7 +46,7 @@ def crash_once_worker(crash_dir, victim, task):
         if attempts < 1:
             open(os.path.join(crash_dir, f"attempt{attempts}"), "w").close()
             os._exit(1)
-    return _run_shard_task(task)
+    return simulate_shard(config, root_state, engine, task)
 
 
 def mc_config(op_scale: float = 200_000.0) -> RaidGroupConfig:

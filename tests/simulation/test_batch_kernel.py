@@ -43,10 +43,8 @@ from repro.simulation import (
     simulate_raid_groups,
 )
 from repro.simulation.batch import _BlockSampler, simulate_groups_batch
-from repro.simulation.executor import ShardTask, simulate_shard
-from repro.simulation.monte_carlo import KERNEL_ROWS, MonteCarloRunner, _seed_state
+from repro.simulation.monte_carlo import KERNEL_ROWS, MonteCarloRunner
 from repro.simulation.raid_simulator import GroupChronology
-from repro.simulation.rng import make_seed_sequence
 
 from .goldens import (
     GOLDEN_BATCH_FINGERPRINTS,
@@ -477,8 +475,9 @@ class TestSeveralShardsPerCall:
             return real(config, n_groups, rng, **kwargs)
 
         monkeypatch.setattr(executor_module, "simulate_groups_batch", timed_kernel)
+        # The serial loop times its runs in the executor's run function.
         monkeypatch.setattr(
-            monte_carlo, "time", types.SimpleNamespace(perf_counter=lambda: clock[0])
+            executor_module, "time", types.SimpleNamespace(perf_counter=lambda: clock[0])
         )
         events = []
         total = 3 * QUARTER + 40  # one call: three full shards and a short one
@@ -633,7 +632,7 @@ class TestGoldenPrecisionRuns:
     """Grouped precision runs against one-shard-per-call runs, per golden."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_BATCH_FINGERPRINTS))
-    def test_grouped_run_equals_one_shard_per_call(self, name, tmp_path):
+    def test_grouped_run_equals_one_shard_per_call(self, name, tmp_path, monkeypatch):
         config, _, seed = golden_batch_cases()[name]
         # 32 shards; the rare-DDF no-latent case needs a larger fleet
         # before its width is defined.
@@ -649,17 +648,11 @@ class TestGoldenPrecisionRuns:
         grouped = runner.run_streaming(
             until=precision, shard_size=shard, checkpoint_path=grouped_path
         )
-        root_state = _seed_state(make_seed_sequence(seed))
-
-        def one_shard(index, n):
-            return simulate_shard(config, root_state, "batch", ShardTask(index, 0, n))
-
+        # One shard per kernel call: a kernel as wide as one shard.
+        monkeypatch.setattr(monte_carlo, "KERNEL_ROWS", shard)
         single_path = str(tmp_path / "single.ckpt")
         single = runner.run_streaming(
-            until=precision,
-            shard_size=shard,
-            checkpoint_path=single_path,
-            _shard_runner=one_shard,
+            until=precision, shard_size=shard, checkpoint_path=single_path
         )
         fixed = MonteCarloRunner(
             config, n_groups=k * shard, seed=seed, engine="batch"

@@ -105,12 +105,12 @@ class TestInterruptResume:
 
         calls = []
 
-        def counting_runner(shard_index, n):  # pragma: no cover - must not run
-            calls.append((shard_index, n))
+        def counting_worker(config, root_state, engine, task):  # pragma: no cover - must not run
+            calls.append((task.index, task.n_groups))
             return []
 
         resumed = runner.run_streaming(
-            shard_size=SHARD, resume_from=path, _shard_runner=counting_runner
+            shard_size=SHARD, resume_from=path, _shard_worker=counting_worker
         )
         assert calls == []
         assert resumed.groups == N_GROUPS
@@ -129,12 +129,12 @@ class TestInterruptResume:
 
         calls = []
 
-        def counting_runner(shard_index, n):  # pragma: no cover - must not run
-            calls.append((shard_index, n))
+        def counting_worker(config, root_state, engine, task):  # pragma: no cover - must not run
+            calls.append((task.index, task.n_groups))
             return []
 
         resumed = runner.run_streaming(
-            until=until, shard_size=64, resume_from=path, _shard_runner=counting_runner
+            until=until, shard_size=64, resume_from=path, _shard_worker=counting_worker
         )
         assert calls == []
         assert resumed.converged

@@ -1,6 +1,6 @@
 """Convergence-based stopping: the runner stops exactly when it should.
 
-A fake ``_shard_runner`` feeds synthetic chronologies with known
+A fake ``_shard_worker`` feeds synthetic chronologies with known
 statistics, so every stopping decision — first shard meeting the
 precision target, the ``min_groups`` guard, the ``max_groups`` cap —
 can be asserted against a hand-replayed reference.  A slow-marked test
@@ -30,11 +30,12 @@ def chronology(n_ddfs: int) -> GroupChronology:
     )
 
 
-def fake_runner_from_counts(counts_for_shard):
-    """A ``_shard_runner`` mapping (shard_index, n) -> chronologies."""
+def fake_worker_from_counts(counts_for_shard):
+    """A ``_shard_worker`` whose chronologies for a shard have the DDF
+    counts ``counts_for_shard(shard_index, n)``."""
 
-    def run_shard(shard_index, n):
-        return [chronology(k) for k in counts_for_shard(shard_index, n)]
+    def run_shard(config, root_state, engine, task):
+        return [chronology(k) for k in counts_for_shard(task.index, task.n_groups)]
 
     return run_shard
 
@@ -52,7 +53,7 @@ class TestStoppingRule:
         streaming = runner.run_streaming(
             until=Precision(rel_ci_width=0.5, min_groups=64),
             shard_size=64,
-            _shard_runner=fake_runner_from_counts(lambda i, n: [1] * n),
+            _shard_worker=fake_worker_from_counts(lambda i, n: [1] * n),
         )
         assert streaming.converged
         assert streaming.stop_reason == "converged"
@@ -64,7 +65,7 @@ class TestStoppingRule:
         streaming = runner.run_streaming(
             until=Precision(rel_ci_width=0.5, min_groups=192),
             shard_size=64,
-            _shard_runner=fake_runner_from_counts(lambda i, n: [1] * n),
+            _shard_worker=fake_worker_from_counts(lambda i, n: [1] * n),
         )
         assert streaming.converged
         assert streaming.groups == 192  # precision was met at 64, but held
@@ -76,7 +77,7 @@ class TestStoppingRule:
         streaming = runner.run_streaming(
             until=Precision(rel_ci_width=0.01, min_groups=64, max_groups=320),
             shard_size=64,
-            _shard_runner=fake_runner_from_counts(lambda i, n: [0] * n),
+            _shard_worker=fake_worker_from_counts(lambda i, n: [0] * n),
         )
         assert not streaming.converged
         assert streaming.stop_reason == "max_groups"
@@ -88,7 +89,7 @@ class TestStoppingRule:
         streaming = runner.run_streaming(
             until=0.01,  # bare float: normalized with the runner's cap
             shard_size=64,
-            _shard_runner=fake_runner_from_counts(lambda i, n: [0] * n),
+            _shard_worker=fake_worker_from_counts(lambda i, n: [0] * n),
         )
         assert streaming.stop_reason == "max_groups"
         assert streaming.groups == 200  # last shard truncated to the cap
@@ -120,7 +121,7 @@ class TestStoppingRule:
         streaming = runner.run_streaming(
             until=precision,
             shard_size=64,
-            _shard_runner=fake_runner_from_counts(counts_for_shard),
+            _shard_worker=fake_worker_from_counts(counts_for_shard),
         )
         assert streaming.converged
         assert streaming.groups == expected_groups
@@ -151,7 +152,7 @@ class TestObservability:
             until=Precision(rel_ci_width=0.5, min_groups=64, max_groups=192),
             shard_size=64,
             observers=(events.append,),
-            _shard_runner=fake_runner_from_counts(lambda i, n: [1] * n),
+            _shard_worker=fake_worker_from_counts(lambda i, n: [1] * n),
         )
         assert len(events) == streaming.shards_run
         assert [e.groups_completed for e in events] == [64]
@@ -179,7 +180,7 @@ class TestCoverage:
             streaming = make_runner().run_streaming(
                 until=precision,
                 shard_size=512,
-                _shard_runner=fake_runner_from_counts(counts_for_shard),
+                _shard_worker=fake_worker_from_counts(counts_for_shard),
             )
             assert streaming.converged
             _, lo, hi = streaming.ddfs_per_thousand_ci()

@@ -29,8 +29,8 @@ from repro.simulation.executor import (
     PipelinedShardExecutor,
     ShardTask,
     _child_seed,
-    _run_shard_task,
     shard_plan,
+    simulate_shard,
     summarize_shards,
 )
 from repro.simulation.monte_carlo import (
@@ -49,7 +49,7 @@ N_GROUPS = 160
 CRASH_SHARD = 1
 
 
-def crash_once_worker(crash_dir, task):
+def crash_once_worker(crash_dir, config, root_state, engine, task):
     """Kill the worker on shard CRASH_SHARD's first attempt, then succeed.
 
     ``crash_dir`` counts attempts across worker processes.  Bind it with
@@ -61,22 +61,22 @@ def crash_once_worker(crash_dir, task):
         if attempts < 1:
             open(os.path.join(crash_dir, f"attempt{attempts}"), "w").close()
             os._exit(1)
-    return _run_shard_task(task)
+    return simulate_shard(config, root_state, engine, task)
 
 
-def short_shard_worker(task):
+def short_shard_worker(config, root_state, engine, task):
     """Lose the last group of shard CRASH_SHARD."""
-    chronologies, seconds = _run_shard_task(task)
+    chronologies = simulate_shard(config, root_state, engine, task)
     if task.index == CRASH_SHARD:
         chronologies = chronologies[:-1]
-    return chronologies, seconds
+    return chronologies
 
 
-def always_crash_worker(task):
+def always_crash_worker(config, root_state, engine, task):
     """Kill the worker on every attempt at shard CRASH_SHARD."""
     if task.index == CRASH_SHARD:
         os._exit(1)
-    return _run_shard_task(task)
+    return simulate_shard(config, root_state, engine, task)
 
 
 def canonical(streaming) -> str:
@@ -488,12 +488,15 @@ class TestWorkerFaultTolerance:
                 shard_size=SHARD, _shard_worker=short_shard_worker
             )
 
-    def test_deterministic_worker_exception_not_retried(self):
-        def failing_runner(shard_index, n):
-            raise ValueError("boom")
+    def test_short_shard_from_the_serial_loop_fails_the_run(self):
+        """The serial loop checks a run's results as ``complete`` does."""
+        short = f"shard {CRASH_SHARD} of {SHARD} groups"
+        with pytest.raises(SimulationError, match=short):
+            make_runner("batch").run_streaming(
+                shard_size=SHARD, _shard_worker=short_shard_worker
+            )
 
-        # Injected serial runners bypass the pool; exercise the executor's
-        # exception wrapping directly instead.
+    def test_deterministic_worker_exception_not_retried(self):
         config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
         root_state = _seed_state(np.random.SeedSequence(0))
         executor = PipelinedShardExecutor(
@@ -502,8 +505,17 @@ class TestWorkerFaultTolerance:
         with pytest.raises(SimulationError, match="raised in its worker"):
             list(executor.outcomes([ShardTask(index=0, group_offset=0, n_groups=8)]))
 
+    def test_serial_run_calls_the_shard_worker(self):
+        """The serial loop simulates its runs with the pool's run
+        function, so an ``n_jobs=1`` run calls the hook too: one that
+        raises fails the run instead of being ignored."""
+        with pytest.raises(ValueError, match="deterministic failure"):
+            make_runner("batch", n_groups=128).run_streaming(
+                shard_size=SHARD, _shard_worker=_raise_value_error
+            )
 
-def _raise_value_error(task):
+
+def _raise_value_error(config, root_state, engine, task):
     raise ValueError("deterministic failure")
 
 
@@ -647,13 +659,13 @@ class _StaleCallbackExecutor(_ScriptedBreakExecutor):
             self._callback_returned.wait(10.0)
 
 
-def sleepy_worker(after, seconds, started, task):
+def sleepy_worker(after, seconds, started, config, root_state, engine, task):
     """Take ``seconds`` longer over every shard past shard ``after``,
     leaving a file in the directory ``started`` as such a shard begins."""
     if task.index > after:
         open(os.path.join(started, f"shard{task.index}"), "w").close()
         time.sleep(seconds)
-    return _run_shard_task(task)
+    return simulate_shard(config, root_state, engine, task)
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ break).
 import functools
 import hashlib
 import json
+import math
 import os
 import socket
 import struct
@@ -20,9 +21,12 @@ import subprocess
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import repro.simulation.executor as executor_module
 import repro.simulation.remote as remote_module
@@ -31,14 +35,13 @@ from repro.simulation import Precision, RaidGroupConfig
 from repro.simulation.executor import (
     PipelinedShardExecutor,
     ShardTask,
-    _run_shard_task,
     shard_plan,
     simulate_shard,
-    split_run,
     summarize_shards,
 )
 from repro.simulation.monte_carlo import MonteCarloRunner, _seed_state
 from repro.simulation.remote import (
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     DistributedShardExecutor,
     FrameReader,
@@ -46,6 +49,7 @@ from repro.simulation.remote import (
     chronology_from_dict,
     chronology_to_dict,
     parse_endpoint,
+    result_frame,
     run_worker,
     send_frame,
 )
@@ -207,16 +211,16 @@ class TestDistributedDeterminism:
         assert all(w["mean_rtt_seconds"] > 0.0 for w in workers.values())
 
     def test_next_shard_is_sent_before_a_result_is_published(self, hub, monkeypatch):
-        """A link sends its worker the next run as soon as the first
-        frame of the current run arrives, before decoding and publishing
-        it, so the worker does not wait for the consumer's commit."""
+        """A link sends its worker the next run as soon as the frame of
+        the current run arrives, before decoding and publishing it, so
+        the worker does not wait for the consumer's commit."""
         published = []
         complete = DistributedShardExecutor.complete
 
-        def recording_complete(self, task, *args, **kwargs):
+        def recording_complete(self, run, *args, **kwargs):
             with self._cond:
-                published.append((task.index, sorted(self._claimed)))
-            return complete(self, task, *args, **kwargs)
+                published.append(([task.index for task in run], sorted(self._claimed)))
+            return complete(self, run, *args, **kwargs)
 
         monkeypatch.setattr(DistributedShardExecutor, "complete", recording_complete)
         # Ten 512-group shards over one worker: runs of 4, 4 and 2.
@@ -228,13 +232,13 @@ class TestDistributedDeterminism:
         )
         stop.set()
         assert canonical(distributed) == canonical(serial)
-        # Every shard is published with the rest of its run still claimed
-        # and, but in the last run, the whole next run claimed too.
+        # Every run is published with its shards still claimed and, but
+        # for the last run, the whole next run claimed too.
         runs = [range(0, 4), range(4, 8), range(8, 10)]
         expected = []
         for number, run in enumerate(runs):
             following = list(runs[number + 1]) if number + 1 < len(runs) else []
-            expected += [(i, [j for j in run if j >= i] + following) for i in run]
+            expected.append((list(run), list(run) + following))
         assert published == expected
 
     def test_convergence_stop_drains_in_flight_remote_shards(self, hub):
@@ -423,7 +427,7 @@ class TestChaos:
         reference = canonical(
             make_runner("batch", n_groups=320).run_streaming(shard_size=SHARD)
         )
-        simulate = remote_module.summarize_shards
+        simulate = executor_module.summarize_shards
         started = threading.Semaphore(0)
         release = threading.Event()
 
@@ -432,7 +436,7 @@ class TestChaos:
             release.wait(timeout=30.0)
             return simulate(config, root_state, engine, run, *rest)
 
-        monkeypatch.setattr(remote_module, "summarize_shards", held)
+        monkeypatch.setattr(executor_module, "summarize_shards", held)
         stop = start_workers(hub, 2)
         dropped = threading.Event()
 
@@ -521,12 +525,12 @@ class TestChaos:
         assert not executor.accepting()
 
 
-def crash_first_task_once(crash_dir, task):
+def crash_first_task_once(crash_dir, config, root_state, engine, task):
     """Kill the worker on the first shard any pool task runs, once."""
     if not os.listdir(crash_dir):
         open(os.path.join(crash_dir, "crashed"), "w").close()
         os._exit(1)
-    return _run_shard_task(task)
+    return simulate_shard(config, root_state, engine, task)
 
 
 class _MixedRun:
@@ -535,6 +539,8 @@ class _MixedRun:
     The link claims the first run, and its worker's simulation waits for
     :attr:`release`; the pool leases its workers only once the link holds
     that run.  Records every claim and every shard the pool publishes.
+    The workers run in this process, so only their runs meet the patched
+    ``summarize_shards``; the pool's spawned workers keep the real one.
     """
 
     def __init__(self, monkeypatch):
@@ -543,7 +549,7 @@ class _MixedRun:
         self.release = threading.Event()
         self.link_holds_a_run = threading.Semaphore(0)
         link_claimed = threading.Event()
-        simulate = remote_module.summarize_shards
+        simulate = executor_module.summarize_shards
         claim = DistributedShardExecutor.claim
         complete = DistributedShardExecutor.complete
         take_pool = DistributedShardExecutor._take_pool
@@ -561,16 +567,16 @@ class _MixedRun:
                     link_claimed.set()
             return run
 
-        def recording_complete(executor, task, *args, worker, **kwargs):
+        def recording_complete(executor, run, *args, worker, **kwargs):
             if worker == "local":
-                self.local_published.append(task.index)
-            return complete(executor, task, *args, worker=worker, **kwargs)
+                self.local_published.extend(task.index for task in run)
+            return complete(executor, run, *args, worker=worker, **kwargs)
 
         def take_pool_after_the_link(executor):
             assert link_claimed.wait(timeout=30.0)
             return take_pool(executor)
 
-        monkeypatch.setattr(remote_module, "summarize_shards", held)
+        monkeypatch.setattr(executor_module, "summarize_shards", held)
         monkeypatch.setattr(DistributedShardExecutor, "claim", recording_claim)
         monkeypatch.setattr(DistributedShardExecutor, "complete", recording_complete)
         monkeypatch.setattr(
@@ -792,8 +798,10 @@ class TestWorkerRobustness:
             )
             result = _read_tagged(reader, "result")
             assert result["index"] == 0
-            assert len(chronology_from_dict(result["columns"])) == 8
-            assert result["summary"]["n_groups"] == 8
+            [columns] = result["columns"]
+            assert len(chronology_from_dict(columns)) == 8
+            [summary] = result["summaries"]
+            assert summary["n_groups"] == 8
             conn.close()
         finally:
             stop.set()
@@ -812,7 +820,7 @@ class TestWorkerRobustness:
         def explode(config, root_state, engine, run, *rest):
             raise RuntimeError("boom: bad shard")
 
-        monkeypatch.setattr(remote_module, "summarize_shards", explode)
+        monkeypatch.setattr(executor_module, "summarize_shards", explode)
         stop = start_workers(hub, 1)
         with pytest.raises(SimulationError, match="boom: bad shard"):
             make_runner("batch", n_jobs=0).run_streaming(
@@ -864,17 +872,17 @@ class TestWorkerRobustness:
         whenever another claimant held the last shards.  Shard 1 takes
         3 s, three times the timeout; neither worker may be dropped (a
         dropped one would not redial)."""
-        simulate = remote_module.summarize_shards
+        serial = make_runner("batch", n_groups=2 * SHARD).run_streaming(
+            shard_size=SHARD
+        )
+        simulate = executor_module.summarize_shards
 
         def hold_shard_1(config, root_state, engine, run, *rest):
             if any(task.index == 1 for task in run):
                 time.sleep(3.0)
             return simulate(config, root_state, engine, run, *rest)
 
-        monkeypatch.setattr(remote_module, "summarize_shards", hold_shard_1)
-        serial = make_runner("batch", n_groups=2 * SHARD).run_streaming(
-            shard_size=SHARD
-        )
+        monkeypatch.setattr(executor_module, "summarize_shards", hold_shard_1)
         hub = RemoteWorkerHub(heartbeat_timeout=1.0)
         try:
             stop = start_workers(hub, 2, max_reconnects=0)
@@ -945,6 +953,20 @@ class TestWorkerRobustness:
         assert distributed.shards_run == 5
         assert holder["shards"] == 5
 
+    def test_finished_link_threads_are_not_kept(self, hub):
+        """Regression: the hub kept the thread of every connection it ever
+        accepted, so a hub whose workers redial grew that list for as long
+        as it ran.  Fifty connections that dial and hang up, one after
+        the other, leave the last link's thread and at most one still
+        exiting before it."""
+        for count in range(1, 51):
+            socket.create_connection((hub.host, hub.port), timeout=10.0).close()
+            deadline = time.monotonic() + 15.0
+            while hub._seq < count or any(t.is_alive() for t in hub._threads):
+                assert time.monotonic() < deadline, "a link thread did not exit"
+                time.sleep(0.005)
+        assert len(hub._threads) <= 2
+
     def test_hello_from_another_protocol_version_is_refused(self, hub):
         """A worker speaking another protocol version — here protocol 1,
         whose tasks were single shards — is disconnected at its
@@ -964,20 +986,20 @@ class TestWorkerRobustness:
         assert hub.n_workers() == 0
 
 
-def drop_summary(result, task):
-    del result["summary"]
+def drop_summary(frame, run):
+    del frame["summaries"]
 
 
-def short_summary(result, task):
-    result["summary"]["n_groups"] = task.n_groups - 1
+def short_summary(frame, run):
+    frame["summaries"][0]["n_groups"] = run[0].n_groups - 1
 
 
-def short_column(result, task):
-    result["columns"]["n_restores"].pop()
+def short_column(frame, run):
+    frame["columns"][0]["n_restores"].pop()
 
 
 class TestFrameValidation:
-    """A result frame that does not decode into exactly its shard is
+    """A result frame that does not decode into exactly its run is
     handled like a lost socket: the link's shards not yet published go
     back to the queue, each charged one retry, and the link is dropped.
     No malformed frame may hang a run or reach the accumulator."""
@@ -1009,9 +1031,12 @@ class TestFrameValidation:
         published = []
         complete = DistributedShardExecutor.complete
 
-        def recording_complete(self, task, summary, *args, worker, **kwargs):
-            published.append((worker, task.n_groups, summary.n_groups))
-            return complete(self, task, summary, *args, worker=worker, **kwargs)
+        def recording_complete(self, run, per_shard, *args, worker, **kwargs):
+            published.extend(
+                (worker, task.n_groups, summary.n_groups)
+                for task, (summary, _) in zip(run, per_shard)
+            )
+            return complete(self, run, per_shard, *args, worker=worker, **kwargs)
 
         monkeypatch.setattr(DistributedShardExecutor, "complete", recording_complete)
         serial = make_runner("batch", n_groups=2 * SHARD).run_streaming(
@@ -1095,8 +1120,198 @@ class TestFrameValidation:
             config, root_state, "batch", [ShardTask(0, 0, SHARD - 1)]
         )
         with pytest.raises(SimulationError, match="came back"):
-            executor.complete(task, summary, 0.1, worker="somebody")
+            executor.complete((task,), [(summary, None)], 0.1, worker="somebody")
         assert executor._results == {}
+
+
+#: The fuzzed fleet: one run of three shards, the last one short, so a
+#: summary moved to another shard's place has the wrong size.
+FUZZ_SIZES = (SHARD, SHARD, 8)
+
+#: Fuzzed runs in the fast tier, besides the explicit examples; the slow
+#: tier runs twice as many others.  The remote tests run both, which
+#: take about 18 s and 36 s on a 2-vCPU VM.
+FUZZ_EXAMPLES = 40
+
+
+def framed(payload):
+    """``payload`` behind its length prefix, as ``send_frame`` sends it."""
+    return struct.pack("!I", len(payload)) + payload
+
+
+#: Frame-level damage, sent instead of the first result frame.
+FRAME_DAMAGE = {
+    "oversize-length": struct.pack("!I", MAX_FRAME_BYTES + 1),
+    "not-utf8": framed(b'{"t": "result", "x": "\xff"}'),
+    "not-json": framed(b'{"t": "result", '),
+    "json-array": framed(b'["result", 1]'),
+}
+
+#: Values of a type no key of a result frame takes.  No float: a float
+#: is a good ``wall_seconds``.
+WRONG_TYPES = (None, True, "x", [1], {"a": 1})
+
+
+def frame_mutants(keep):
+    """Every damage the fuzzer does to a result frame, as
+    ``(kind, *arguments)``; see :func:`mutate`."""
+    keys = ["t", "epoch", "index", "wall_seconds", "summaries"]
+    keys += ["columns"] if keep else []
+    shard = st.integers(0, len(FUZZ_SIZES) - 1)
+    options = [
+        st.tuples(st.just("drop"), st.sampled_from(keys)),
+        st.tuples(st.just("retype"), st.sampled_from(keys), st.sampled_from(WRONG_TYPES)),
+        st.tuples(st.just("summaries"), st.sampled_from(["short", "long", "other"]), shard),
+        st.tuples(st.just("epoch"), st.sampled_from([-1, 1])),
+        st.tuples(st.just("index"), st.sampled_from([1, 2, len(FUZZ_SIZES)])),
+        st.tuples(
+            st.just("wall_seconds"),
+            st.sampled_from([-1.0, -1e-9, math.inf, -math.inf, math.nan, True, False]),
+        ),
+        st.tuples(st.just("damage"), st.sampled_from(sorted(FRAME_DAMAGE))),
+    ]
+    if keep:
+        options.append(st.tuples(st.just("columns"), st.sampled_from(["short", "missing"]), shard))
+    return st.one_of(options)
+
+
+@st.composite
+def fuzz_cases(draw):
+    """``(keep_chronologies, alone, mutant)``."""
+    keep = draw(st.booleans())
+    return keep, draw(st.booleans()), draw(frame_mutants(keep))
+
+
+def mutate(mutant, frame, run):
+    """Damage a result frame as ``mutant`` says, in place; or return the
+    bytes to send instead of it."""
+    kind, *args = mutant
+    if kind == "damage":
+        return FRAME_DAMAGE[args[0]]
+    if kind == "drop":
+        del frame[args[0]]
+    elif kind == "retype":
+        key, value = args
+        frame[key] = value
+    elif kind in ("epoch", "index"):
+        frame[kind] += args[0]  # a stale or future epoch, another run's index
+    elif kind == "wall_seconds":
+        frame[kind] = args[0]
+    elif kind == "summaries":
+        how, i = args
+        summaries = frame["summaries"]
+        if how == "short":
+            del summaries[i]
+        elif how == "long":
+            summaries.insert(i, summaries[i])
+        else:
+            other = next(j for j, task in enumerate(run) if task.n_groups != run[i].n_groups)
+            summaries[i] = summaries[other]
+    else:
+        how, i = args
+        if how == "short":
+            frame["columns"][i]["n_restores"].pop()
+        else:
+            del frame["columns"][i]
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_reference(keep):
+    """The serial run's accumulator and, when kept, its summary."""
+    serial = make_runner("batch", n_groups=sum(FUZZ_SIZES)).run_streaming(
+        shard_size=SHARD, keep_chronologies=keep
+    )
+    return canonical(serial), serial.result.summary() if keep else None
+
+
+class TestFrameFuzzer:
+    """A raw-socket worker replaces the first result frame of each of its
+    connections with a mutant (:func:`frame_mutants`).  Every run ends
+    within 30 s: equal to serial when a good worker takes the dropped
+    link's shards, or with SimulationError when the mutant worker is
+    alone and, redialling after each drop, exhausts the retries.  No
+    shard of the mutant worker reaches ``complete``.  The mutant worker
+    sends no heartbeats, so the hub's short heartbeat timeout drops it
+    when a mutant leaves the link waiting (a stale or future epoch, a
+    frame that is not a result)."""
+
+    @staticmethod
+    def check(keep, alone, mutant):
+        published = []
+        complete = DistributedShardExecutor.complete
+
+        def recording_complete(executor, run, *args, worker, **kwargs):
+            published.append(worker)
+            return complete(executor, run, *args, worker=worker, **kwargs)
+
+        reference, kept_summary = fuzz_reference(keep)
+        runner = make_runner("batch", n_groups=sum(FUZZ_SIZES), n_jobs=0)
+        stop = threading.Event()
+        sent = threading.Event()
+        good = None
+        with mock.patch.object(
+            DistributedShardExecutor, "complete", recording_complete
+        ), RemoteWorkerHub(heartbeat_timeout=1.0) as hub:
+            forger = threading.Thread(
+                target=_forging_worker,
+                args=(hub.address, functools.partial(mutate, mutant), stop, sent, alone),
+                daemon=True,
+            )
+            forger.start()
+            try:
+                assert hub.wait_for_workers(1, timeout=15.0)
+                thread, holder = TestFrameValidation.run_in_thread(
+                    runner,
+                    shard_size=SHARD,
+                    workers=hub,
+                    keep_chronologies=keep,
+                    max_shard_retries=2,
+                )
+                assert sent.wait(timeout=15.0)
+                if not alone:
+                    good = start_workers(hub, 1)
+                thread.join(timeout=30.0)
+            finally:
+                stop.set()
+                if good is not None:
+                    good.set()
+        forger.join(timeout=10.0)
+        assert not thread.is_alive(), f"{mutant} hung the run"
+        assert not any(worker.startswith("forger") for worker in published), mutant
+        if alone:
+            assert isinstance(holder.get("error"), SimulationError), (mutant, holder)
+            assert "was lost 3 times" in str(holder["error"])
+            return
+        assert "error" not in holder, (mutant, holder.get("error"))
+        distributed = holder["result"]
+        assert canonical(distributed) == reference, mutant
+        if keep:
+            assert distributed.result.summary() == kept_summary
+        assert distributed.executor_stats["shard_retries"] >= 1
+
+    @settings(
+        max_examples=FUZZ_EXAMPLES,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(fuzz_cases())
+    @example((False, False, ("damage", "oversize-length")))
+    @example((True, True, ("damage", "not-utf8")))
+    def test_mutant_first_frame(self, case):
+        self.check(*case)
+
+    @pytest.mark.slow
+    @settings(
+        max_examples=2 * FUZZ_EXAMPLES,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(fuzz_cases())
+    def test_many_mutant_first_frames(self, case):
+        self.check(*case)
 
 
 class TestNJobsZero:
@@ -1236,19 +1451,7 @@ def _slow_init_worker(address, delay, stop):
                 per_shard = summarize_shards(
                     config, root_state, engine, run, time_grid, keep
                 )
-                for task, (summary, chronologies), seconds in split_run(
-                    run, per_shard, 0.0
-                ):
-                    result = {
-                        "t": "result",
-                        "epoch": epoch,
-                        "index": task.index,
-                        "wall_seconds": seconds,
-                        "summary": summary.to_dict(),
-                    }
-                    if chronologies is not None:
-                        result["columns"] = chronology_to_dict(chronologies)
-                    send_frame(sock, lock, result)
+                send_frame(sock, lock, result_frame(epoch, run, per_shard, 0.0))
     except OSError:
         pass
     finally:
@@ -1257,9 +1460,11 @@ def _slow_init_worker(address, delay, stop):
 
 def _forging_worker(address, forge, stop, sent, redial):
     """Raw-socket worker whose first result frame of every connection is
-    forged by ``forge(frame, task)``; ``sent`` is set once one went out.
-    Otherwise it serves like ``repro worker`` until the hub drops it,
-    then redials while ``redial``."""
+    forged by ``forge(frame, run)``, which either edits the frame or
+    returns the bytes to send instead, length prefix and all; ``sent`` is
+    set once a frame went out.  Otherwise it serves like ``repro worker``,
+    without heartbeats, until the hub drops it, then redials while
+    ``redial``."""
     host, port = parse_endpoint(address)
     from repro.validation.generator import config_from_dict
 
@@ -1291,22 +1496,13 @@ def _forging_worker(address, forge, stop, sent, redial):
                         constants["time_grid"],
                         constants["keep_chronologies"],
                     )
-                    for task, (summary, chronologies), seconds in split_run(
-                        run, per_shard, 0.01
-                    ):
-                        result = {
-                            "t": "result",
-                            "epoch": message["epoch"],
-                            "index": task.index,
-                            "wall_seconds": seconds,
-                            "summary": summary.to_dict(),
-                        }
-                        if chronologies is not None:
-                            result["columns"] = chronology_to_dict(chronologies)
-                        if not forged:
-                            forge(result, task)
-                            forged = True
-                        send_frame(sock, lock, result)
+                    frame = result_frame(message["epoch"], run, per_shard, 0.01)
+                    damage = None if forged else forge(frame, run)
+                    forged = True
+                    if damage is None:
+                        send_frame(sock, lock, frame)
+                    else:
+                        sock.sendall(damage)
                     sent.set()
         except (ConnectionError, OSError):
             pass

@@ -662,3 +662,19 @@ class TestStreamingMatchesMaterialized:
             assert chronology() is None
         finally:
             gc.enable()
+
+    def test_streaming_result_is_freed_by_reference_counting(self):
+        """Regression: ``run_streaming(keep_chronologies=True)`` linked its
+        result back to itself, a cycle that kept every chronology alive
+        after the streaming result was dropped, until the next cyclic
+        collection."""
+        config = RaidGroupConfig.paper_base_case(mission_hours=8_760.0)
+        runner = MonteCarloRunner(config, n_groups=128, seed=3, engine="batch")
+        gc.disable()
+        try:
+            streaming = runner.run_streaming(keep_chronologies=True)
+            chronology = weakref.ref(streaming.result.chronologies[0])
+            del streaming
+            assert chronology() is None
+        finally:
+            gc.enable()
