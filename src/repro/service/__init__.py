@@ -18,7 +18,6 @@ from .jobs import (
     DEFAULT_MAX_GROUPS,
     DEFAULT_REL_CI_WIDTH,
     JobManager,
-    JobSnapshot,
     QuerySpec,
     RefinementJob,
     derive_seed,
@@ -41,7 +40,6 @@ __all__ = [
     "DEFAULT_MAX_GROUPS",
     "DEFAULT_REL_CI_WIDTH",
     "JobManager",
-    "JobSnapshot",
     "QuerySpec",
     "RefinementJob",
     "derive_seed",

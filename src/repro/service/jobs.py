@@ -106,19 +106,6 @@ class QuerySpec:
         )
 
 
-@dataclasses.dataclass
-class JobSnapshot:
-    """Mid-flight state of a refinement job, published per committed shard."""
-
-    groups: int
-    total_ddfs: int
-    ddfs_per_1000: float
-    ci_lo: float
-    ci_hi: float
-    rel_ci_width: float
-    elapsed_seconds: float
-
-
 class RefinementJob:
     """One background streaming run, shared by every coalesced waiter."""
 
@@ -128,25 +115,17 @@ class RefinementJob:
         self.source = source  #: "cold" or "extend"
         self.future: "Future[StreamingResult]" = Future()
         self.waiters = 0
-        self._snapshot: Optional[JobSnapshot] = None
+        self._snapshot: Optional[ProgressEvent] = None
         self._lock = threading.Lock()
 
     # -- mid-flight visibility -----------------------------------------
     def observe(self, event: ProgressEvent) -> None:
-        """Progress observer: publish the latest partial statistics."""
+        """Progress observer: publish the latest (frozen) event."""
         with self._lock:
-            self._snapshot = JobSnapshot(
-                groups=event.groups_completed,
-                total_ddfs=event.total_ddfs,
-                ddfs_per_1000=event.ddfs_per_1000,
-                ci_lo=event.ci_lo,
-                ci_hi=event.ci_hi,
-                rel_ci_width=event.rel_ci_width,
-                elapsed_seconds=event.elapsed_seconds,
-            )
+            self._snapshot = event
 
-    def snapshot(self) -> Optional[JobSnapshot]:
-        """The most recent partial statistics (``None`` before any shard)."""
+    def snapshot(self) -> Optional[ProgressEvent]:
+        """The most recent progress event (``None`` before any shard)."""
         with self._lock:
             return self._snapshot
 

@@ -329,7 +329,7 @@ class ReliabilityService:
         else:
             status = "refining"
             answer = {
-                "groups": snapshot.groups,
+                "groups": snapshot.groups_completed,
                 "total_ddfs": snapshot.total_ddfs,
                 "ddfs_per_1000_mission": snapshot.ddfs_per_1000,
                 "ddfs_per_1000_ci": [snapshot.ci_lo, snapshot.ci_hi],

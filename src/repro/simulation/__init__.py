@@ -51,7 +51,6 @@ from .results import DDFEvent, SimulationResult
 from .sensitivity import SweepResult, sweep
 from .spares import SparePool, SparePoolConfig
 from .streaming import (
-    FirstDDFReservoir,
     FleetAccumulator,
     Precision,
     ProgressEvent,
@@ -82,7 +81,6 @@ __all__ = [
     "TimelineRecorder",
     "render_timing_diagram",
     "FleetAccumulator",
-    "FirstDDFReservoir",
     "StreamingMoments",
     "StreamingResult",
     "Precision",

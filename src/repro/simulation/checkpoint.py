@@ -10,7 +10,7 @@ continue an interrupted fleet simulation bit-identically:
   positions the :class:`~numpy.random.SeedSequence` spawn stream for the
   next shard, and
 * the full :class:`~repro.simulation.streaming.FleetAccumulator` state:
-  integer tallies, exact moment sums and the bottom-k first-DDF sample.
+  integer tallies and exact moment sums.
 
 Because shards are seeded independently of how many will eventually run
 (one spawned child per shard for the batch engine, one per group for the
@@ -19,8 +19,10 @@ already-consumed spawn positions, and keep going.  The accumulator is
 exactly mergeable, so the resumed run ends in the same state as an
 uninterrupted one, byte for byte.
 
-Format ``repro-checkpoint/2`` holds that exact state.  Files of format
-``/1`` (Welford moments and a reservoir RNG cursor) are refused, and the
+Format ``repro-checkpoint/3`` holds that exact state, and a file whose
+cursor counts other groups than its accumulator holds is refused.  Files
+of format ``/1`` (Welford moments and a reservoir RNG cursor) and ``/2``
+(a bottom-k first-DDF sample besides the state) are refused too, and the
 service's result cache treats them as integrity misses and refines the
 key afresh.
 
@@ -45,7 +47,7 @@ from .config import RaidGroupConfig
 from .streaming import FleetAccumulator
 
 #: Format tag written into (and required from) every checkpoint file.
-CHECKPOINT_FORMAT = "repro-checkpoint/2"
+CHECKPOINT_FORMAT = "repro-checkpoint/3"
 
 
 def config_fingerprint(config: RaidGroupConfig) -> str:
@@ -135,13 +137,14 @@ class RunCheckpoint:
 
     @classmethod
     def from_dict(cls, state: Dict[str, object]) -> "RunCheckpoint":
-        """Inverse of :meth:`to_dict`; rejects unknown formats."""
+        """Inverse of :meth:`to_dict`; rejects unknown formats and a cursor
+        that disagrees with the accumulator."""
         fmt = state.get("format")
         if fmt != CHECKPOINT_FORMAT:
             raise SimulationError(
                 f"unsupported checkpoint format {fmt!r}; expected {CHECKPOINT_FORMAT!r}"
             )
-        return cls(
+        checkpoint = cls(
             fingerprint=str(state["fingerprint"]),
             seed=state["seed"],  # type: ignore[arg-type]
             engine=str(state["engine"]),
@@ -151,6 +154,18 @@ class RunCheckpoint:
             accumulator_state=state["accumulator"],  # type: ignore[arg-type]
             elapsed_seconds=float(state.get("elapsed_seconds", 0.0)),  # type: ignore[arg-type]
         )
+        # A resume skips the cursor's groups and keeps the accumulator's,
+        # so both must count the same groups: a cursor past the
+        # accumulator would leave the difference never simulated.
+        held = checkpoint.accumulator_state["n_groups"]
+        if held != checkpoint.groups_completed:
+            raise SimulationError(
+                f"checkpoint cursor counts {checkpoint.groups_completed} groups "
+                f"completed but its accumulator holds {held!r} — the file was "
+                "hand-edited or corrupted; delete it and resume from an intact "
+                "checkpoint, or restart the run"
+            )
+        return checkpoint
 
 
 def atomic_write_text(path: str, payload: str) -> None:

@@ -29,18 +29,19 @@ one machine with *unchanged semantics*:
   socket error or a frame that does not decode into exactly its run
   abandons every shard not yet published to the queue, each *charged*
   one retry against ``max_retries``, the same path a local pool break
-  takes, and drops the link.  An idle link waits on the hub's condition,
-  which :meth:`RemoteWorkerHub.register` notifies, so a new run reaches
-  idle workers at once.  Because commits stay strictly in shard order
-  and each shard is reseeded from its index, a distributed run is
-  bit-identical to a serial one — through checkpoint/resume,
-  convergence stopping (in-flight remote shards are drained and
-  discarded), and mid-run worker loss.
+  takes, and drops the link.  So does any frame but a heartbeat or the
+  awaited run's answer while a link awaits a run.  An idle link waits on
+  the hub's condition, which :meth:`RemoteWorkerHub.register` notifies,
+  so a new run reaches idle workers at once.  Because commits stay
+  strictly in shard order and each shard is reseeded from its index, a
+  distributed run is bit-identical to a serial one — through
+  checkpoint/resume, convergence stopping (in-flight remote shards are
+  drained and discarded), and mid-run worker loss.
 
 * :class:`DistributedShardExecutor` — the executor with its ``hub``
   required.
 
-Wire format (version 4): every frame is a 4-byte big-endian unsigned
+Wire format (version 5): every frame is a 4-byte big-endian unsigned
 length followed by that many bytes of UTF-8 JSON.  JSON round-trips
 Python floats and ints exactly, so summaries and chronologies survive
 the wire bit-identical.  Messages carry a ``t`` tag:
@@ -75,14 +76,17 @@ worker → coordinator
 ``hb``                heartbeat (also sent while a long run simulates)
 ====================  =======================================================
 
-The ``epoch`` stamps every task/result with the run it belongs to, so a
-result that limps in after its run drained (or after the run was
-reassigned) is recognizably stale and discarded.  A result of the
-current epoch must answer the run the link awaits, with a finite
-``wall_seconds`` >= 0 and, for each of its shards, a summary (and kept
-columns) of exactly that shard's groups, mission and time grid; anything
-else is handled as a lost connection.  A hub refuses a ``hello`` from
-another protocol version before it sends anything.
+The ``epoch`` stamps every task/result with the run it belongs to.  A
+worker answers frames in order on one thread, so every answer to an
+earlier epoch (a result that limps in after its run drained) reaches the
+hub before this epoch's ``init_ok``, and the hub's wait for that
+``init_ok`` passes over them.  From then on, while a link awaits a run, it
+accepts only ``hb`` and that run's ``result`` or ``task_err`` of this
+epoch; a ``result`` must carry a finite ``wall_seconds`` >= 0 and, for
+each of its shards, a summary (and kept columns) of exactly that shard's
+groups, mission and time grid.  Any other frame is handled as a lost
+connection.  A hub refuses a ``hello`` from another protocol version
+before it sends anything.
 """
 
 from __future__ import annotations
@@ -112,7 +116,7 @@ from .executor import (
 from .raid_simulator import DDFType, GroupChronology
 from .streaming import FleetAccumulator
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Hard cap on a single frame — a kernel-width run of pathological
 #: chronologies is well under 64 MiB; anything larger is a corrupt or
@@ -782,7 +786,8 @@ class RemoteWorkerHub:
         The link sends the worker its next run as soon as the current
         run's frame arrives, so at most two runs are out at once, and
         publishes each run with one ``complete`` call once its frame is
-        decoded.  A socket error, heartbeat staleness or a result frame
+        decoded.  A socket error, heartbeat staleness, a frame other
+        than a heartbeat or the awaited run's answer, or a result frame
         that does not decode into exactly its run abandons every shard
         not yet published (charged one retry each) and propagates as
         ConnectionError to drop the link; a convergence drain abandons
@@ -804,7 +809,10 @@ class RemoteWorkerHub:
         # Staleness-based, like _await_result: a worker still finishing a
         # long stale run from a previous session heartbeats (and may
         # push stale results) before it gets to the init frame — any
-        # traffic proves it alive, so only true silence drops it.
+        # traffic proves it alive, so only true silence drops it.  A
+        # worker answers frames in order on one thread, so every answer
+        # to an earlier epoch arrives before this init_ok: this wait
+        # passes over all of them, and _await_result sees none.
         link.last_seen = time.monotonic()
         while True:
             message = link.reader.read(_POLL_SECONDS)
@@ -915,30 +923,28 @@ class RemoteWorkerHub:
         policing heartbeats.
 
         Returns the run's ``result`` (or ``task_err``) frame, or None if
-        the session stops accepting first (drain).  Frames of other
-        epochs are stale and skipped; a result or ``task_err`` without an
-        integer epoch and index, or of this epoch for another run, raises
-        ConnectionError, since a worker answers its runs in order.
+        the session stops accepting first (drain).  Heartbeats are the
+        only other frames a worker sends now: it answers its runs in
+        order, and its answers to earlier epochs all came before this
+        epoch's ``init_ok``.  So any other frame, a stale or future epoch
+        and another run's answer included, raises ConnectionError.
         """
         while True:
             message = link.reader.read(_POLL_SECONDS)
             if message is not None:
                 link.last_seen = time.monotonic()
                 kind = message.get("t")
-                if kind not in ("result", "task_err"):
+                if kind == "hb":
                     continue
                 got_epoch = _int_field(message, "epoch")
                 got_index = _int_field(message, "index")
-                if got_epoch is None or got_index is None:
-                    raise ConnectionError(f"{kind} frame without an integer epoch and index")
-                if got_epoch != epoch:
-                    continue
-                if got_index != index:
-                    raise ConnectionError(
-                        f"{kind} frame for the run at shard {got_index} while the "
-                        f"run at shard {index} was due"
-                    )
-                return message
+                if kind in ("result", "task_err") and (got_epoch, got_index) == (epoch, index):
+                    return message
+                raise ConnectionError(
+                    f"{kind!r} frame of epoch {got_epoch} for the run at shard "
+                    f"{got_index} while the run at shard {index} of epoch {epoch} "
+                    "was due"
+                )
             if time.monotonic() - link.last_seen > self.heartbeat_timeout:
                 raise ConnectionError(
                     f"worker heartbeat timed out awaiting the run at shard {index}"

@@ -23,29 +23,22 @@ was simulated (in process, in a pool worker or on a remote worker) into
 one small :class:`FleetAccumulator`, and the run commits it with one
 merge; serial, pooled, distributed and interrupted-then-resumed runs
 agree byte for byte because there is nothing order-dependent left to
-disagree on.  Three choices make that so:
+disagree on.  Two choices make that so:
 
 * :class:`StreamingMoments` keeps the count, Σx and Σx² exactly, as
   Python ints for integral values (the per-group DDF counts) and as
   :class:`fractions.Fraction` otherwise (every finite float is a dyadic
   rational); the mean and variance are rounded once from the exact
   ratios;
-* :class:`FirstDDFReservoir` is a bottom-k sample: every time-to-first-DDF
-  value gets a fixed 64-bit priority, a hash of its IEEE-754 bits, and
-  the sample keeps the values of the lowest priorities, so merging is a
-  union cut back to the capacity (Cohen & Kaplan, "Summarizing data
-  using bottom-k sketches", PODC 2007);
 * everything else is an integer tally, and the spare-wait hours are
   summed as an exact :class:`~fractions.Fraction`.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 import operator
-import struct
 import sys
 import time
 from fractions import Fraction
@@ -59,9 +52,6 @@ from .raid_simulator import DDFType, GroupChronology
 
 #: Hours in the paper's first-year reporting window (Table 3).
 FIRST_YEAR_HOURS = 8_760.0
-
-#: Default capacity of the time-to-first-DDF sample.
-DEFAULT_RESERVOIR_CAPACITY = 1_024
 
 #: An exact sum: an int, or a Fraction once a non-integral value is in it.
 Exact = Union[int, Fraction]
@@ -207,160 +197,6 @@ class StreamingMoments:
 
 
 # ----------------------------------------------------------------------
-_DOUBLE = struct.Struct("<d")
-_BITS = struct.Struct("<Q")
-_MASK64 = (1 << 64) - 1
-
-
-def _priority(value: float) -> int:
-    """One value's bottom-k priority; equals :func:`first_ddf_priorities`."""
-    # ``+ 0.0`` turns -0.0 into 0.0, so equal values hash alike.
-    (z,) = _BITS.unpack(_DOUBLE.pack(value + 0.0))
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def first_ddf_priorities(values: np.ndarray) -> np.ndarray:
-    """Bottom-k priorities of float values: splitmix64 of their bits.
-
-    The splitmix64 finalizer is a bijection on 64-bit words, so distinct
-    values (``-0.0`` counted as ``0.0``) get distinct priorities and a
-    priority order is a total order on values.  numpy's uint64 arithmetic
-    wraps, as the mix needs.
-    """
-    z = (np.asarray(values, dtype=np.float64) + 0.0).view(np.uint64)
-    z = z + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _by_priority(values: Sequence[float]) -> "tuple[List[float], List[int]]":
-    """``values`` and their priorities, in ascending priority order."""
-    priorities = first_ddf_priorities(values)
-    order = np.argsort(priorities, kind="stable")
-    return np.asarray(values, dtype=float)[order].tolist(), priorities[order].tolist()
-
-
-class FirstDDFReservoir:
-    """Bottom-k sample of per-group time-to-first-DDF values.
-
-    Every value has a fixed priority (:func:`first_ddf_priorities`), and
-    the sample holds the ``capacity`` values of lowest priority in
-    ascending priority order.  Distinct values have distinct priorities
-    and equal values are interchangeable, so the sample of a multiset of
-    values is unique: offering values one by one, or merging the samples
-    of any partition of them in any order, gives the same list.  The hash
-    is of the value, not of the group, so the state is the values alone.
-    Groups that never suffer a DDF count only in :attr:`n_censored`.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_RESERVOIR_CAPACITY) -> None:
-        require_int("capacity", capacity, minimum=1)
-        self.capacity = capacity
-        self.values: List[float] = []
-        self.n_seen = 0
-        self.n_censored = 0
-        # The priorities of ``values``, parallel to it; None after
-        # :meth:`from_dict` until first needed (a read never needs them).
-        self._priorities: Optional[List[int]] = []
-
-    @classmethod
-    def from_values(
-        cls,
-        values: np.ndarray,
-        n_censored: int = 0,
-        capacity: int = DEFAULT_RESERVOIR_CAPACITY,
-    ) -> "FirstDDFReservoir":
-        """The sample of these first-DDF values, computed at once."""
-        out = cls(capacity=capacity)
-        ranked, priorities = _by_priority(values)
-        out.values, out._priorities = ranked[:capacity], priorities[:capacity]
-        out.n_seen = len(ranked)
-        out.n_censored = int(n_censored)
-        return out
-
-    def offer_first_ddf(self, time_hours: float) -> None:
-        """Offer one group's first-DDF instant."""
-        self.n_seen += 1
-        value = float(time_hours)
-        self._absorb([_priority(value)], [value])
-
-    def offer_censored(self) -> None:
-        """Record a group whose mission ended with no DDF."""
-        self.n_censored += 1
-
-    def merge(self, other: "FirstDDFReservoir") -> None:
-        """Fold another sample in: the union, cut back to the capacity."""
-        if other.capacity != self.capacity:
-            raise SimulationError(
-                "cannot merge first-DDF samples of different capacities "
-                f"({self.capacity} vs {other.capacity})"
-            )
-        # Copies, in case ``other`` is this sample.
-        priorities, values = list(other._ranked()), list(other.values)
-        self.n_seen += other.n_seen
-        self.n_censored += other.n_censored
-        self._absorb(priorities, values)
-
-    def _ranked(self) -> List[int]:
-        """The priorities of :attr:`values`, putting both in canonical order
-        the first time they are needed after :meth:`from_dict`."""
-        if self._priorities is None:
-            self.values, self._priorities = _by_priority(self.values)
-        return self._priorities
-
-    def _absorb(self, priorities: Sequence[int], values: Sequence[float]) -> None:
-        """Insert values given in ascending priority, keeping the lowest."""
-        mine = self._ranked()
-        kept = self.values
-        for priority, value in zip(priorities, values):
-            if len(mine) >= self.capacity:
-                # Every later value ranks at least as high: none can enter.
-                # An equal priority is an equal value, interchangeable.
-                if priority >= mine[-1]:
-                    return
-                mine.pop()
-                kept.pop()
-            slot = bisect.bisect_right(mine, priority)
-            mine.insert(slot, priority)
-            kept.insert(slot, value)
-
-    # ------------------------------------------------------------------
-    def quantile(self, q: float) -> float:
-        """Empirical quantile of the sampled first-DDF times."""
-        if not self.values:
-            return float("nan")
-        return float(np.quantile(np.asarray(self.values), q))
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe full state (the priorities follow from the values)."""
-        return {
-            "capacity": self.capacity,
-            "values": list(self.values),
-            "n_seen": self.n_seen,
-            "n_censored": self.n_censored,
-        }
-
-    @classmethod
-    def from_dict(cls, state: Dict[str, object]) -> "FirstDDFReservoir":
-        """Inverse of :meth:`to_dict`."""
-        out = cls(capacity=operator.index(state["capacity"]))  # type: ignore[arg-type]
-        values = [float(v) for v in state["values"]]  # type: ignore[union-attr]
-        if len(values) > out.capacity:
-            raise ParameterError(
-                f"a first-DDF sample of capacity {out.capacity} holds {len(values)} values"
-            )
-        out.values = values
-        out._priorities = None
-        out.n_seen = operator.index(state["n_seen"])  # type: ignore[arg-type]
-        out.n_censored = operator.index(state["n_censored"])  # type: ignore[arg-type]
-        return out
-
-
-# ----------------------------------------------------------------------
 class FleetAccumulator:
     """Sufficient statistics of a fleet, fed chronology by chronology or
     merged shard summary by shard summary.
@@ -368,18 +204,17 @@ class FleetAccumulator:
     Tracks everything :meth:`SimulationResult.summary
     <repro.simulation.results.SimulationResult.summary>` reports — DDF
     totals, pathway mix, event counters — plus per-group DDF-count
-    moments (for confidence intervals), first-year counts, a bottom-k
-    time-to-first-DDF sample, and an optional cumulative-DDF count on a
-    fixed time grid (the Figs 6-10 curves).  Every part is exact, so
-    :meth:`merge` gives the same state for any partition of the groups
-    and any merge order (see the module docstring).
+    moments (for confidence intervals), first-year counts and an
+    optional cumulative-DDF count on a fixed time grid (the Figs 6-10
+    curves).  Every part is exact, so :meth:`merge` gives the same state
+    for any partition of the groups and any merge order (see the module
+    docstring).
     """
 
     def __init__(
         self,
         mission_hours: float,
         time_grid: Optional[Sequence[float]] = None,
-        reservoir_capacity: int = DEFAULT_RESERVOIR_CAPACITY,
     ) -> None:
         if mission_hours <= 0:
             raise ParameterError(f"mission_hours must be > 0, got {mission_hours!r}")
@@ -396,7 +231,6 @@ class FleetAccumulator:
         self.n_restores = 0
         self.n_spare_waits = 0
         self._spare_wait_hours = Fraction(0)
-        self.first_ddf = FirstDDFReservoir(capacity=reservoir_capacity)
         if time_grid is not None:
             grid = np.asarray(list(time_grid), dtype=float)
             if grid.ndim != 1 or grid.size == 0:
@@ -454,11 +288,6 @@ class FleetAccumulator:
         out.n_latent_defects = int(n_latent_defects)
         out.n_scrub_repairs = int(n_scrub_repairs)
         out.n_restores = int(n_restores)
-        # Each group's first DDF is where the group column changes.
-        starts = np.flatnonzero(np.diff(ddf_group, prepend=-1))
-        out.first_ddf = FirstDDFReservoir.from_values(
-            ddf_times[starts], n_censored=n_groups - starts.size
-        )
         if out.grid_counts is not None:
             out.grid_counts = np.searchsorted(
                 np.sort(ddf_times), out.time_grid, side="right"
@@ -494,12 +323,8 @@ class FleetAccumulator:
         self.n_spare_waits += chrono.n_spare_waits
         if chrono.spare_wait_hours:
             self._spare_wait_hours += Fraction(chrono.spare_wait_hours)
-        if not n_ddfs:
-            # Most groups see no DDF: no sampled value, no curve update.
-            self.first_ddf.offer_censored()
-            return
-        self.first_ddf.offer_first_ddf(chrono.ddf_times[0])
-        if self.grid_counts is not None:
+        if n_ddfs and self.grid_counts is not None:
+            # Most groups see no DDF, so they skip the curve update.
             self.grid_counts += np.searchsorted(
                 np.asarray(chrono.ddf_times, dtype=float), self.time_grid, side="right"
             ).astype(np.int64)
@@ -525,11 +350,6 @@ class FleetAccumulator:
             and not np.array_equal(self.time_grid, other.time_grid)
         ):
             raise SimulationError("cannot merge accumulators with mismatched time grids")
-        if other.first_ddf.capacity != self.first_ddf.capacity:
-            raise SimulationError(
-                "cannot merge accumulators with first-DDF samples of different "
-                f"capacities ({self.first_ddf.capacity} vs {other.first_ddf.capacity})"
-            )
         self.n_groups += other.n_groups
         self.total_ddfs += other.total_ddfs
         self.total_first_year_ddfs += other.total_first_year_ddfs
@@ -543,7 +363,6 @@ class FleetAccumulator:
         self.n_restores += other.n_restores
         self.n_spare_waits += other.n_spare_waits
         self._spare_wait_hours += other._spare_wait_hours
-        self.first_ddf.merge(other.first_ddf)
         if self.grid_counts is not None:
             self.grid_counts += other.grid_counts
 
@@ -628,7 +447,6 @@ class FleetAccumulator:
             "n_restores": self.n_restores,
             "n_spare_waits": self.n_spare_waits,
             "spare_wait_hours": _exact_to_json(self._spare_wait_hours),
-            "first_ddf": self.first_ddf.to_dict(),
             "time_grid": None if self.time_grid is None else self.time_grid.tolist(),
             "grid_counts": (
                 None if self.grid_counts is None else self.grid_counts.tolist()
@@ -638,11 +456,9 @@ class FleetAccumulator:
     @classmethod
     def from_dict(cls, state: Dict[str, object]) -> "FleetAccumulator":
         """Inverse of :meth:`to_dict`."""
-        first_ddf = FirstDDFReservoir.from_dict(state["first_ddf"])  # type: ignore[arg-type]
         out = cls(
             mission_hours=float(state["mission_hours"]),  # type: ignore[arg-type]
             time_grid=state["time_grid"],  # type: ignore[arg-type]
-            reservoir_capacity=first_ddf.capacity,
         )
         out.n_groups = operator.index(state["n_groups"])  # type: ignore[arg-type]
         out.total_ddfs = operator.index(state["total_ddfs"])  # type: ignore[arg-type]
@@ -661,7 +477,6 @@ class FleetAccumulator:
         out.n_restores = operator.index(state["n_restores"])  # type: ignore[arg-type]
         out.n_spare_waits = operator.index(state["n_spare_waits"])  # type: ignore[arg-type]
         out._spare_wait_hours = Fraction(_exact_from_json(state["spare_wait_hours"]))
-        out.first_ddf = first_ddf
         if out.time_grid is not None:
             counts = np.asarray(state["grid_counts"], dtype=np.int64)
             if counts.shape != out.time_grid.shape:

@@ -44,9 +44,9 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..distributions import Mixture
-from ..simulation.batch import BATCH_SHARD_SIZE, shard_sizes, simulate_groups_batch
 from ..simulation.checkpoint import atomic_write_text, config_fingerprint
 from ..simulation.config import RaidGroupConfig
+from ..simulation.monte_carlo import MonteCarloRunner
 from ..simulation.raid_simulator import GroupChronology, RaidGroupSimulator
 from ..simulation.rng import make_seed_sequence
 from ..simulation.trace import TimelineRecorder
@@ -159,15 +159,9 @@ def run_event_engine_traced(
 def run_batch_engine(
     config: RaidGroupConfig, n_groups: int, seed: int
 ) -> List[GroupChronology]:
-    """Serial batch-engine fleet with the runner's per-shard seed spawning."""
-    sizes = shard_sizes(n_groups, BATCH_SHARD_SIZE)
-    children = make_seed_sequence(seed).spawn(len(sizes))
-    out: List[GroupChronology] = []
-    for n, child in zip(sizes, children):
-        out.extend(
-            simulate_groups_batch(config, n, np.random.Generator(np.random.PCG64(child)))
-        )
-    return out
+    """Serial batch-engine fleet, exactly as the runner simulates it."""
+    runner = MonteCarloRunner(config, n_groups=n_groups, seed=seed, engine="batch")
+    return runner.run().chronologies
 
 
 # ---------------------------------------------------------------------------

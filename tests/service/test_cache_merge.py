@@ -349,14 +349,40 @@ class TestDiskIntegrity:
 
     def test_entry_of_an_older_checkpoint_format_is_a_miss(self, tmp_path):
         """A file persisted under ``repro-checkpoint/1`` (Welford moments
-        and a reservoir RNG) is rejected as an integrity miss, so the
-        key is refined afresh rather than merged with the old state."""
+        and a reservoir RNG) or ``/2`` (with a first-DDF sample) is
+        rejected as an integrity miss, so the key is refined afresh
+        rather than merged with the old state."""
         entry = self.make_entry(tmp_path)
         path = entry_path(tmp_path, entry.key, entry.groups)
         with open(path) as handle:
             payload = json.load(handle)
-        payload["format"] = "repro-checkpoint/1"
-        with open(path, "w") as handle:
+        for old in ("repro-checkpoint/1", "repro-checkpoint/2"):
+            payload["format"] = old
+            with open(path, "w") as handle:
+                json.dump(payload, handle)
+            reopened = ResultCache(cache_dir=str(tmp_path))
+            status, found = reopened.lookup(
+                entry.key,
+                Precision(rel_ci_width=0.5),
+                expected_run_fingerprint=config_fingerprint(CONFIG),
+            )
+            assert (status, found) == ("miss", None), old
+            assert reopened.stats()["integrity_rejections"] == 1, old
+
+    def test_entry_whose_cursor_disagrees_with_its_accumulator_is_a_miss(
+        self, tmp_path
+    ):
+        """A file whose cursor counts a shard more than its accumulator
+        holds, renamed to that count so its name agrees, is rejected: an
+        ``extend`` from it would skip the shard."""
+        entry = self.make_entry(tmp_path)
+        path = entry_path(tmp_path, entry.key, entry.groups)
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["shards_completed"] += 1
+        payload["groups_completed"] += SHARD
+        os.remove(path)
+        with open(entry_path(tmp_path, entry.key, entry.groups + SHARD), "w") as handle:
             json.dump(payload, handle)
         reopened = ResultCache(cache_dir=str(tmp_path))
         status, found = reopened.lookup(

@@ -199,6 +199,29 @@ class TestValidation:
         with pytest.raises(SimulationError):
             load_checkpoint(str(path2))
 
+    def test_cursor_past_the_accumulator_rejected(self, tmp_path):
+        """Regression: a checkpoint whose cursor counted one shard more than
+        its accumulator held resumed silently, and the run reported 2,048
+        groups as ``fixed`` while it had simulated 1,536."""
+        path = str(tmp_path / "run.ckpt")
+        runner = MonteCarloRunner(
+            RaidGroupConfig.paper_base_case(mission_hours=8_760.0),
+            n_groups=2_048,
+            seed=3,
+            engine="batch",
+        )
+        runner.run_streaming(shard_size=512, checkpoint_path=path, stop_after_shards=2)
+        with open(path) as handle:
+            payload = json.load(handle)
+        assert (payload["shards_completed"], payload["groups_completed"]) == (2, 1_024)
+        payload["shards_completed"], payload["groups_completed"] = 3, 1_536
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        with pytest.raises(SimulationError, match="accumulator holds 1024"):
+            load_checkpoint(path)
+        with pytest.raises(SimulationError, match="accumulator holds 1024"):
+            runner.run_streaming(shard_size=512, resume_from=path)
+
 
 class TestCheckpointFile:
     def test_roundtrip(self, tmp_path):

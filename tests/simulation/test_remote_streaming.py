@@ -968,22 +968,26 @@ class TestWorkerRobustness:
         assert len(hub._threads) <= 2
 
     def test_hello_from_another_protocol_version_is_refused(self, hub):
-        """A worker speaking another protocol version — here protocol 1,
-        whose tasks were single shards — is disconnected at its
-        ``hello``: the hub sends it nothing, not even ``init``, and never
-        counts it as a worker."""
-        assert PROTOCOL_VERSION != 1
-        sock = socket.create_connection((hub.host, hub.port), timeout=10.0)
-        try:
-            reader = FrameReader(sock)
-            send_frame(
-                sock, threading.Lock(), {"t": "hello", "v": 1, "host": "old", "pid": 1}
-            )
-            with pytest.raises(ConnectionError, match="closed"):
-                reader.read(timeout=15.0)
-        finally:
-            sock.close()
-        assert hub.n_workers() == 0
+        """A worker speaking another protocol version — protocol 1, whose
+        tasks were single shards, or the one before this, whose summaries
+        carried a first-DDF sample — is disconnected at its ``hello``:
+        the hub sends it nothing, not even ``init``, and never counts it
+        as a worker."""
+        for version in (1, PROTOCOL_VERSION - 1):
+            assert version != PROTOCOL_VERSION
+            sock = socket.create_connection((hub.host, hub.port), timeout=10.0)
+            try:
+                reader = FrameReader(sock)
+                send_frame(
+                    sock,
+                    threading.Lock(),
+                    {"t": "hello", "v": version, "host": "old", "pid": 1},
+                )
+                with pytest.raises(ConnectionError, match="closed"):
+                    reader.read(timeout=15.0)
+            finally:
+                sock.close()
+            assert hub.n_workers() == 0, version
 
 
 def drop_summary(frame, run):
@@ -1232,9 +1236,9 @@ class TestFrameFuzzer:
     link's shards, or with SimulationError when the mutant worker is
     alone and, redialling after each drop, exhausts the retries.  No
     shard of the mutant worker reaches ``complete``.  The mutant worker
-    sends no heartbeats, so the hub's short heartbeat timeout drops it
-    when a mutant leaves the link waiting (a stale or future epoch, a
-    frame that is not a result)."""
+    heartbeats while it is connected, so the hub's heartbeat timeout
+    never drops it: the mutant frame itself must (a stale or future
+    epoch and a frame that is not a result included)."""
 
     @staticmethod
     def check(keep, alone, mutant):
@@ -1299,6 +1303,8 @@ class TestFrameFuzzer:
     @given(fuzz_cases())
     @example((False, False, ("damage", "oversize-length")))
     @example((True, True, ("damage", "not-utf8")))
+    @example((False, True, ("epoch", 1)))
+    @example((False, False, ("drop", "t")))
     def test_mutant_first_frame(self, case):
         self.check(*case)
 
@@ -1463,10 +1469,17 @@ def _forging_worker(address, forge, stop, sent, redial):
     forged by ``forge(frame, run)``, which either edits the frame or
     returns the bytes to send instead, length prefix and all; ``sent`` is
     set once a frame went out.  Otherwise it serves like ``repro worker``,
-    without heartbeats, until the hub drops it, then redials while
+    heartbeating every 0.2 s, until the hub drops it, then redials while
     ``redial``."""
     host, port = parse_endpoint(address)
     from repro.validation.generator import config_from_dict
+
+    def heartbeat(sock, lock, hung_up):
+        while not hung_up.wait(0.2):
+            try:
+                send_frame(sock, lock, {"t": "hb"})
+            except OSError:
+                return
 
     while not stop.is_set():
         try:
@@ -1476,9 +1489,13 @@ def _forging_worker(address, forge, stop, sent, redial):
         lock = threading.Lock()
         reader = FrameReader(sock)
         forged = False
+        hung_up = threading.Event()
         try:
             hello = {"t": "hello", "v": PROTOCOL_VERSION, "host": "forger", "pid": 1}
             send_frame(sock, lock, hello)
+            threading.Thread(
+                target=heartbeat, args=(sock, lock, hung_up), daemon=True
+            ).start()
             while not stop.is_set():
                 message = reader.read(timeout=0.25)
                 if message is None:
@@ -1502,11 +1519,13 @@ def _forging_worker(address, forge, stop, sent, redial):
                     if damage is None:
                         send_frame(sock, lock, frame)
                     else:
-                        sock.sendall(damage)
+                        with lock:  # not torn by a heartbeat
+                            sock.sendall(damage)
                     sent.set()
         except (ConnectionError, OSError):
             pass
         finally:
+            hung_up.set()
             sock.close()
         if not redial:
             return

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ParameterError, SimulationError
 from repro.simulation import (
-    FirstDDFReservoir,
     FleetAccumulator,
     Precision,
     RaidGroupConfig,
@@ -28,12 +27,7 @@ from repro.simulation import (
 )
 from repro.simulation.monte_carlo import MonteCarloRunner
 from repro.simulation.raid_simulator import DDFType, GroupChronology
-from repro.simulation.streaming import (
-    DEFAULT_RESERVOIR_CAPACITY as DEFAULT_CAPACITY,
-    _priority,
-    first_ddf_priorities,
-    normal_two_sided_z,
-)
+from repro.simulation.streaming import normal_two_sided_z
 
 #: Hypothesis sample streams: modest floats so two-pass comparisons are
 #: dominated by algorithmic differences, not catastrophic cancellation.
@@ -204,14 +198,13 @@ class TestFleetAccumulator:
             dict(mission_hours=87_600.0, time_grid=[100.0, 200.0]),
             dict(mission_hours=8_760.0),
             dict(mission_hours=8_760.0, time_grid=[100.0, 300.0]),
-            dict(mission_hours=8_760.0, time_grid=[100.0, 200.0], reservoir_capacity=8),
         ],
-        ids=["mission", "grid-vs-none", "grid-values", "capacity"],
+        ids=["mission", "grid-vs-none", "grid-values"],
     )
     def test_failed_merge_leaves_the_target_unchanged(self, other):
-        """Regression: merge added every tally and merged the sample
-        before it compared the time grids, so a refused merge left its
-        target half-merged (n_groups 1 + 2 == 3)."""
+        """Regression: merge added every tally before it compared the
+        time grids, so a refused merge left its target half-merged
+        (n_groups 1 + 2 == 3)."""
         target = FleetAccumulator(mission_hours=8_760.0, time_grid=[100.0, 200.0])
         target.add_chronology(make_chronology(1))
         before = json.dumps(target.to_dict(), sort_keys=True)
@@ -243,7 +236,6 @@ class TestFleetAccumulator:
         assert acc.total_first_year_ddfs == 2
         assert acc.first_year_moments.count == 4
         assert acc.grid_counts.tolist() == [1, 2, 4]
-        assert acc.first_ddf.n_seen == 3 and acc.first_ddf.n_censored == 1
 
     def test_roundtrip_bitwise(self):
         acc = FleetAccumulator(mission_hours=8_760.0, time_grid=[1000.0, 8000.0])
@@ -253,103 +245,17 @@ class TestFleetAccumulator:
             acc.to_dict(), sort_keys=True
         )
 
+    def test_summary_does_not_grow_with_the_fleet(self):
+        """A summary holds tallies and exact sums only, so sixteen times
+        the groups add a few digits to it, not a per-group sample."""
 
-class TestFirstDDFReservoir:
-    def test_counts_and_subset(self):
-        reservoir = FirstDDFReservoir(capacity=8)
-        offered = [float(v) for v in range(1, 31)]
-        for v in offered:
-            reservoir.offer_first_ddf(v)
-        reservoir.offer_censored()
-        assert reservoir.n_seen == 30
-        assert reservoir.n_censored == 1
-        assert len(reservoir.values) == 8
-        assert set(reservoir.values) <= set(offered)
+        def summary_bytes(n_groups):
+            runner = MonteCarloRunner(
+                RaidGroupConfig.paper_base_case(), n_groups=n_groups, seed=7, engine="batch"
+            )
+            return len(json.dumps(runner.run_streaming().accumulator.to_dict()))
 
-    def test_deterministic(self):
-        def build():
-            r = FirstDDFReservoir(capacity=4)
-            for v in range(100):
-                r.offer_first_ddf(float(v))
-            return r
-
-        assert build().values == build().values
-
-    def test_merge_preserves_population_counts(self):
-        a = FirstDDFReservoir(capacity=4)
-        b = FirstDDFReservoir(capacity=4)
-        for v in range(10):
-            a.offer_first_ddf(float(v))
-        for v in range(7):
-            b.offer_first_ddf(100.0 + v)
-        b.offer_censored()
-        a.merge(b)
-        assert a.n_seen == 17
-        assert a.n_censored == 1
-        assert len(a.values) == 4
-
-    def test_roundtrip_resumes_stream(self):
-        a = FirstDDFReservoir(capacity=4)
-        for v in range(50):
-            a.offer_first_ddf(float(v))
-        b = FirstDDFReservoir.from_dict(a.to_dict())
-        for v in range(50, 80):
-            a.offer_first_ddf(float(v))
-            b.offer_first_ddf(float(v))
-        assert a.values == b.values  # the sample is a function of its values
-
-    @given(
-        st.lists(
-            st.lists(st.floats(min_value=0.0, max_value=1e5), max_size=30),
-            min_size=3,
-            max_size=3,
-        ),
-        st.integers(min_value=1, max_value=12),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_merge_order_and_grouping_do_not_matter(self, parts, capacity):
-        """(a ∪ b) ∪ c == a ∪ (c ∪ b), byte for byte, and both equal
-        offering every value to one sample.  Equal values (0.0 and -0.0
-        included) are interchangeable, so duplicates cannot break it."""
-
-        def sample(values):
-            out = FirstDDFReservoir(capacity=capacity)
-            for v in values:
-                out.offer_first_ddf(v)
-            return out
-
-        a, b, c = (sample(part) for part in parts)
-        left = sample(parts[0])
-        left.merge(b)
-        left.merge(c)
-        inner = sample(parts[2])
-        inner.merge(b)
-        right = a
-        right.merge(inner)
-        whole = sample(parts[0] + parts[1] + parts[2])
-        dumps = [json.dumps(r.to_dict(), sort_keys=True) for r in (left, right, whole)]
-        assert dumps[0] == dumps[1] == dumps[2]
-        assert sorted(whole.values) == sorted(
-            sorted(parts[0] + parts[1] + parts[2], key=_priority)[:capacity]
-        )
-
-    def test_scalar_and_vector_priorities_agree(self):
-        values = [0.0, -0.0, 1.0, 1e-300, 87_600.0, 8_760.0 + 2 ** -40, 123.456]
-        assert first_ddf_priorities(np.array(values)).tolist() == [
-            _priority(v) for v in values
-        ]
-        assert _priority(-0.0) == _priority(0.0)
-        assert len({_priority(v) for v in values}) == len(values) - 1
-
-    def test_from_values_equals_offering_them(self):
-        rng = np.random.default_rng(3)
-        values = rng.exponential(5_000.0, size=300)
-        offered = FirstDDFReservoir(capacity=64)
-        for v in values:
-            offered.offer_first_ddf(v)
-        offered.offer_censored()
-        built = FirstDDFReservoir.from_values(values, n_censored=1, capacity=64)
-        assert built.to_dict() == offered.to_dict()
+        assert abs(summary_bytes(16_384) - summary_bytes(1_024)) < 64
 
 
 #: Mission, first-year horizon and curve ages of the exactness property:
@@ -403,17 +309,11 @@ class TestExactMerge:
     merged in any order and tree shape, gives the bytes of folding the
     groups in one by one."""
 
-    @given(
-        st.lists(chronologies(), max_size=30),
-        st.sampled_from([1, 3, DEFAULT_CAPACITY]),
-        st.data(),
-    )
+    @given(st.lists(chronologies(), max_size=30), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_any_partition_order_and_tree_shape(self, groups, capacity, data):
+    def test_any_partition_order_and_tree_shape(self, groups, data):
         def accumulator(part):
-            out = FleetAccumulator(
-                EXACT_MISSION, time_grid=EXACT_GRID, reservoir_capacity=capacity
-            )
+            out = FleetAccumulator(EXACT_MISSION, time_grid=EXACT_GRID)
             out.add_shard(part)
             return out
 
@@ -454,7 +354,7 @@ class TestBaseCaseFleet:
         runner = MonteCarloRunner(
             RaidGroupConfig.paper_base_case(), n_groups=8_192, seed=7, engine="batch"
         )
-        return runner.run_streaming(keep_chronologies=True)
+        return runner.run_streaming()
 
     def test_mean_ddf_count_is_correctly_rounded(self, fleet):
         moments = fleet.accumulator.ddf_moments
@@ -462,31 +362,6 @@ class TestBaseCaseFleet:
         # 1113/8192 is a float, so the exact mean is that float; per-group
         # Welford updates had left it at 0.13586425781249967.
         assert moments.mean == 1_113 / 8_192 == 0.1358642578125
-
-    @pytest.mark.parametrize("capacity", [DEFAULT_CAPACITY, 128])
-    def test_first_ddf_sample_matches_the_run(self, fleet, capacity):
-        """The bottom-k sample against every first-DDF time of the run:
-        its Kolmogorov-Smirnov distance stays below the 1% critical
-        value for its size.  The default capacity holds nearly all of
-        this run's first DDFs, so a 128-value sample of the same times
-        is checked too."""
-        firsts = np.sort(
-            [c.ddf_times[0] for c in fleet.result.chronologies if c.ddf_times]
-        )
-        if capacity == DEFAULT_CAPACITY:
-            reservoir = fleet.accumulator.first_ddf
-        else:
-            reservoir = FirstDDFReservoir.from_values(firsts, capacity=capacity)
-        sample = np.sort(reservoir.values)
-        assert reservoir.n_seen == firsts.size
-        assert sample.size == min(capacity, firsts.size)
-        assert set(sample.tolist()) <= set(firsts.tolist())
-        # Both empirical CDFs at every population point, from both sides.
-        grid = np.concatenate([firsts, np.nextafter(firsts, -np.inf)])
-        population = np.searchsorted(firsts, grid, side="right") / firsts.size
-        sampled = np.searchsorted(sample, grid, side="right") / sample.size
-        distance = float(np.max(np.abs(population - sampled)))
-        assert distance < 1.628 / math.sqrt(sample.size)
 
 
 class TestPrecision:
