@@ -66,6 +66,10 @@ DEFAULT_P_FLOOR = 5e-4
 #: |z| ceiling for the mean-DDF z comparison.
 DEFAULT_Z_CEILING = 5.0
 
+#: A suspect comparison is re-run at this many times its fleet, on
+#: :func:`confirmation_seed`, before it counts.
+DEFAULT_CONFIRM_FACTOR = 4
+
 Runner = Callable[[RaidGroupConfig, int, int], List[GroupChronology]]
 
 #: Statistical allowance for the solver-vs-batch comparison, in standard
@@ -322,7 +326,7 @@ class DifferentialFuzzer:
         n_traces: int = 12,
         p_floor: float = DEFAULT_P_FLOOR,
         z_ceiling: float = DEFAULT_Z_CEILING,
-        confirm_factor: int = 4,
+        confirm_factor: int = DEFAULT_CONFIRM_FACTOR,
         event_runner: Optional[Runner] = None,
         batch_runner: Optional[Runner] = None,
         max_shrink_evaluations: int = 24,
@@ -484,9 +488,7 @@ class DifferentialFuzzer:
         Returns the confirmation comparison when it is also suspect,
         ``None`` when the suspicion evaporates (statistical fluke).
         """
-        confirm_seed = int(
-            np.random.SeedSequence([seed, 0x5EED]).generate_state(1)[0]
-        )
+        confirm_seed = confirmation_seed(seed)
         n_confirm = n_groups * self.confirm_factor
         event = self.event_runner(config, n_confirm, confirm_seed)
         batch = self.batch_runner(config, n_confirm, confirm_seed)
@@ -566,6 +568,12 @@ class DifferentialFuzzer:
 # ---------------------------------------------------------------------------
 # Campaigns.
 # ---------------------------------------------------------------------------
+
+
+def confirmation_seed(seed: int) -> int:
+    """The independent seed a suspect engine comparison at ``seed`` is
+    re-run on (at ``confirm_factor`` times its fleet) before it counts."""
+    return int(np.random.SeedSequence([seed, 0x5EED]).generate_state(1)[0])
 
 
 def case_seed(campaign_seed: int, index: int) -> int:
