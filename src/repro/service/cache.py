@@ -48,7 +48,10 @@ best effort.  The check reads and parses a file once and rejects it
 configuration fingerprint is the query's, its envelope and resume
 coordinates are its key's, its groups count is its name's, and all of it
 decodes: a moved, renamed, hand-edited or torn file is never merged into
-the wrong design's statistics and never fails a request.  Other names,
+the wrong design's statistics and never fails a request.  A file of
+another checkpoint format is also deleted, best effort: no checkout of
+this version reads it, and a large one would otherwise outlive the
+key's smaller files and be refused again on every lookup.  Other names,
 such as ``atomic_write_text``'s temp files, are ignored.
 """
 
@@ -65,7 +68,11 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import ReproError, SimulationError
-from ..simulation.checkpoint import RunCheckpoint, atomic_write_text
+from ..simulation.checkpoint import (
+    CheckpointFormatError,
+    RunCheckpoint,
+    atomic_write_text,
+)
 from ..simulation.streaming import Precision, normal_two_sided_z
 
 logger = logging.getLogger("repro.service")
@@ -312,6 +319,14 @@ class ResultCache:
                 logger.warning(
                     "rejecting cache entry %s: %s: %s", path, type(exc).__name__, exc
                 )
+                if isinstance(exc, CheckpointFormatError):
+                    # No checkout of this version will ever read it, and it
+                    # may outlive the key's smaller files: delete it so it
+                    # is not refused again on every lookup.
+                    try:
+                        os.remove(path)
+                    except OSError:
+                        pass
                 continue
             with self._lock:
                 self.disk_loads += 1
