@@ -79,9 +79,10 @@ ENGINES = ("event", "batch", "auto")
 #: so results do not change).  The width balances the kernel's fixed
 #: per-iteration numpy dispatch overhead against its temporary memory,
 #: which grows with width.  On a 2-vCPU machine (Table 2 base case, one
-#: shard per call) the kernel ran 17.8k groups/s at 512 rows, 32.9k at
-#: 2,048 and 35.7k at 4,096; 2,048 rows cost +3.7% peak RSS on a serial
-#: fleet run.
+#: shard per call, CPU time, best of 3) the kernel ran 85k groups/s at
+#: 512 rows, 121k at 1,024, 168k at 2,048, 155k at 4,096 and 184k at
+#: 8,192: past 2,048 rows the gain is small and the memory keeps
+#: growing.
 KERNEL_ROWS = 2048
 
 

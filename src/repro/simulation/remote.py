@@ -116,7 +116,7 @@ from .executor import (
 from .raid_simulator import DDFType, GroupChronology
 from .streaming import FleetAccumulator
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: Hard cap on a single frame — a kernel-width run of pathological
 #: chronologies is well under 64 MiB; anything larger is a corrupt or

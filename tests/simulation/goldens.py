@@ -83,11 +83,11 @@ def golden_batch_cases():
 #: unnoticed.  If a deliberate batch-kernel semantic change moves them,
 #: regenerate via ``chronology_fingerprint`` in the same commit and say so.
 GOLDEN_BATCH_FINGERPRINTS = {
-    "base-case": "f04151de5b04ea5553edbb449a2ec731df66529b2fd54cc66f797b0225bf5944",
-    "base-case-2y": "c7b7d1e6582b64d361c26b85dccc40a97ab75b8c143e7a2db8eb4b592f0a2d59",
-    "raid6-hot": "cbcf2fd9a779fd1d3c1bd214866c0063d8becd8eb1c3c6d8002785e37b36b7b7",
+    "base-case": "7bbedfef8c69933d1ecee64695d084481839c97aa10dd8d5ff9b18d90bbe4d50",
+    "base-case-2y": "efe4ee782ff822e50cd8ca4b99fd4bd2ca4072d65dce7525344380426772ce72",
+    "raid6-hot": "26911871260ee7b13a65ae128472a8ab2f35dcea1031f54d03a2579ca54ae4c7",
     "kofn-policy": "4f5b84218e423b57b74be004c049d4fa3fb4d162a79073a7bb7408b669a32714",
     "no-latent": "5cae430f98c194b55b2ef24657c883c160fe9e5f1d7ddfe33bdba4502e600e08",
-    "hot-600": "4a4a9111b72f5f92fc2863ea4025d74cd88f15dbab5e30f81403caca9eed123c",
-    "fast-scrub": "ee2b13cf76bb429988afd78dc882e8a9206e03f104750c99031bf304ed6520b4",
+    "hot-600": "fdfaf8a0991ac8813bde66feabcf407043f36143e9ed4ca53b2516aaaeed3072",
+    "fast-scrub": "82206e4687d163c30104c0d2c05618baa63bd96b3b85a99a1a991d079e423f77",
 }

@@ -176,10 +176,10 @@ class TestParallelDeterminism:
 
     def test_precision_run_bit_identical_and_discards_speculation(self):
         until = Precision(rel_ci_width=2.0, min_groups=64)
-        serial = make_runner("batch", n_groups=512, seed=5).run_streaming(
+        serial = make_runner("batch", n_groups=512, seed=8).run_streaming(
             until=until, shard_size=64
         )
-        parallel = make_runner("batch", n_groups=512, seed=5, n_jobs=3).run_streaming(
+        parallel = make_runner("batch", n_groups=512, seed=8, n_jobs=3).run_streaming(
             until=until, shard_size=64
         )
         assert serial.stop_reason == parallel.stop_reason == "converged"
@@ -192,7 +192,7 @@ class TestParallelDeterminism:
     @pytest.mark.parametrize("n_jobs", [2, 3])
     def test_grouped_precision_run_bit_identical_and_bounded(self, n_jobs, tmp_path):
         # 200 shards in runs of up to 64: two reach min_groups, the rest
-        # are sized from the estimate; the target is met at shard 160,
+        # are sized from the estimate; the target is met at shard 154,
         # inside a run, on both paths.
         until = Precision(rel_ci_width=0.5, min_groups=64)
         serial_ckpt = str(tmp_path / "serial.ckpt")
@@ -205,7 +205,7 @@ class TestParallelDeterminism:
             until=until, shard_size=SHARD, checkpoint_path=parallel_ckpt
         )
         assert serial.stop_reason == parallel.stop_reason == "converged"
-        assert serial.shards_run == parallel.shards_run == 160
+        assert serial.shards_run == parallel.shards_run == 154
         assert canonical(parallel) == canonical(serial)
         assert without_clock(serial_ckpt) == without_clock(parallel_ckpt)
         # Dropped past the stop: less than one run serially; the rest of
@@ -757,7 +757,7 @@ class TestWarmPool:
         pool comes back only when they end, so the next run meanwhile
         starts its own, and each run gets its own results."""
         until = Precision(rel_ci_width=2.0, min_groups=64)
-        serial = make_runner("batch", n_groups=512, seed=5).run_streaming(
+        serial = make_runner("batch", n_groups=512, seed=8).run_streaming(
             until=until, shard_size=64
         )
         started = tmp_path / "slow"
@@ -772,7 +772,7 @@ class TestWarmPool:
                 assert time.monotonic() < deadline, "no slow run started"
                 time.sleep(0.01)
 
-        stopped = make_runner("batch", n_groups=512, seed=5, n_jobs=2).run_streaming(
+        stopped = make_runner("batch", n_groups=512, seed=8, n_jobs=2).run_streaming(
             until=until,
             shard_size=64,
             observers=(stop_once_a_slow_run_started,),

@@ -243,12 +243,12 @@ class TestDistributedDeterminism:
 
     def test_convergence_stop_drains_in_flight_remote_shards(self, hub):
         until = Precision(rel_ci_width=2.0, min_groups=64)
-        serial = make_runner("batch", n_groups=512, seed=5).run_streaming(
+        serial = make_runner("batch", n_groups=512, seed=8).run_streaming(
             until=until, shard_size=64
         )
         stop = start_workers(hub, 2)
         distributed = make_runner(
-            "batch", n_groups=512, seed=5, n_jobs=0
+            "batch", n_groups=512, seed=8, n_jobs=0
         ).run_streaming(until=until, shard_size=64, workers=hub)
         stop.set()
         assert serial.stop_reason == distributed.stop_reason == "converged"
@@ -318,7 +318,7 @@ class TestDistributedDeterminism:
         bytes, and what it simulated past the stop — the rest of the run
         and the run claimed behind it — is counted as discarded."""
         until = Precision(rel_ci_width=2.0, min_groups=256)
-        runner = dict(n_groups=4096, seed=5)
+        runner = dict(n_groups=4096, seed=2)
         serial = make_runner("batch", **runner).run_streaming(
             until=until, shard_size=64
         )

@@ -358,10 +358,10 @@ class TestBaseCaseFleet:
 
     def test_mean_ddf_count_is_correctly_rounded(self, fleet):
         moments = fleet.accumulator.ddf_moments
-        assert fleet.accumulator.total_ddfs == 1_113
-        # 1113/8192 is a float, so the exact mean is that float; per-group
-        # Welford updates had left it at 0.13586425781249967.
-        assert moments.mean == 1_113 / 8_192 == 0.1358642578125
+        assert fleet.accumulator.total_ddfs == 1_106
+        # 1106/8192 is a float, so the exact mean is that float; per-group
+        # Welford updates would leave it at 0.13500976562500072.
+        assert moments.mean == 1_106 / 8_192 == 0.135009765625
 
 
 class TestPrecision:
