@@ -185,7 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         metavar="PATH",
-        help="write a resumable JSON checkpoint after every shard",
+        help=(
+            "write a resumable JSON checkpoint once per committed run of "
+            "shards and at every stop"
+        ),
     )
     simulate.add_argument(
         "--resume",

@@ -53,6 +53,13 @@ another checkpoint format is also deleted, best effort: no checkout of
 this version reads it, and a large one would otherwise outlive the
 key's smaller files and be refused again on every lookup.  Other names,
 such as ``atomic_write_text``'s temp files, are ignored.
+
+The key directories are bounded too (``max_disk_keys``): beyond the
+bound, the least recently used key's directory is deleted, best effort
+and outside the lock.  The cache lists its directory once, when it
+opens, and orders the key directories it finds there by modification
+time; from then on the order lives in memory, and every lookup or put of
+a key moves it to the most recent end without a system call.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
@@ -80,8 +88,15 @@ logger = logging.getLogger("repro.service")
 #: Default in-memory entry bound (LRU eviction beyond it).
 DEFAULT_MAX_ENTRIES = 1024
 
+#: Default bound on key directories in a ``cache_dir`` (LRU deletion
+#: beyond it).  A persisted base-case run is about 1 KiB.
+DEFAULT_MAX_DISK_KEYS = 4096
+
 #: A persisted run's file name: its groups count.
 _ENTRY_NAME = re.compile(r"([0-9]+)\.json")
+
+#: A key directory's name (:meth:`CacheKey.dirname`).
+_KEY_DIRNAME = re.compile(r"[0-9a-f]{32}")
 
 #: What reading or decoding a torn or hand-edited file can raise.
 _DECODE_ERRORS = (
@@ -183,26 +198,39 @@ class ResultCache:
     """Bounded LRU of mergeable accumulator checkpoints, optionally on disk.
 
     Thread-safe: the service's request handlers and simulation worker
-    threads share one instance.  The lock guards the in-memory map and
-    the counters only; file I/O runs outside it.
+    threads share one instance.  The lock guards the in-memory map, the
+    order of the key directories on disk and the counters only; file I/O
+    runs outside it.
     """
 
     def __init__(
         self,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         cache_dir: Optional[str] = None,
+        max_disk_keys: int = DEFAULT_MAX_DISK_KEYS,
     ) -> None:
         if max_entries < 1:
             raise SimulationError(f"max_entries must be >= 1, got {max_entries!r}")
+        if max_disk_keys < 1:
+            raise SimulationError(f"max_disk_keys must be >= 1, got {max_disk_keys!r}")
         self.max_entries = max_entries
+        self.max_disk_keys = max_disk_keys
         self.cache_dir = cache_dir
-        if cache_dir is not None:
-            os.makedirs(cache_dir, exist_ok=True)
         self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
+        # Key directory names on disk, least recently used first.
+        self._disk_keys: "OrderedDict[str, None]" = OrderedDict()
         self._lock = threading.Lock()
         self.evictions = 0
+        self.disk_evictions = 0
         self.disk_loads = 0
         self.integrity_rejections = 0
+        if cache_dir is not None:
+            os.makedirs(cache_dir, exist_ok=True)
+            for name in _key_dirs_by_mtime(cache_dir):
+                self._disk_keys[name] = None
+            with self._lock:
+                evicted = self._evict_disk_locked()
+            self._delete_key_dirs(cache_dir, evicted)
 
     def __len__(self) -> int:
         with self._lock:
@@ -236,6 +264,7 @@ class ResultCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
+                self._touch_disk_locked(key)
         if entry is None:
             entry = self._load_from_disk(key, expected_run_fingerprint)
         if entry is None:
@@ -263,14 +292,47 @@ class ResultCache:
             self._entries[entry.key] = entry
             self._entries.move_to_end(entry.key)
             self._evict_locked()
-        if self.cache_dir is not None:
-            self._persist(self.cache_dir, entry)
+            if self.cache_dir is None:
+                return
+            # Registered before the write, so the key itself is the most
+            # recently used and never among the directories evicted.
+            name = entry.key.dirname()
+            self._disk_keys[name] = None
+            self._disk_keys.move_to_end(name)
+            evicted = self._evict_disk_locked()
+        self._persist(self.cache_dir, entry)
+        self._delete_key_dirs(self.cache_dir, evicted)
 
     def _evict_locked(self) -> None:
         """Enforce the LRU bound (caller holds the lock)."""
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.evictions += 1
+
+    def _touch_disk_locked(self, key: CacheKey) -> None:
+        """Mark ``key``'s directory, if on disk, most recently used
+        (caller holds the lock)."""
+        if self.cache_dir is not None:
+            name = key.dirname()
+            if name in self._disk_keys:
+                self._disk_keys.move_to_end(name)
+
+    def _evict_disk_locked(self) -> List[str]:
+        """Take the key directories beyond the disk bound off the order,
+        least recently used first, and count them (caller holds the
+        lock).  The caller deletes them once the lock is released."""
+        evicted = []
+        while len(self._disk_keys) > self.max_disk_keys:
+            evicted.append(self._disk_keys.popitem(last=False)[0])
+        self.disk_evictions += len(evicted)
+        return evicted
+
+    @staticmethod
+    def _delete_key_dirs(cache_dir: str, names: List[str]) -> None:
+        """Delete evicted key directories, best effort: one left behind
+        is found again when the cache next opens."""
+        for name in names:
+            shutil.rmtree(os.path.join(cache_dir, name), ignore_errors=True)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -340,6 +402,7 @@ class ResultCache:
                 # restart scanning thousands of persisted keys must not
                 # grow the in-memory map without bound.
                 self._evict_locked()
+                self._touch_disk_locked(key)
             return entry
         return None
 
@@ -351,10 +414,27 @@ class ResultCache:
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
                 "evictions": self.evictions,
+                "disk_keys": len(self._disk_keys),
+                "disk_evictions": self.disk_evictions,
                 "disk_loads": self.disk_loads,
                 "integrity_rejections": self.integrity_rejections,
                 "persistent": self.cache_dir is not None,
             }
+
+
+def _key_dirs_by_mtime(cache_dir: str) -> List[str]:
+    """The key directories in ``cache_dir``, least recently written first."""
+    found = []
+    with os.scandir(cache_dir) as entries:
+        for entry in entries:
+            if _KEY_DIRNAME.fullmatch(entry.name) is None:
+                continue
+            try:
+                if entry.is_dir(follow_symlinks=False):
+                    found.append((entry.stat().st_mtime_ns, entry.name))
+            except OSError:
+                continue  # removed since the listing
+    return [name for _, name in sorted(found)]
 
 
 def _entry_files(directory: str) -> List[Tuple[int, str]]:

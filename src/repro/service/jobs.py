@@ -291,8 +291,7 @@ class JobManager:
             seed=streaming.seed,
             engine=streaming.engine,
             shard_size=streaming.shard_size,
-            shards_completed=streaming.shards_run,
-            groups_completed=streaming.groups,
+            shard_sizes=streaming.shard_sizes,
             accumulator_state=streaming.accumulator.to_dict(),
             elapsed_seconds=streaming.elapsed_seconds,
         )

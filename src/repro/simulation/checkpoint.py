@@ -6,9 +6,12 @@ continue an interrupted fleet simulation bit-identically:
 * the **configuration fingerprint** (so a resume against a different
   design fails loudly instead of silently mixing fleets),
 * the reproducibility coordinates ``(seed, engine, shard_size)``,
-* the **shard cursor** — how many shards (and groups) completed, which
-  positions the :class:`~numpy.random.SeedSequence` spawn stream for the
-  next shard, and
+* the **shard cursor** — the sizes of the shards completed, in order and
+  run-length encoded (``[[512, 16]]``, or ``[[100, 2]]`` after two
+  100-group extends).  The shards counted there position the
+  :class:`~numpy.random.SeedSequence` spawn stream for the next shard,
+  and the groups counted there are the accumulator's; both derive from
+  the one list, so they cannot disagree, and
 * the full :class:`~repro.simulation.streaming.FleetAccumulator` state:
   integer tallies and exact moment sums.
 
@@ -19,12 +22,19 @@ already-consumed spawn positions, and keep going.  The accumulator is
 exactly mergeable, so the resumed run ends in the same state as an
 uninterrupted one, byte for byte.
 
-Format ``repro-checkpoint/4`` holds that exact state, and a file whose
-cursor counts other groups than its accumulator holds is refused.  Files
-of format ``/1`` (Welford moments and a reservoir RNG cursor), ``/2``
-(a bottom-k first-DDF sample besides the state) and ``/3`` (the state of
-a batch kernel that drew its random stream in another order, so a
-resume would splice two streams) are refused too; the service's result
+The runner rewrites its checkpoint once per committed run of shards and
+at every stop, not after every shard (see
+:meth:`~repro.simulation.monte_carlo.MonteCarloRunner.run_streaming`).
+
+Format ``repro-checkpoint/5`` holds that exact state.  A file whose
+cursor records a shard larger than its ``shard_size`` (or smaller than
+one group), or counts other groups than its accumulator holds, is
+refused.  Files of format ``/1`` (Welford moments and a reservoir RNG
+cursor), ``/2`` (a bottom-k first-DDF sample besides the state), ``/3``
+(the state of a batch kernel that drew its random stream in another
+order, so a resume would splice two streams) and ``/4`` (a cursor of two
+separate counts, whose shard count nothing checked: a hand edit of it
+resumed from the wrong seeds) are refused too; the service's result
 cache treats them as integrity misses, deletes them and refines the key
 afresh.
 
@@ -38,18 +48,18 @@ temp files.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
+import operator
 import os
 import tempfile
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import SimulationError
 from .config import RaidGroupConfig
 from .streaming import FleetAccumulator
 
 #: Format tag written into (and required from) every checkpoint file.
-CHECKPOINT_FORMAT = "repro-checkpoint/4"
+CHECKPOINT_FORMAT = "repro-checkpoint/5"
 
 
 class CheckpointFormatError(SimulationError):
@@ -61,9 +71,31 @@ def config_fingerprint(config: RaidGroupConfig) -> str:
 
     Built from the dataclass ``repr``, which fully determines the four
     transition distributions, geometry, and mission; two configs with the
-    same fingerprint simulate identically.
+    same fingerprint simulate identically.  Hashed once per config object
+    (:attr:`~repro.simulation.config.RaidGroupConfig.repr_fingerprint`).
     """
-    return hashlib.sha256(repr(config).encode("utf-8")).hexdigest()
+    return config.repr_fingerprint
+
+
+#: The shard cursor: ``[size, count]`` pairs of the shards run, in order,
+#: each pair a stretch of ``count`` consecutive shards of ``size`` groups.
+ShardSizes = List[List[int]]
+
+
+def add_shard(sizes: ShardSizes, n_groups: int) -> None:
+    """Record one more shard of ``n_groups`` at the end of ``sizes``."""
+    if sizes and sizes[-1][0] == n_groups:
+        sizes[-1][1] += 1
+    else:
+        sizes.append([n_groups, 1])
+
+
+def cursor_counts(sizes: ShardSizes) -> Tuple[int, int]:
+    """``(shards, groups)`` that ``sizes`` records."""
+    return (
+        sum(count for _, count in sizes),
+        sum(size * count for size, count in sizes),
+    )
 
 
 @dataclasses.dataclass
@@ -76,8 +108,11 @@ class RunCheckpoint:
         :func:`config_fingerprint` of the design being simulated.
     seed, engine, shard_size:
         Reproducibility coordinates; a resume must match all three.
-    shards_completed, groups_completed:
-        The shard cursor: spawn positions already consumed.
+    shard_sizes:
+        The shard cursor: the sizes of the shards run, in order and
+        run-length encoded (:data:`ShardSizes`).  The spawn positions
+        already consumed (:attr:`shards_completed`) and the groups
+        simulated (:attr:`groups_completed`) derive from it.
     accumulator_state:
         Serialized :class:`~repro.simulation.streaming.FleetAccumulator`.
     elapsed_seconds:
@@ -88,10 +123,19 @@ class RunCheckpoint:
     seed: Optional[int]
     engine: str
     shard_size: int
-    shards_completed: int
-    groups_completed: int
+    shard_sizes: ShardSizes
     accumulator_state: Dict[str, object]
     elapsed_seconds: float = 0.0
+
+    @property
+    def shards_completed(self) -> int:
+        """Shards run: the spawn positions a resume skips."""
+        return cursor_counts(self.shard_sizes)[0]
+
+    @property
+    def groups_completed(self) -> int:
+        """Groups run: the groups the accumulator holds."""
+        return cursor_counts(self.shard_sizes)[1]
 
     # ------------------------------------------------------------------
     def accumulator(self) -> FleetAccumulator:
@@ -135,8 +179,7 @@ class RunCheckpoint:
             "seed": self.seed,
             "engine": self.engine,
             "shard_size": self.shard_size,
-            "shards_completed": self.shards_completed,
-            "groups_completed": self.groups_completed,
+            "shard_sizes": self.shard_sizes,
             "elapsed_seconds": self.elapsed_seconds,
             "accumulator": self.accumulator_state,
         }
@@ -144,32 +187,46 @@ class RunCheckpoint:
     @classmethod
     def from_dict(cls, state: Dict[str, object]) -> "RunCheckpoint":
         """Inverse of :meth:`to_dict`; rejects unknown formats and a cursor
-        that disagrees with the accumulator."""
+        that its shard size or its accumulator contradicts."""
         fmt = state.get("format")
         if fmt != CHECKPOINT_FORMAT:
             raise CheckpointFormatError(
                 f"unsupported checkpoint format {fmt!r}; expected {CHECKPOINT_FORMAT!r}"
             )
+        shard_size = int(state["shard_size"])  # type: ignore[arg-type]
+        shard_sizes = [
+            [operator.index(size), operator.index(count)]
+            for size, count in state["shard_sizes"]  # type: ignore[union-attr]
+        ]
+        for size, count in shard_sizes:
+            if not 1 <= size <= shard_size or count < 1:
+                raise SimulationError(
+                    f"checkpoint cursor records {count} shard(s) of {size} groups, "
+                    f"not shards of 1 to {shard_size} groups — the file was "
+                    "hand-edited or corrupted; delete it and resume from an intact "
+                    "checkpoint, or restart the run"
+                )
         checkpoint = cls(
             fingerprint=str(state["fingerprint"]),
             seed=state["seed"],  # type: ignore[arg-type]
             engine=str(state["engine"]),
-            shard_size=int(state["shard_size"]),  # type: ignore[arg-type]
-            shards_completed=int(state["shards_completed"]),  # type: ignore[arg-type]
-            groups_completed=int(state["groups_completed"]),  # type: ignore[arg-type]
+            shard_size=shard_size,
+            shard_sizes=shard_sizes,
             accumulator_state=state["accumulator"],  # type: ignore[arg-type]
             elapsed_seconds=float(state.get("elapsed_seconds", 0.0)),  # type: ignore[arg-type]
         )
-        # A resume skips the cursor's groups and keeps the accumulator's,
-        # so both must count the same groups: a cursor past the
-        # accumulator would leave the difference never simulated.
+        # A resume skips the cursor's shards and keeps the accumulator's
+        # groups, so both must count the same groups: a cursor past the
+        # accumulator would leave the difference never simulated, and
+        # seed the next shard from the wrong spawn position.
         held = checkpoint.accumulator_state["n_groups"]
-        if held != checkpoint.groups_completed:
+        shards, groups = cursor_counts(shard_sizes)
+        if held != groups:
             raise SimulationError(
-                f"checkpoint cursor counts {checkpoint.groups_completed} groups "
-                f"completed but its accumulator holds {held!r} — the file was "
-                "hand-edited or corrupted; delete it and resume from an intact "
-                "checkpoint, or restart the run"
+                f"checkpoint cursor counts {groups} groups in "
+                f"{shards} shards but its accumulator holds "
+                f"{held!r} — the file was hand-edited or corrupted; delete it and "
+                "resume from an intact checkpoint, or restart the run"
             )
         return checkpoint
 

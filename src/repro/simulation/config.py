@@ -11,6 +11,8 @@ Fig. 7 "no scrub" curve, the paper's "recipe for disaster").
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 from typing import Optional
 
 from .._validation import require_int, require_positive
@@ -159,6 +161,21 @@ class RaidGroupConfig:
                     f"trigger while the data is still recoverable; got "
                     f"{threshold}"
                 )
+
+    @functools.cached_property
+    def repr_fingerprint(self) -> str:
+        """SHA-256 of the dataclass ``repr``: the resume guard of
+        :func:`~repro.simulation.checkpoint.config_fingerprint`.
+
+        The ``repr`` fully determines the four transition distributions,
+        geometry and mission, so two configs with the same fingerprint
+        simulate identically.  It is hashed once per object: the config
+        is frozen, and its distributions are treated as immutable too
+        (:class:`~repro.distributions.Weibull` precomputes ``1/shape``
+        when it is built), so the digest cannot go stale.
+        ``dataclasses.replace`` makes a fresh object with a fresh cache.
+        """
+        return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()
 
     @property
     def n_drives(self) -> int:

@@ -48,7 +48,9 @@ call publishes the run, and each shard's commit is one exact merge.
   spawned,
 * the consumer takes results **in shard order**, one shard at a time,
   and merges each summary into the accumulator, so convergence stopping,
-  checkpoints, and observers behave exactly as in a serial run,
+  checkpoints, and observers behave exactly as in a serial run; each
+  run's last shard carries an end-of-run mark, at which the consumer
+  writes its checkpoint,
 * shards simulated or in flight past the one a precision target stops
   at are simply never committed — discarded as if they had never been
   simulated: the rest of the stopping shard's run plus at most
@@ -129,6 +131,10 @@ class ShardOutcome:
         Worker-side simulation wall time (queue wait excluded): the
         run's wall time times the shard's share of the run's groups
         (:func:`split_run`).
+    run_end:
+        Whether this shard is the last of the run that delivered it (a
+        serial or pool task's run, or a remote worker's).  The commit
+        loop writes its checkpoint once per run, at this mark.
     queue_depth:
         Shards simulated or in flight and not yet delivered when this
         one was: the rest of its run, plus every shard submitted to the
@@ -157,6 +163,7 @@ class ShardOutcome:
     task: ShardTask
     summary: FleetAccumulator
     wall_seconds: float
+    run_end: bool
     queue_depth: int = 0
     commit_lag_seconds: float = 0.0
     retries: int = 0
@@ -529,8 +536,10 @@ class PipelinedShardExecutor:
         self._by_index: Dict[int, ShardTask] = {}
         self._claimed: Dict[int, str] = {}
         # Published shards: (result, wall seconds, worker, round trip,
-        # when published).
-        self._results: Dict[int, Tuple[ShardResult, float, str, float, float]] = {}
+        # when published, whether the shard ended its run).
+        self._results: Dict[
+            int, Tuple[ShardResult, float, str, float, float, bool]
+        ] = {}
         self._retries: Dict[int, int] = {}
         self._run_length = 1
         self._error: Optional[BaseException] = None
@@ -585,18 +594,22 @@ class PipelinedShardExecutor:
         Raises :class:`~repro.exceptions.SimulationError`, publishing
         nothing, unless every summary (and any kept chronologies) covers
         exactly its shard's groups.  The run's wall time and round trip
-        are split over its shards by :func:`split_run`.  A shard already
-        published or no longer planned is a stale duplicate (e.g.
-        completed after a reassignment) and is skipped.
+        are split over its shards by :func:`split_run`, and its last shard
+        carries the end-of-run mark (:attr:`ShardOutcome.run_end`).  A
+        shard already published or no longer planned is a stale duplicate
+        (e.g. completed after a reassignment) and is skipped.
         """
         _check_run(run, per_shard, worker)
         walls, rtts = split_run(run, wall_seconds), split_run(run, rtt_seconds)
+        last = run[-1].index
         with self._cond:
             now = time.perf_counter()
             for task, result, wall, rtt in zip(run, per_shard, walls, rtts):
                 if task.index in self._by_index and task.index not in self._results:
                     self._claimed.pop(task.index, None)
-                    self._results[task.index] = (result, wall, worker, rtt, now)
+                    self._results[task.index] = (
+                        result, wall, worker, rtt, now, task.index == last
+                    )
             self._cond.notify_all()
 
     def abandon(
@@ -707,8 +720,8 @@ class PipelinedShardExecutor:
             if ready:
                 break
         with self._cond:
-            result, wall_seconds, worker, rtt_seconds, finished_at = self._results.pop(
-                index
+            result, wall_seconds, worker, rtt_seconds, finished_at, run_end = (
+                self._results.pop(index)
             )
             del self._by_index[index]
             retries = self._retries.get(index, 0)
@@ -724,6 +737,7 @@ class PipelinedShardExecutor:
             retries=retries,
             worker=worker,
             rtt_seconds=rtt_seconds,
+            run_end=run_end,
         )
 
     # ------------------------------------------------------------------

@@ -43,7 +43,10 @@ from ..exceptions import ParameterError
 from .batch import BATCH_SHARD_SIZE, simulate_groups_batch  # noqa: F401
 from .checkpoint import (
     RunCheckpoint,
+    ShardSizes,
+    add_shard,
     config_fingerprint,
+    cursor_counts,
     load_checkpoint,
     save_checkpoint,
 )
@@ -355,19 +358,29 @@ class MonteCarloRunner:
             groups.  A target without ``max_groups`` is capped at
             :attr:`n_groups`.
         checkpoint_path:
-            When given, an atomically rewritten JSON checkpoint after
-            every completed shard (requires an integer :attr:`seed`).
+            When given, an atomically rewritten JSON checkpoint once per
+            committed run and at every stop (requires an integer
+            :attr:`seed`).  The shards of a run are merged one by one and
+            the stopping rule is tested after each; the checkpoint is
+            written at the run's last shard, or at the shard the run stops
+            at.  So an exception inside a run (a worker failure, or Ctrl-C
+            in the kernel) loses at most that run's committed shards from
+            the file, and a resume re-simulates them with the same bytes.
         resume_from:
             Path to (or loaded) checkpoint to continue from; the
             accumulator and shard cursor are restored and simulation
             continues with the next shard, bit-identically to an
-            uninterrupted run.
+            uninterrupted run.  A resume with nothing left to simulate
+            answers from the checkpoint alone: it builds no seed state,
+            executor or outcome generator.
         observers:
             Callables receiving a
-            :class:`~repro.simulation.streaming.ProgressEvent` after each
-            committed shard (``done=True`` on the last).  The shards of
-            one run are committed together once its kernel call returns,
-            so their events arrive in a burst.
+            :class:`~repro.simulation.streaming.ProgressEvent` for each
+            committed shard (``done=True`` on the last).  A run's events
+            are delivered in a burst, in order, once the run is committed
+            and its checkpoint written, so an exception raised from an
+            observer leaves a checkpoint at or past every event
+            delivered.
         keep_chronologies:
             Also materialize every chronology and attach a
             :class:`~repro.simulation.results.SimulationResult`, without
@@ -425,29 +438,32 @@ class MonteCarloRunner:
                 "checkpointed shards' chronologies were not retained"
             )
 
-        accumulator = FleetAccumulator(self.config.mission_hours, time_grid=time_grid)
-        shards_done = 0
-        groups_done = 0
-        prior_elapsed = 0.0
-        if resume_from is not None:
+        if resume_from is None:
+            accumulator = FleetAccumulator(self.config.mission_hours, time_grid=time_grid)
+            sizes: ShardSizes = []
+            prior_elapsed = 0.0
+        else:
             checkpoint = (
                 resume_from
                 if isinstance(resume_from, RunCheckpoint)
                 else load_checkpoint(resume_from)
             )
             checkpoint.validate_against(self.config, self.seed, engine, shard_size)
-            restored = checkpoint.accumulator()
+            accumulator = checkpoint.accumulator()
             if time_grid is not None and (
-                restored.time_grid is None
-                or not np.array_equal(restored.time_grid, accumulator.time_grid)
+                accumulator.time_grid is None
+                or not np.array_equal(
+                    accumulator.time_grid, np.asarray(list(time_grid), dtype=float)
+                )
             ):
                 raise ParameterError(
                     "time_grid does not match the checkpointed accumulator"
                 )
-            accumulator = restored
-            shards_done = checkpoint.shards_completed
-            groups_done = checkpoint.groups_completed
+            # Copied: the commit loop extends it, and a cache entry's
+            # checkpoint is shared.
+            sizes = [list(pair) for pair in checkpoint.shard_sizes]
             prior_elapsed = checkpoint.elapsed_seconds
+        shards_done, groups_done = cursor_counts(sizes)
 
         # A resumed accumulator may already meet the target; then there
         # is nothing to simulate.
@@ -456,12 +472,39 @@ class MonteCarloRunner:
         # so it is fixed up front; stopping merely truncates it, and an
         # interruption cuts it before anything past it is simulated.
         target = fixed_target if fixed_target is not None else cap
-        plan = shard_plan(shards_done, groups_done, target, shard_size)
-        plan = [] if converged else plan[:stop_after_shards]
+        plan = (
+            []
+            if converged
+            else shard_plan(shards_done, groups_done, target, shard_size)[
+                :stop_after_shards
+            ]
+        )
+        if not plan:
+            # Nothing left to simulate, which only a resume of a finished
+            # or converged run (never one that keeps chronologies) meets:
+            # answer from the checkpoint alone, without seed state, an
+            # executor or an outcome generator.
+            return self._result(
+                accumulator,
+                engine,
+                shard_size,
+                sizes,
+                converged,
+                (
+                    "converged"
+                    if converged
+                    else "fixed" if fixed_target is not None else "max_groups"
+                ),
+                precision,
+                prior_elapsed,
+                _ExecutorStats(mode="serial", n_jobs=1),
+                None,
+            )
+
         root_state = _seed_state(make_seed_sequence(self.seed))
         hub: "Optional[RemoteWorkerHub]" = None
         owned_hub = False
-        if workers is not None and bool(plan):
+        if workers is not None:
             from .remote import RemoteWorkerHub
 
             if isinstance(workers, RemoteWorkerHub):
@@ -469,7 +512,7 @@ class MonteCarloRunner:
             else:
                 hub = RemoteWorkerHub(bind=workers)
                 owned_hub = True
-        if self.n_jobs == 0 and hub is None and bool(plan):
+        if self.n_jobs == 0 and hub is None:
             raise ParameterError(
                 "n_jobs=0 (no local shard pool) requires workers= — there "
                 "would be nobody to simulate the shards"
@@ -519,6 +562,8 @@ class MonteCarloRunner:
         parallel = executor is not None
 
         kept: List[GroupChronology] = []
+        # The events of the run being committed, delivered once it is.
+        pending: List[ProgressEvent] = []
         start = time.perf_counter()
         shards_this_call = 0
         groups_at_start = groups_done
@@ -532,14 +577,11 @@ class MonteCarloRunner:
             n_jobs=executor.n_jobs if executor is not None else 1,
         )
         try:
-            if converged:
-                stop_reason = "converged"
-            elif not plan:
-                stop_reason = "fixed" if fixed_target is not None else "max_groups"
             for outcome in source:
                 accumulator.merge(outcome.summary)
                 if keep_chronologies:
                     kept.extend(outcome.chronologies)
+                add_shard(sizes, outcome.task.n_groups)
                 shards_done += 1
                 shards_this_call += 1
                 groups_done += outcome.task.n_groups
@@ -559,6 +601,25 @@ class MonteCarloRunner:
                     stop_reason = "interrupted"
 
                 elapsed = prior_elapsed + (time.perf_counter() - start)
+                if observers:
+                    pending.append(
+                        self._progress_event(
+                            accumulator,
+                            precision,
+                            shards_done,
+                            groups_done,
+                            groups_at_start,
+                            elapsed,
+                            prior_elapsed,
+                            converged,
+                            done=stop_reason is not None,
+                            outcome=outcome,
+                        )
+                    )
+                if not outcome.run_end and stop_reason is None:
+                    continue
+                # The run is committed, or stops at this shard: write the
+                # checkpoint once, then deliver the run's events.
                 if checkpoint_path is not None:
                     save_checkpoint(
                         checkpoint_path,
@@ -567,26 +628,15 @@ class MonteCarloRunner:
                             seed=self.seed,
                             engine=engine,
                             shard_size=shard_size,
-                            shards_completed=shards_done,
-                            groups_completed=groups_done,
+                            shard_sizes=sizes,
                             accumulator_state=accumulator.to_dict(),
                             elapsed_seconds=elapsed,
                         ),
                     )
-                if observers:
-                    self._notify(
-                        observers,
-                        accumulator,
-                        precision,
-                        shards_done,
-                        groups_done,
-                        groups_at_start,
-                        elapsed,
-                        prior_elapsed,
-                        converged,
-                        done=stop_reason is not None,
-                        outcome=outcome,
-                    )
+                for event in pending:
+                    for observer in observers:
+                        observer(event)
+                pending.clear()
                 if stop_reason is not None:
                     break
         finally:
@@ -596,34 +646,61 @@ class MonteCarloRunner:
         if executor is not None:
             stats.pool_breaks = executor.pool_breaks
             stats.workers_started = executor.workers_started
+        return self._result(
+            accumulator,
+            engine,
+            shard_size,
+            sizes,
+            converged,
+            stop_reason or "interrupted",
+            precision,
+            prior_elapsed + (time.perf_counter() - start),
+            stats,
+            kept if keep_chronologies else None,
+        )
 
+    def _result(
+        self,
+        accumulator: FleetAccumulator,
+        engine: str,
+        shard_size: int,
+        sizes: ShardSizes,
+        converged: bool,
+        stop_reason: str,
+        precision: Optional[Precision],
+        elapsed: float,
+        stats: _ExecutorStats,
+        kept: Optional[List[GroupChronology]],
+    ) -> StreamingResult:
+        """The run's :class:`~repro.simulation.streaming.StreamingResult`,
+        with its materialized result attached when ``kept`` holds the
+        chronologies."""
+        seed = self.seed if isinstance(self.seed, int) else None
+        shards, groups = cursor_counts(sizes)
         streaming = StreamingResult(
             accumulator=accumulator,
-            seed=self.seed if isinstance(self.seed, int) else None,
+            seed=seed,
             engine=engine,
             shard_size=shard_size,
-            shards_run=shards_done,
-            groups=groups_done,
+            shards_run=shards,
+            groups=groups,
             converged=converged,
-            stop_reason=stop_reason or "interrupted",
+            stop_reason=stop_reason,
+            shard_sizes=sizes,
             precision=precision,
-            elapsed_seconds=prior_elapsed + (time.perf_counter() - start),
+            elapsed_seconds=elapsed,
             executor_stats=stats.to_dict(),
         )
-        if keep_chronologies:
+        if kept is not None:
             # No link back to the run: a reference cycle would keep every
             # chronology alive until the cyclic garbage collector runs.
             streaming.result = SimulationResult(
-                config=self.config,
-                chronologies=kept,
-                seed=self.seed if isinstance(self.seed, int) else None,
-                engine=engine,
+                config=self.config, chronologies=kept, seed=seed, engine=engine
             )
         return streaming
 
     @staticmethod
-    def _notify(
-        observers: Sequence[RunObserver],
+    def _progress_event(
         accumulator: FleetAccumulator,
         precision: Optional[Precision],
         shards_done: int,
@@ -633,13 +710,13 @@ class MonteCarloRunner:
         prior_elapsed: float,
         converged: bool,
         done: bool,
-        outcome: Optional[ShardOutcome] = None,
-    ) -> None:
-        """Build and fan out one progress event."""
+        outcome: ShardOutcome,
+    ) -> ProgressEvent:
+        """The progress event of one committed shard."""
         confidence = precision.confidence if precision is not None else 0.95
         estimate, lo, hi = accumulator.ddfs_per_thousand_ci(confidence)
         call_elapsed = max(elapsed - prior_elapsed, 1e-9)
-        event = ProgressEvent(
+        return ProgressEvent(
             shards_completed=shards_done,
             groups_completed=groups_done,
             total_ddfs=accumulator.total_ddfs,
@@ -651,21 +728,17 @@ class MonteCarloRunner:
             groups_per_second=(groups_done - groups_at_start) / call_elapsed,
             converged=converged,
             done=done,
-            shard_seconds=outcome.wall_seconds if outcome is not None else 0.0,
-            queue_depth=outcome.queue_depth if outcome is not None else 0,
-            commit_lag_seconds=(
-                outcome.commit_lag_seconds if outcome is not None else 0.0
-            ),
-            shard_retries=outcome.retries if outcome is not None else 0,
+            shard_seconds=outcome.wall_seconds,
+            queue_depth=outcome.queue_depth,
+            commit_lag_seconds=outcome.commit_lag_seconds,
+            shard_retries=outcome.retries,
             shard_groups_per_second=(
                 outcome.task.n_groups / outcome.wall_seconds
-                if outcome is not None and outcome.wall_seconds > 0
+                if outcome.wall_seconds > 0
                 else 0.0
             ),
-            shard_worker=outcome.worker if outcome is not None else "local",
+            shard_worker=outcome.worker,
         )
-        for observer in observers:
-            observer(event)
 
     def _local_outcomes(
         self,
@@ -691,7 +764,7 @@ class MonteCarloRunner:
         over ``time_grid`` (and its chronologies when
         ``keep_chronologies``).
         """
-        if self.n_jobs <= 1 or not plan:
+        if self.n_jobs <= 1:
             return None, self._serial_outcomes(
                 plan,
                 engine,
@@ -732,7 +805,7 @@ class MonteCarloRunner:
         (:func:`~repro.simulation.executor._run_shard_run`, with the same
         ``worker`` hook), and checked as a pool run is.  They are still
         delivered one by one, each timed at its share of the run's wall
-        time.
+        time, and the run's last carries the end-of-run mark.
         """
         first = 0
         while first < len(plan):
@@ -751,6 +824,7 @@ class MonteCarloRunner:
                     chronologies=chronologies,
                     wall_seconds=seconds,
                     queue_depth=len(run) - delivered,
+                    run_end=delivered == len(run),
                 )
 
 

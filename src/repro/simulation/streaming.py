@@ -101,8 +101,12 @@ def _exact_to_json(value: Exact) -> List[int]:
 def _exact_from_json(state: object) -> Exact:
     """Inverse of :func:`_exact_to_json`; rejects anything but two ints."""
     numerator, denominator = state  # type: ignore[misc]
-    value = Fraction(operator.index(numerator), operator.index(denominator))
-    # Integral sums (the DDF counts') stay ints, whose arithmetic is fastest.
+    numerator, denominator = operator.index(numerator), operator.index(denominator)
+    # Integral sums (the DDF counts') stay ints, whose arithmetic is fastest;
+    # those written as such skip building a Fraction on every load.
+    if denominator == 1:
+        return numerator
+    value = Fraction(numerator, denominator)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -649,7 +653,8 @@ class ProgressEvent:
     shard_worker: str = "local"
 
 
-#: Observer signature: called after every shard and once more when done.
+#: Observer signature: called with every committed shard's event, a run's
+#: events in a burst once the run is committed (``done`` on the last).
 RunObserver = Callable[[ProgressEvent], None]
 
 
@@ -725,6 +730,10 @@ class StreamingResult:
         shards reproduces this state bit-for-bit.
     shards_run, groups:
         Total progress including any resumed segments.
+    shard_sizes:
+        The sizes of those shards, in order and run-length encoded: the
+        cursor a :class:`~repro.simulation.checkpoint.RunCheckpoint` of
+        this state records.
     converged:
         Whether a precision target stopped the run.
     stop_reason:
@@ -754,6 +763,7 @@ class StreamingResult:
     groups: int
     converged: bool
     stop_reason: str
+    shard_sizes: List[List[int]] = dataclasses.field(default_factory=list)
     precision: Optional[Precision] = None
     elapsed_seconds: float = 0.0
     result: Optional[object] = None  # SimulationResult, kept untyped to avoid a cycle

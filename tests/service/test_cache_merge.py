@@ -42,6 +42,7 @@ from repro.service import (
 from repro.service.jobs import derive_seed, service_time_grid
 from repro.simulation.checkpoint import (
     CHECKPOINT_FORMAT,
+    RunCheckpoint,
     config_fingerprint,
     load_checkpoint,
     save_checkpoint,
@@ -384,8 +385,7 @@ class TestDiskIntegrity:
         path = entry_path(tmp_path, entry.key, entry.groups)
         with open(path) as handle:
             payload = json.load(handle)
-        payload["shards_completed"] += 1
-        payload["groups_completed"] += SHARD
+        payload["shard_sizes"].append([SHARD, 1])
         os.remove(path)
         with open(entry_path(tmp_path, entry.key, entry.groups + SHARD), "w") as handle:
             json.dump(payload, handle)
@@ -458,7 +458,7 @@ class TestDiskIntegrity:
         release_small_write = threading.Event()
 
         def stalled_write(path: str, text: str) -> None:
-            if json.loads(text)["groups_completed"] == small.groups:
+            if RunCheckpoint.from_dict(json.loads(text)).groups_completed == small.groups:
                 small_write_started.set()
                 assert release_small_write.wait(timeout=30.0)
             real_write(path, text)
@@ -477,8 +477,7 @@ class TestDiskIntegrity:
         assert not small_put.is_alive() and not big_put.is_alive()
 
         path = entry_path(tmp_path, big.key, big.groups)
-        with open(path) as handle:
-            assert json.load(handle)["groups_completed"] == 2 * SHARD
+        assert load_checkpoint(path).groups_completed == 2 * SHARD
 
         reopened = ResultCache(cache_dir=str(tmp_path))
         status, found = reopened.lookup(
@@ -508,8 +507,7 @@ class TestDiskIntegrity:
         fresh = ResultCache(cache_dir=str(tmp_path))  # no in-memory record
         fresh.put(small)
         path = entry_path(tmp_path, big.key, big.groups)
-        with open(path) as handle:
-            assert json.load(handle)["groups_completed"] == 2 * SHARD
+        assert load_checkpoint(path).groups_completed == 2 * SHARD
 
     def test_disk_loads_respect_the_lru_bound(self, tmp_path):
         """Regression: ``_load_from_disk`` used to grow the in-memory map
@@ -649,7 +647,7 @@ class TestWriteOnceLayout:
         path = entry_path(tmp_path, big.key, big.groups)
         with open(path) as handle:
             payload = json.load(handle)
-        payload["groups_completed"] += SHARD
+        payload["shard_sizes"].append([SHARD, 1])
         with open(path, "w") as handle:
             json.dump(payload, handle)
 
@@ -762,6 +760,101 @@ def answer(service: ReliabilityService, query: dict) -> dict:
     if job is not None:
         response = service.finish(ctx, job.future.result(timeout=120))
     return response
+
+
+class TestDiskBound:
+    """Key directories beyond ``max_disk_keys`` are deleted, least
+    recently used first."""
+
+    @staticmethod
+    def keyed(entry: CacheEntry, n: int) -> CacheEntry:
+        """``entry`` filed under the ``n``-th of a run of distinct keys."""
+        key = dataclasses.replace(entry.key, horizon_hours=float(1_000 + n))
+        return dataclasses.replace(entry, key=key)
+
+    @staticmethod
+    def key_dirs(root) -> set:
+        return {name for name in os.listdir(str(root)) if len(name) == 32}
+
+    def test_key_directories_are_bounded(self, tmp_path):
+        """Regression: only the in-memory map was bounded, so 301 keys
+        put through a cache left 301 key directories behind."""
+        (run,) = TestWriteOnceLayout.runs(SHARD)
+        entries = [self.keyed(run, n) for n in range(301)]
+        cache = ResultCache(cache_dir=str(tmp_path), max_disk_keys=16)
+        for entry in entries[:300]:
+            cache.put(entry)
+        # A lookup is a use: the oldest key on disk becomes the newest.
+        oldest = entries[284]
+        assert cache.lookup(oldest.key, Precision(rel_ci_width=0.5))[1] is not None
+        cache.put(entries[300])
+
+        kept = [oldest] + entries[286:301]
+        assert self.key_dirs(tmp_path) == {e.key.dirname() for e in kept}
+        stats = cache.stats()
+        assert (stats["disk_keys"], stats["disk_evictions"]) == (16, 285)
+
+        reopened = ResultCache(cache_dir=str(tmp_path), max_disk_keys=16)
+        assert reopened.stats()["disk_keys"] == 16
+        assert reopened.stats()["disk_evictions"] == 0
+        for entry in kept:
+            status, found = reopened.lookup(
+                entry.key,
+                Precision(rel_ci_width=1e-9, max_groups=10_000),
+                expected_run_fingerprint=config_fingerprint(CONFIG),
+            )
+            assert status == "extend" and found is not None
+            assert found.groups == SHARD
+        assert reopened.lookup(entries[285].key, Precision(rel_ci_width=0.5)) == (
+            "miss",
+            None,
+        )
+        assert reopened.stats()["disk_loads"] == 16
+
+    def test_directories_found_at_open_are_ordered_by_mtime(self, tmp_path):
+        (run,) = TestWriteOnceLayout.runs(SHARD)
+        entries = [self.keyed(run, n) for n in range(4)]
+        writer = ResultCache(cache_dir=str(tmp_path))
+        for entry in entries:
+            writer.put(entry)
+        # Written last to first, as far as the file system can tell.
+        for age, entry in enumerate(entries):
+            stamp = 1_000_000_000 - 1_000 * age
+            os.utime(os.path.join(str(tmp_path), entry.key.dirname()), (stamp, stamp))
+
+        reopened = ResultCache(cache_dir=str(tmp_path), max_disk_keys=3)
+        assert self.key_dirs(tmp_path) == {e.key.dirname() for e in entries[:3]}
+        assert reopened.stats()["disk_evictions"] == 1
+        # The next new key evicts the oldest left, entries[2].
+        reopened.put(self.keyed(run, 4))
+        assert self.key_dirs(tmp_path) == {
+            e.key.dirname() for e in entries[:2] + [self.keyed(run, 4)]
+        }
+
+    def test_stats_report_disk_keys_and_evictions(self, tmp_path):
+        (run,) = TestWriteOnceLayout.runs(SHARD)
+        service = ReliabilityService(
+            cache=ResultCache(cache_dir=str(tmp_path), max_disk_keys=2), max_workers=1
+        )
+        try:
+            for n in range(3):
+                service.cache.put(self.keyed(run, n))
+            cache = service.stats()["cache"]
+        finally:
+            service.close()
+        assert (cache["disk_keys"], cache["disk_evictions"]) == (2, 1)
+
+    def test_a_cache_without_a_directory_counts_no_disk_keys(self):
+        cache = ResultCache(max_disk_keys=1)
+        (run,) = TestWriteOnceLayout.runs(SHARD)
+        cache.put(self.keyed(run, 0))
+        cache.put(self.keyed(run, 1))
+        stats = cache.stats()
+        assert (stats["disk_keys"], stats["disk_evictions"]) == (0, 0)
+
+    def test_bound_must_be_positive(self, tmp_path):
+        with pytest.raises(SimulationError, match="max_disk_keys"):
+            ResultCache(cache_dir=str(tmp_path), max_disk_keys=0)
 
 
 class TestResumeCoordinates:

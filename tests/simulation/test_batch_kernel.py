@@ -324,21 +324,49 @@ class TestSeveralShardsPerCall:
         assert resumed.stop_reason == "fixed"
         assert canonical(resumed) == reference
 
-    def test_checkpoint_follows_every_shard(self, kernel_calls, tmp_path):
+    def test_checkpoint_follows_every_run(self, kernel_calls, tmp_path):
+        # Every event finds the file at the end of its own run, or at the
+        # stop: never behind the event, and never past its run.
         path = str(tmp_path / "run.ckpt")
         seen = []
 
         def observer(event):
             checkpoint = load_checkpoint(path)
-            assert checkpoint.shards_completed == event.shards_completed
-            seen.append((checkpoint.shards_completed, checkpoint.groups_completed))
+            seen.append(
+                (
+                    event.shards_completed,
+                    checkpoint.shards_completed,
+                    checkpoint.groups_completed,
+                )
+            )
 
         runner = MonteCarloRunner(ONE_YEAR, n_groups=5 * QUARTER, seed=22, engine="batch")
         runner.run_streaming(
             shard_size=QUARTER, checkpoint_path=path, observers=(observer,)
         )
-        assert len(kernel_calls) == 2
-        assert seen == [(k, k * QUARTER) for k in range(1, 6)]
+        assert kernel_calls == [[QUARTER] * 4, QUARTER]
+        assert seen == [(k, 4, 4 * QUARTER) for k in range(1, 5)] + [
+            (5, 5, 5 * QUARTER)
+        ]
+
+        # A precision target met at shard 9, the 7th of the second run
+        # (shards 3-10): shards 3-9 find the file at the stop.
+        del kernel_calls[:], seen[:]
+        shard = 128
+        runner = MonteCarloRunner(
+            RaidGroupConfig.paper_base_case(), n_groups=32 * shard, seed=29, engine="batch"
+        )
+        converged = runner.run_streaming(
+            until=Precision(rel_ci_width=0.3),
+            shard_size=shard,
+            checkpoint_path=path,
+            observers=(observer,),
+        )
+        assert converged.stop_reason == "converged"
+        assert kernel_calls == [[shard] * 2, [shard] * 8]
+        assert seen == [(k, 2, 2 * shard) for k in (1, 2)] + [
+            (k, 9, 9 * shard) for k in range(3, 10)
+        ]
 
     def test_precision_target_runs_follow_the_estimate(self, kernel_calls):
         # An unreachable target simulates the groups still missing to

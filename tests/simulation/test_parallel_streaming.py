@@ -23,7 +23,7 @@ import pytest
 
 import repro
 from repro.exceptions import SimulationError
-from repro.simulation import Precision, RaidGroupConfig
+from repro.simulation import Precision, RaidGroupConfig, load_checkpoint
 from repro.simulation.executor import (
     _POOLS,
     PipelinedShardExecutor,
@@ -258,6 +258,22 @@ class TestParallelDeterminism:
         assert parallel.executor_stats["n_jobs"] == 2
         # In flight: the rest of a run of four plus at most two such runs.
         assert max(event.queue_depth for event in events) <= 3 + 8
+
+    def test_checkpoint_follows_every_pool_run(self, tmp_path):
+        # Pool runs of 4, 4 and 2 shards (as above): every event finds the
+        # file at the end of its own run, though the pool's queue depth is
+        # rarely 0 there.
+        path = str(tmp_path / "run.ckpt")
+        seen = []
+
+        def observer(event):
+            seen.append((event.shards_completed, load_checkpoint(path).shards_completed))
+
+        make_runner(
+            "batch", n_groups=9 * BATCH_SHARD_SIZE + 37, n_jobs=2
+        ).run_streaming(checkpoint_path=path, observers=(observer,))
+        ends = [4] * 4 + [8] * 4 + [10] * 2
+        assert seen == list(zip(range(1, 11), ends))
 
     def test_materialized_batch_run_matches_serial(self):
         # Six shards, the last one short: pool runs of 3 and 3 shards,

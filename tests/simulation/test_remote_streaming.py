@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 import repro.simulation.executor as executor_module
 import repro.simulation.remote as remote_module
 from repro.exceptions import ParameterError, SimulationError
-from repro.simulation import Precision, RaidGroupConfig
+from repro.simulation import Precision, RaidGroupConfig, load_checkpoint
 from repro.simulation.executor import (
     PipelinedShardExecutor,
     ShardTask,
@@ -309,6 +309,22 @@ class TestDistributedDeterminism:
         stop.set()
         assert canonical(distributed) == canonical(serial)
         assert calls == [[512] * 4]
+
+    def test_checkpoint_follows_every_remote_run(self, hub, tmp_path):
+        """One worker answers runs of 4 and 3 shards: every event finds
+        the checkpoint at the end of its own run."""
+        path = str(tmp_path / "run.ckpt")
+        seen = []
+
+        def observer(event):
+            seen.append((event.shards_completed, load_checkpoint(path).shards_completed))
+
+        stop = start_workers(hub, 1)
+        make_runner("batch", n_groups=6 * 512 + 100, n_jobs=0).run_streaming(
+            checkpoint_path=path, workers=hub, observers=(observer,)
+        )
+        stop.set()
+        assert seen == list(zip(range(1, 8), [4] * 4 + [7] * 3))
 
     def test_precision_target_met_inside_a_run(self, hub):
         """The first run covers the groups missing to ``min_groups``
